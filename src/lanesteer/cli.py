@@ -55,16 +55,6 @@ def _metrics_lines(record: sim.RunRecord) -> list[str]:
     return lines
 
 
-def _select_runner(scenario: Scenario):
-    if scenario.abort_time is not None:
-        return sim.run_abort
-    if scenario.lane_change_offset is None and any(
-        seg.curvature != 0 for seg in scenario.track.segments
-    ):
-        return sim.run_corner
-    return sim.run
-
-
 def _scenario_stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
@@ -79,7 +69,7 @@ def cmd_run(args) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    record = _select_runner(scenario)(scenario)
+    record = sim.run(scenario)
 
     out_dir = args.out or output.directory
     os.makedirs(out_dir, exist_ok=True)

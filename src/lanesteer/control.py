@@ -96,6 +96,9 @@ class ControlSample:
     theta_dot_ref: float  # rate of the blended target orientation
     station: float
     kappa_n: float
+    beta: float  # slip angle at the sampled state
+    theta_v: float  # velocity orientation psi + beta, wrapped
+    kappa_e: float  # path curvature under u_applied: omega / v
 
 
 def error_one_point(theta_v: float, theta_n: float, lateral: float, k: float) -> float:
@@ -138,39 +141,6 @@ def vehicle_speed(v_s: float, lateral_term: float, alignment: float) -> float:
     return v_s * numerator / alignment
 
 
-def stabilizing_control(
-    geom: VehicleGeometry,
-    state: VehicleState,
-    v: float,
-    theta_dot_ref: float,
-    delta_theta: float,
-    k: float,
-) -> float:
-    """Feed-forward part of the wheel rate.
-
-    Cancels the slip-angle kinematics, tracks the target orientation
-    rate, and cancels the lateral-rate coupling k*v*sin(delta_theta).
-    delta_theta must be the unblended theta_v - theta_n: the lateral
-    deviation evolves with the shadow-point orientation regardless of
-    the look-ahead blend, and using the blended difference here would
-    leave a residual in the error dynamics on curved lanes.
-    """
-    beta = veh.slip_angle(geom, state.delta)
-    g = veh.steering_gain(geom, state.delta)
-    return (
-        -(v / geom.l_r) * math.sin(beta)
-        + theta_dot_ref
-        - k * v * math.sin(delta_theta)
-    ) / g
-
-
-def optimal_correction(e: float, lam: float, geom: VehicleGeometry, delta: float) -> float:
-    """LQR feedback part of the wheel rate: u_c = -e / (g(delta) * sqrt(lam))."""
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    return -e / (veh.steering_gain(geom, delta) * math.sqrt(lam))
-
-
 def plan_step(
     line: ReferenceLine,
     geom: VehicleGeometry,
@@ -178,13 +148,20 @@ def plan_step(
     params: PlannerParams,
 ) -> ControlSample:
     """One full control evaluation: project, look ahead, couple the speed,
-    form the error, and emit the saturated wheel-rate command."""
-    frame_v = veh.frame_of(geom, state)
-    shadow = line.project(frame_v.position)
+    form the error, and emit the saturated wheel-rate command.
+
+    The wheel rate is u_s + u_c.  The feed-forward u_s cancels the
+    slip-angle kinematics, tracks the target orientation rate, and cancels
+    the lateral-rate coupling k*v*sin(delta_theta); the LQR feedback is
+    u_c = -e / (g * sqrt(lam)) with g = d(beta)/d(delta).
+    """
+    beta = veh.slip_angle(geom, state.delta)
+    g = veh.steering_gain(geom, state.delta)
+    theta_v = wrap_angle(state.psi + beta)
+    shadow = line.project((state.x, state.y))
     near = shadow.frame
     far = line.lookahead(near.station, params.delta_d0)
 
-    theta_v = frame_v.velocity_orientation
     delta_theta = wrap_angle(theta_v - near.orientation)
     alignment = math.cos(delta_theta)
     v = vehicle_speed(params.v_s, shadow.signed_lateral * near.curvature, alignment)
@@ -201,8 +178,13 @@ def plan_step(
         (1.0 - params.alpha) * params.v_s * near.curvature
         + params.alpha * params.v_s * far.curvature
     )
-    u_s = stabilizing_control(geom, state, v, theta_dot_ref, delta_theta, params.k)
-    u_c = optimal_correction(e, params.lam, geom, state.delta)
+    yaw_rate = (v / geom.l_r) * math.sin(beta)
+    # delta_theta must be the unblended theta_v - theta_n: the lateral
+    # deviation evolves with the shadow-point orientation regardless of the
+    # look-ahead blend, and using the blended difference here would leave a
+    # residual in the error dynamics on curved lanes
+    u_s = (-yaw_rate + theta_dot_ref - params.k * v * math.sin(delta_theta)) / g
+    u_c = -e / (g * math.sqrt(params.lam))
     u = u_s + u_c
     u_applied = min(max(u, -geom.u_max), geom.u_max)
     return ControlSample(
@@ -219,4 +201,7 @@ def plan_step(
         theta_dot_ref=theta_dot_ref,
         station=near.station,
         kappa_n=near.curvature,
+        beta=beta,
+        theta_v=theta_v,
+        kappa_e=(yaw_rate + g * u_applied) / v,
     )

@@ -14,7 +14,7 @@ import csv
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import control as ctl
 from . import vehicle as veh
@@ -46,6 +46,9 @@ class Scenario:
     control_divisor: int = 10  # control period = control_divisor * h
     lane_change_offset: float | None = None  # m, +normal direction
     abort_time: float | None = None  # s, swap target back to track
+    # the target before abort_time (the offset line, or the track itself),
+    # built once; init=False so that dataclasses.replace rebuilds it
+    _target: ReferenceLine = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.duration <= 0:
@@ -59,14 +62,18 @@ class Scenario:
                 raise ValueError("abort_time requires a lane-change offset")
             if not 0 <= self.abort_time < self.duration:
                 raise ValueError("abort_time must lie in [0, duration)")
+        target = (
+            self.track
+            if self.lane_change_offset is None
+            else self.track.parallel_offset(self.lane_change_offset)
+        )
+        object.__setattr__(self, "_target", target)
 
     def target_at(self, t: float) -> ReferenceLine:
         """Track the controller follows at time t."""
-        if self.lane_change_offset is None:
-            return self.track
         if self.abort_time is not None and t >= self.abort_time:
             return self.track
-        return self.track.parallel_offset(self.lane_change_offset)
+        return self._target
 
 
 @dataclass(frozen=True)
@@ -114,34 +121,25 @@ class RunRecord:
     failure_reason: str | None = None
 
 
-def _make_sample(
-    t: float,
-    geom: VehicleGeometry,
-    state: VehicleState,
-    cs: ControlSample,
-) -> Sample:
-    beta = veh.slip_angle(geom, state.delta)
-    theta_v = wrap_angle(state.psi + beta)
-    dtheta = wrap_angle(theta_v - cs.theta_n)
-    kappa_e = veh.omega(geom, state, cs.v, cs.u_applied) / cs.v
+def _make_sample(t: float, state: VehicleState, cs: ControlSample) -> Sample:
     return Sample(
         t=t,
         x=state.x,
         y=state.y,
         psi=state.psi,
         delta=state.delta,
-        beta=beta,
-        theta_v=theta_v,
+        beta=cs.beta,
+        theta_v=cs.theta_v,
         theta_n=cs.theta_n,
         theta_f=cs.theta_f,
         e=cs.e,
         d_lateral=cs.lateral,
-        d_lateral_rate=-cs.v * math.sin(dtheta),
+        d_lateral_rate=-cs.v * math.sin(cs.delta_theta),
         u_s=cs.u_s,
         u_c=cs.u_c,
         u_applied=cs.u_applied,
         v=cs.v,
-        kappa_e_inst=kappa_e,
+        kappa_e_inst=cs.kappa_e,
     )
 
 
@@ -157,26 +155,14 @@ def run(scenario: Scenario) -> RunRecord:
     n_periods = round(scenario.duration / period)
     samples: list[Sample] = []
     completed, reason = True, None
-    # the target track only changes at abort_time; build each variant once
-    initial_target = scenario.target_at(0.0)
-    final_target = (
-        scenario.target_at(scenario.abort_time)
-        if scenario.abort_time is not None
-        else initial_target
-    )
     for i in range(n_periods + 1):
         t = i * period
-        target = (
-            final_target
-            if scenario.abort_time is not None and t >= scenario.abort_time
-            else initial_target
-        )
         try:
-            cs = ctl.plan_step(target, geom, state, params)
+            cs = ctl.plan_step(scenario.target_at(t), geom, state, params)
         except PlannerError as exc:
             completed, reason = False, f"{type(exc).__name__}: {exc}"
             break
-        samples.append(_make_sample(t, geom, state, cs))
+        samples.append(_make_sample(t, state, cs))
         if i == n_periods:
             break
         try:

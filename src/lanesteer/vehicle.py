@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import atan, cos, isfinite, sin, tan
 
 from .errors import NumericBlowupError, SteeringDomainError
 from .refline import wrap_angle
@@ -39,23 +40,18 @@ class VehicleState:
     delta: float
 
 
-@dataclass(frozen=True)
-class VehicleFrame:
-    position: tuple[float, float]
-    tangent: tuple[float, float]
-    normal: tuple[float, float]
-    velocity_orientation: float
+_HALF_PI = math.pi / 2
 
 
 def _check_delta(delta: float) -> None:
-    if not abs(delta) < math.pi / 2:
+    if not abs(delta) < _HALF_PI:
         raise SteeringDomainError(f"front-wheel angle {delta} outside (-pi/2, pi/2)")
 
 
 def slip_angle(geom: VehicleGeometry, delta: float) -> float:
     """Slip angle of the center of gravity for a given front-wheel angle."""
     _check_delta(delta)
-    return math.atan(geom.l_r * math.tan(delta) / (geom.l_f + geom.l_r))
+    return atan(geom.l_r * tan(delta) / (geom.l_f + geom.l_r))
 
 
 def steering_gain(geom: VehicleGeometry, delta: float) -> float:
@@ -66,78 +62,53 @@ def steering_gain(geom: VehicleGeometry, delta: float) -> float:
     """
     _check_delta(delta)
     ratio = geom.l_r / (geom.l_f + geom.l_r)
-    t = geom.l_r * math.tan(delta) / (geom.l_f + geom.l_r)
-    return ratio / ((1.0 + t * t) * math.cos(delta) ** 2)
-
-
-def omega(geom: VehicleGeometry, state: VehicleState, v: float, u: float) -> float:
-    """Angular velocity of the velocity orientation psi + beta."""
-    beta = slip_angle(geom, state.delta)
-    return (v / geom.l_r) * math.sin(beta) + steering_gain(geom, state.delta) * u
-
-
-def derivatives(
-    geom: VehicleGeometry, state: VehicleState, v: float, u: float
-) -> tuple[float, float, float, float]:
-    """Time derivative (xdot, ydot, psidot, deltadot) of the bicycle model."""
-    beta = slip_angle(geom, state.delta)
-    heading = state.psi + beta
-    return (
-        v * math.cos(heading),
-        v * math.sin(heading),
-        (v / geom.l_r) * math.sin(beta),
-        u,
-    )
+    t = geom.l_r * tan(delta) / (geom.l_f + geom.l_r)
+    return ratio / ((1.0 + t * t) * cos(delta) ** 2)
 
 
 def step(
     geom: VehicleGeometry, state: VehicleState, v: float, u: float, h: float
 ) -> VehicleState:
     """One classical RK4 step; delta is clamped to the actuator range and
-    psi re-wrapped afterwards."""
+    psi re-wrapped afterwards.
+
+    The right-hand side is (v cos(psi + beta), v sin(psi + beta),
+    (v / l_r) sin(beta), u) with beta = atan(ratio * tan(delta)).  u is
+    constant over the step, so stages 2 and 3 share the midpoint wheel
+    angle and its slip angle.
+    """
     if h <= 0:
         raise ValueError("step size must be positive")
     ratio = geom.l_r / (geom.l_f + geom.l_r)
     v_lr = v / geom.l_r
-    half_pi = math.pi / 2
-
-    def f(psi, delta):
-        if not abs(delta) < half_pi:
-            raise SteeringDomainError(
-                f"front-wheel angle {delta} outside (-pi/2, pi/2)"
-            )
-        beta = math.atan(ratio * math.tan(delta))
-        heading = psi + beta
-        return (
-            v * math.cos(heading),
-            v * math.sin(heading),
-            v_lr * math.sin(beta),
-        )
-
     x0, y0, psi0, d0 = state.x, state.y, state.psi, state.delta
-    ax1, ay1, ap1 = f(psi0, d0)
-    ax2, ay2, ap2 = f(psi0 + 0.5 * h * ap1, d0 + 0.5 * h * u)
-    ax3, ay3, ap3 = f(psi0 + 0.5 * h * ap2, d0 + 0.5 * h * u)
-    ax4, ay4, ap4 = f(psi0 + h * ap3, d0 + h * u)
+
+    _check_delta(d0)
+    beta = atan(ratio * tan(d0))
+    heading = psi0 + beta
+    ax1, ay1, ap1 = v * cos(heading), v * sin(heading), v_lr * sin(beta)
+
+    d_mid = d0 + 0.5 * h * u
+    _check_delta(d_mid)
+    beta = atan(ratio * tan(d_mid))
+    ap_mid = v_lr * sin(beta)
+    heading = psi0 + 0.5 * h * ap1 + beta
+    ax2, ay2, ap2 = v * cos(heading), v * sin(heading), ap_mid
+    heading = psi0 + 0.5 * h * ap2 + beta
+    ax3, ay3, ap3 = v * cos(heading), v * sin(heading), ap_mid
+
+    d_end = d0 + h * u
+    _check_delta(d_end)
+    beta = atan(ratio * tan(d_end))
+    heading = psi0 + h * ap3 + beta
+    ax4, ay4, ap4 = v * cos(heading), v * sin(heading), v_lr * sin(beta)
+
     h6 = h / 6.0
     x = x0 + h6 * (ax1 + 2.0 * (ax2 + ax3) + ax4)
     y = y0 + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
     psi = psi0 + h6 * (ap1 + 2.0 * (ap2 + ap3) + ap4)
-    delta = d0 + h * u
-    delta = min(max(delta, -geom.delta_max), geom.delta_max)
+    delta = min(max(d_end, -geom.delta_max), geom.delta_max)
     psi = wrap_angle(psi)
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(psi)):
+    if not (isfinite(x) and isfinite(y) and isfinite(psi)):
         raise NumericBlowupError("integration produced a non-finite state")
     return VehicleState(x, y, psi, delta)
-
-
-def frame_of(geom: VehicleGeometry, state: VehicleState) -> VehicleFrame:
-    """Orthonormal frame attached to the velocity direction of the vehicle."""
-    theta_v = wrap_angle(state.psi + slip_angle(geom, state.delta))
-    c, s = math.cos(theta_v), math.sin(theta_v)
-    return VehicleFrame(
-        position=(state.x, state.y),
-        tangent=(c, s),
-        normal=(-s, c),
-        velocity_orientation=theta_v,
-    )

@@ -62,6 +62,20 @@ class TestRun:
         # no output files on validation failure
         assert not out.exists()
 
+    def test_collapsing_lane_change_offset_is_validation_error(self, tmp_path, capsys):
+        # a 3.5 m offset toward the center of a 2 m-radius arc has no parallel
+        src = scenario_path("lane_change_k10.scenario")
+        bad = tmp_path / "collapse.scenario"
+        text = open(src).read().replace(
+            "segment = line 200.0\n", "segment = line 5.0\nsegment = arc 20.0 0.5\n"
+        )
+        bad.write_text(text)
+        out = tmp_path / "o"
+        code = run_cli(["run", "--scenario", str(bad), "--out", str(out)])
+        assert code == 2
+        assert "collapses" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_override_k_oscillates(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code = run_cli([

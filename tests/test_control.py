@@ -135,9 +135,30 @@ class TestControlLaw:
         assert abs(cs.u_applied) == GEOM.u_max
 
     def test_optimal_correction_sign_and_scale(self):
+        # u_c = -e / (g(delta) * sqrt(lam)), opposing the error
+        line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
+        params = base_params(lam=4.0)
+        cs = ctl.plan_step(line, GEOM, VehicleState(10.0, 0.4, 0.0, 0.0), params)
         g = veh.steering_gain(GEOM, 0.0)
-        u_c = ctl.optimal_correction(0.4, 4.0, GEOM, 0.0)
-        assert u_c == pytest.approx(-0.4 / (g * 2.0))
+        assert cs.e == pytest.approx(0.5 * 0.4)
+        assert cs.u_c == pytest.approx(-cs.e / (g * 2.0))
+
+    def test_velocity_orientation_is_heading_plus_slip(self):
+        line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
+        state = VehicleState(1.0, 2.0, 0.7, 0.1)
+        cs = ctl.plan_step(line, GEOM, state, base_params())
+        assert cs.beta == veh.slip_angle(GEOM, 0.1)
+        assert cs.theta_v == wrap_angle(0.7 + cs.beta)
+        assert cs.delta_theta == wrap_angle(cs.theta_v - cs.theta_n)
+
+    def test_path_curvature_combines_yaw_and_slip_rate(self):
+        # kappa_e = omega / v with omega = (v / l_r) sin(beta) + g(delta) u
+        line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
+        cs = ctl.plan_step(line, GEOM, VehicleState(10.0, 0.3, 0.1, 0.2), base_params())
+        beta = veh.slip_angle(GEOM, 0.2)
+        omega = (cs.v / GEOM.l_r) * math.sin(beta) + veh.steering_gain(GEOM, 0.2) * cs.u_applied
+        assert cs.u_applied != 0.0
+        assert cs.kappa_e == pytest.approx(omega / cs.v)
 
     def test_target_rate_blends_curvatures(self):
         # shadow on the straight piece, look-ahead on the arc

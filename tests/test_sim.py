@@ -44,6 +44,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="abort_time"):
             lane_change_scenario(abort_time=10.0)
 
+    def test_collapsing_offset_rejected_at_construction(self):
+        # the offset line is built with the scenario, so a 3.5 m offset toward
+        # the center of a 2 m-radius arc fails here rather than inside run
+        track = ReferenceLine.from_pieces(
+            0.0, 0.0, 0.0, [("line", 5.0), ("arc", 20.0, 0.5)]
+        )
+        with pytest.raises(ValueError, match="collapses"):
+            sim.Scenario(
+                track=track,
+                geometry=GEOM,
+                params=PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5),
+                initial_state=VehicleState(0, 0, 0, 0),
+                duration=5.0,
+                lane_change_offset=3.5,
+            )
+
     def test_target_swaps_at_abort(self):
         sc = lane_change_scenario(abort_time=2.0)
         before = sc.target_at(1.9).point_at(0.0).position

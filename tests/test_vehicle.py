@@ -1,10 +1,12 @@
 import math
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lanesteer import vehicle as veh
-from lanesteer.errors import SteeringDomainError
+from lanesteer.errors import NumericBlowupError, SteeringDomainError
+from lanesteer.refline import wrap_angle
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
 GEOM = VehicleGeometry(l_f=1.2, l_r=1.6)
@@ -53,22 +55,25 @@ class TestSteeringGain:
 
 
 class TestDerivatives:
+    # the right-hand side seen through one short step
+
     def test_straight_rolling(self):
-        state = VehicleState(0.0, 0.0, 0.0, 0.0)
-        dx, dy, dpsi, ddelta = veh.derivatives(GEOM, state, 2.0, 0.0)
-        assert (dx, dy, dpsi, ddelta) == (2.0, 0.0, 0.0, 0.0)
+        state = veh.step(GEOM, VehicleState(0.0, 0.0, 0.0, 0.0), 2.0, 0.0, 0.5)
+        assert (state.x, state.y, state.psi, state.delta) == (1.0, 0.0, 0.0, 0.0)
 
     def test_heading_uses_velocity_orientation(self):
-        state = VehicleState(0.0, 0.0, 0.5, 0.2)
+        h = 1e-6
+        state = veh.step(GEOM, VehicleState(0.0, 0.0, 0.5, 0.2), 1.0, 0.0, h)
         beta = veh.slip_angle(GEOM, 0.2)
-        dx, dy, _, _ = veh.derivatives(GEOM, state, 1.0, 0.0)
-        assert dx == pytest.approx(math.cos(0.5 + beta))
-        assert dy == pytest.approx(math.sin(0.5 + beta))
+        assert state.x / h == pytest.approx(math.cos(0.5 + beta))
+        assert state.y / h == pytest.approx(math.sin(0.5 + beta))
 
     def test_omega_combines_yaw_and_slip_rate(self):
-        state = VehicleState(0.0, 0.0, 0.0, 0.2)
+        # d(psi + beta)/dt = (v / l_r) sin(beta) + g(delta) u
+        h = 1e-6
+        state = veh.step(GEOM, VehicleState(0.0, 0.0, 0.0, 0.2), 1.5, 0.4, h)
         beta = veh.slip_angle(GEOM, 0.2)
-        w = veh.omega(GEOM, state, 1.5, 0.4)
+        w = (state.psi + veh.slip_angle(GEOM, state.delta) - beta) / h
         expected = (1.5 / GEOM.l_r) * math.sin(beta) + veh.steering_gain(GEOM, 0.2) * 0.4
         assert w == pytest.approx(expected)
 
@@ -106,6 +111,26 @@ class TestStep:
         eb = math.hypot(b.x - ref.x, b.y - ref.y)
         assert ea / eb > 8.0
 
+    def test_rk4_order_on_exact_circle(self):
+        # with u = 0 the CoG follows a circle of radius R = l_r / sin(beta);
+        # the global error of classical RK4 shrinks 2^4 = 16x per halving of h
+        # (Hairer, Norsett & Wanner, Solving ODEs I)
+        delta, v, t_end = 0.25, 1.0, 4.0
+        beta = veh.slip_angle(GEOM, delta)
+        radius = GEOM.l_r / math.sin(beta)
+        w = v / radius
+        exact = (radius * math.sin(w * t_end), radius * (1.0 - math.cos(w * t_end)))
+
+        def end_error(h):
+            state = VehicleState(0.0, 0.0, -beta, delta)
+            for _ in range(round(t_end / h)):
+                state = veh.step(GEOM, state, v, 0.0, h)
+            return math.hypot(state.x - exact[0], state.y - exact[1])
+
+        errors = [end_error(h) for h in (0.2, 0.1, 0.05)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 14.0 <= coarse / fine <= 18.0
+
     def test_delta_clamped(self):
         geom = VehicleGeometry(l_f=1.2, l_r=1.6, delta_max=0.1)
         state = VehicleState(0.0, 0.0, 0.0, 0.09)
@@ -132,12 +157,65 @@ class TestGeometryValidation:
         with pytest.raises(ValueError):
             VehicleGeometry(l_f=1.0, l_r=1.0, delta_max=2.0)
 
-    def test_frame_unit_vectors(self):
-        state = VehicleState(1.0, 2.0, 0.7, 0.1)
-        frame = veh.frame_of(GEOM, state)
-        assert math.hypot(*frame.tangent) == pytest.approx(1.0)
-        dot = frame.tangent[0] * frame.normal[0] + frame.tangent[1] * frame.normal[1]
-        assert dot == pytest.approx(0.0, abs=1e-15)
-        assert frame.velocity_orientation == pytest.approx(
-            0.7 + veh.slip_angle(GEOM, 0.1)
-        )
+
+def textbook_rk4(geom, state, v, u, h):
+    """Reference RK4 step: four calls of one stage function, no sharing."""
+    ratio = geom.l_r / (geom.l_f + geom.l_r)
+    v_lr = v / geom.l_r
+
+    def f(psi, delta):
+        if not abs(delta) < math.pi / 2:
+            raise SteeringDomainError(f"front-wheel angle {delta} outside (-pi/2, pi/2)")
+        beta = math.atan(ratio * math.tan(delta))
+        heading = psi + beta
+        return v * math.cos(heading), v * math.sin(heading), v_lr * math.sin(beta)
+
+    x0, y0, psi0, d0 = state.x, state.y, state.psi, state.delta
+    ax1, ay1, ap1 = f(psi0, d0)
+    ax2, ay2, ap2 = f(psi0 + 0.5 * h * ap1, d0 + 0.5 * h * u)
+    ax3, ay3, ap3 = f(psi0 + 0.5 * h * ap2, d0 + 0.5 * h * u)
+    ax4, ay4, ap4 = f(psi0 + h * ap3, d0 + h * u)
+    h6 = h / 6.0
+    x = x0 + h6 * (ax1 + 2.0 * (ax2 + ax3) + ax4)
+    y = y0 + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
+    psi = psi0 + h6 * (ap1 + 2.0 * (ap2 + ap3) + ap4)
+    delta = min(max(d0 + h * u, -geom.delta_max), geom.delta_max)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(psi)):
+        raise NumericBlowupError("integration produced a non-finite state")
+    return VehicleState(x, y, wrap_angle(psi), delta)
+
+
+# psi near +-pi so that a step can wrap it, delta near +-delta_max so that it
+# clamps, and delta near +-pi/2 so that a stage leaves the steering domain
+oracle_states = st.builds(
+    VehicleState,
+    x=st.floats(-1e3, 1e3),
+    y=st.floats(-1e3, 1e3),
+    psi=st.one_of(st.floats(-math.pi, math.pi), st.floats(3.0, math.pi),
+                  st.floats(-math.pi, -3.0)),
+    delta=st.one_of(st.floats(-0.6, 0.6), st.floats(0.55, 0.6),
+                    st.floats(-0.6, -0.55), st.floats(-1.57, 1.57)),
+)
+
+
+class TestStepOracle:
+    @given(
+        oracle_states,
+        st.floats(0.0, 30.0),
+        st.floats(-1.0, 1.0),
+        st.floats(1e-4, 0.05),
+    )
+    # clamps: 0.59 + 0.05 * 1.0 > delta_max = 0.6
+    @example(VehicleState(0.0, 0.0, 0.0, 0.59), 1.0, 1.0, 0.05)
+    # wraps: psi rate (20 / 1.6) sin(beta(0.5)) times 0.05 carries 3.13 past pi
+    @example(VehicleState(0.0, 0.0, 3.13, 0.5), 20.0, 0.0, 0.05)
+    # leaves the steering domain in the last stage only: 1.55 + 0.04 > pi/2
+    @example(VehicleState(0.0, 0.0, 0.0, 1.55), 1.0, 1.0, 0.04)
+    def test_step_matches_textbook_rk4_bit_for_bit(self, state, v, u, h):
+        try:
+            expected = textbook_rk4(GEOM, state, v, u, h)
+        except SteeringDomainError as exc:
+            with pytest.raises(SteeringDomainError, match=re.escape(str(exc))):
+                veh.step(GEOM, state, v, u, h)
+            return
+        assert veh.step(GEOM, state, v, u, h) == expected

@@ -141,14 +141,6 @@ def check_abort_safety(params: PlannerParams, v: float) -> CheckResult:
     return CheckResult("abort_safety", rows, all(r.satisfied for r in rows))
 
 
-def implied_abort_peaks(params: PlannerParams) -> tuple[float, float]:
-    """Interior-extremum magnitudes of the orientation difference and its
-    rate for a full lane change (|e0| = k * W)."""
-    e0 = params.k * params.lane_width
-    pred = predict_lane_change(e0, params.lam, params.lambda0, num_samples=2)
-    return pred.peak_dtheta, pred.peak_dtheta_dot
-
-
 def check_corner_cutting(params: PlannerParams, kappa0: float) -> CheckResult:
     """Parameter window from the constant-curvature corner analysis.
 

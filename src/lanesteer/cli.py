@@ -17,17 +17,18 @@ import os
 import sys
 
 from . import analysis, scenario_io, sim, svgplot
-from .control import PlannerParams
 from .errors import PlannerError, ScenarioFormatError, ScenarioValidationError
-from .refline import ReferenceLine
-from .sim import Scenario
-from .vehicle import VehicleGeometry, VehicleState
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUN_FAILURE = 3
 EXIT_EMPTY_FEASIBLE = 4
+
+# the bundled scenario files of the source checkout; `figures` renders them
+SCENARIOS_DIR = os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "scenarios")
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -205,72 +206,34 @@ def cmd_feasibility(args) -> int:
     return EXIT_OK
 
 
-def _lane_change_scenario(k: float) -> Scenario:
-    track = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 200.0)])
-    params = PlannerParams.build(k=k, lam=1.0, lambda0=0.5, lane_width=3.5, v_s=1.0)
-    # tight actuator limits: the high-gain case saturates and oscillates
-    geometry = VehicleGeometry(l_f=1.5, l_r=1.5, delta_max=0.6, u_max=0.6)
-    return Scenario(
-        track=track,
-        geometry=geometry,
-        params=params,
-        initial_state=VehicleState(0.0, 0.0, 0.0, 0.0),
-        duration=10.0,
-        lane_change_offset=3.5,
-    )
-
-
-def _corner_scenarios() -> tuple[Scenario, Scenario]:
-    kappa0 = 0.01
-    track = ReferenceLine.from_pieces(
-        0.0, 0.0, 0.0, [("arc", 2.0 * math.pi / kappa0, kappa0)]
-    )
-    k, lambda0, alpha, gamma = 0.12, 0.5, 0.5, 0.995
-    two_point = PlannerParams.build(
-        k=k,
-        lam=(lambda0 / k) ** 2,
-        lambda0=lambda0,
-        alpha=alpha,
-        delta_d0=gamma / (alpha * k),
-        c3=1.0,
-        v_s=1.0,
-    )
-    one_point = PlannerParams.build(
-        k=k, lam=(lambda0 / k) ** 2, lambda0=lambda0, v_s=1.0
-    )
-    geometry = VehicleGeometry(l_f=1.5, l_r=1.5)
-    common = dict(
-        track=track,
-        geometry=geometry,
-        initial_state=VehicleState(0.0, 0.0, 0.0, 0.0),
-        duration=300.0,
-        h=5e-3,
-    )
-    return (
-        Scenario(params=two_point, **common),
-        Scenario(params=one_point, **common),
-    )
-
-
 def cmd_figures(args) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
+        records = []
+        for stem in (
+            "lane_change_k05",
+            "lane_change_k10",
+            "lane_change_k15",
+            "corner_twopoint",
+            "corner_onepoint",
+        ):
+            scenario, _ = scenario_io.load(
+                os.path.join(SCENARIOS_DIR, f"{stem}.scenario")
+            )
+            record = sim.run(scenario)
+            if not record.completed:
+                print(f"run failed: {record.failure_reason}", file=sys.stderr)
+                return EXIT_RUN_FAILURE
+            records.append(record)
+        *lane_changes, two_point, _ = records
         lateral_series, rate_series = [], []
-        for k in (0.5, 1.0, 1.5):
-            record = sim.run(_lane_change_scenario(k))
-            if not record.completed:
-                print(f"run failed: {record.failure_reason}", file=sys.stderr)
-                return EXIT_RUN_FAILURE
+        for record in lane_changes:
+            label = f"k={record.scenario.params.k:g}"
             # plot the offset from the original lane, matching a lane at y=0
-            pts_lat = [(s.t, s.y) for s in record.samples]
-            pts_rate = [(s.t, s.d_lateral_rate) for s in record.samples]
-            lateral_series.append((f"k={k:g}", pts_lat))
-            rate_series.append((f"k={k:g}", pts_rate))
-        two_point, one_point = (sim.run_corner(s) for s in _corner_scenarios())
-        for record in (two_point, one_point):
-            if not record.completed:
-                print(f"run failed: {record.failure_reason}", file=sys.stderr)
-                return EXIT_RUN_FAILURE
+            lateral_series.append((label, [(s.t, s.y) for s in record.samples]))
+            rate_series.append(
+                (label, [(s.t, s.d_lateral_rate) for s in record.samples])
+            )
         arc_pts = []
         track = two_point.scenario.track
         last_station = two_point.samples[-1].t * two_point.scenario.params.v_s

@@ -46,23 +46,25 @@ class PlannerParams:
     v_s: float = 1.0  # m/s, constant speed plan along the line
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("k must be positive")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        # comparisons are written so that NaN fails them
+        if not 0 < self.k < math.inf:
+            raise ValueError("k must be positive and finite")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         if not 0 < self.lambda0 < 1:
             raise ValueError("lambda0 must lie in (0, 1)")
         if not 0 <= self.alpha < 1:
             raise ValueError("alpha must lie in [0, 1)")
-        if self.delta_d0 < 0:
-            raise ValueError("delta_d0 must be nonnegative")
-        if self.lane_width <= 0:
-            raise ValueError("lane width must be positive")
-        if self.v_s <= 0:
-            raise ValueError("v_s must be positive")
-        if self.c1 <= 0 or self.c2 <= 0 or self.c3 <= 0:
+        if not 0 <= self.delta_d0 < math.inf:
+            raise ValueError("delta_d0 must be nonnegative and finite")
+        if not 0 < self.lane_width < math.inf:
+            raise ValueError("lane width must be positive and finite")
+        if not 0 < self.v_s < math.inf:
+            raise ValueError("v_s must be positive and finite")
+        # +inf is the "no bound" default
+        if not (self.c1 > 0 and self.c2 > 0 and self.c3 > 0):
             raise ValueError("safety bounds must be positive")
-        if abs(self.gamma - self.alpha * self.k * self.delta_d0) > _GAMMA_TOL:
+        if not abs(self.gamma - self.alpha * self.k * self.delta_d0) <= _GAMMA_TOL:
             raise ValueError("gamma inconsistent with alpha * k * delta_d0")
 
     @classmethod
@@ -99,11 +101,6 @@ class ControlSample:
     beta: float  # slip angle at the sampled state
     theta_v: float  # velocity orientation psi + beta, wrapped
     kappa_e: float  # path curvature under u_applied: omega / v
-
-
-def error_one_point(theta_v: float, theta_n: float, lateral: float, k: float) -> float:
-    """One-point sliding-surface error."""
-    return wrap_angle(theta_v - theta_n) - k * lateral
 
 
 def error_two_point(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import sim
 from .control import PlannerParams
 from .errors import ScenarioFormatError, ScenarioValidationError
 from .refline import ReferenceLine
@@ -179,6 +180,12 @@ def _parse_segment(text: str):
     )
 
 
+def _fields(values: dict, table: dict) -> dict:
+    """Dataclass keyword arguments for the file keys present in a section;
+    absent keys take the dataclass defaults."""
+    return {table[key]: value for key, value in values.items()}
+
+
 def validate(sections: dict) -> tuple[Scenario, OutputConfig]:
     """Enforce the schema and build the Scenario. Unknown keys are errors."""
     for section in sections:
@@ -220,40 +227,22 @@ def validate(sections: dict) -> tuple[Scenario, OutputConfig]:
     except ValueError as exc:
         raise ScenarioValidationError(f"[track]: {exc}") from None
 
-    vhc = values["vehicle"]
     try:
-        geometry = VehicleGeometry(
-            l_f=vhc["l_f_m"],
-            l_r=vhc["l_r_m"],
-            delta_max=vhc.get("delta_max_rad", 0.6),
-            u_max=vhc.get("u_max_rad_per_s", 1.0),
-        )
+        geometry = VehicleGeometry(**_fields(values["vehicle"], sim._VEHICLE_KEYS))
     except ValueError as exc:
         raise ScenarioValidationError(f"[vehicle]: {exc}") from None
 
-    pln = values["planner"]
     try:
-        params = PlannerParams.build(
-            k=pln["k_per_m"],
-            lam=pln["lambda_s2"],
-            lambda0=pln["lambda0"],
-            alpha=pln.get("alpha", 0.0),
-            delta_d0=pln.get("delta_d0_m", 0.0),
-            c1=pln.get("c1_rad", math.inf),
-            c2=pln.get("c2_rad_per_s", math.inf),
-            c3=pln.get("c3_m", math.inf),
-            lane_width=pln.get("lane_width_m", 3.5),
-            v_s=pln.get("v_s_m_per_s", 1.0),
-        )
+        params = PlannerParams.build(**_fields(values["planner"], sim._PLANNER_KEYS))
     except ValueError as exc:
         raise ScenarioValidationError(f"[planner]: {exc}") from None
 
-    smc = values["sim"]
+    smc = dict(values["sim"])
     initial = VehicleState(
-        x=smc["initial_x_m"],
-        y=smc["initial_y_m"],
-        psi=smc["initial_psi_rad"],
-        delta=smc.get("initial_delta_rad", 0.0),
+        x=smc.pop("initial_x_m"),
+        y=smc.pop("initial_y_m"),
+        psi=smc.pop("initial_psi_rad"),
+        delta=smc.pop("initial_delta_rad", 0.0),
     )
     try:
         scenario = Scenario(
@@ -261,21 +250,12 @@ def validate(sections: dict) -> tuple[Scenario, OutputConfig]:
             geometry=geometry,
             params=params,
             initial_state=initial,
-            duration=smc["duration_s"],
-            h=smc.get("h_s", 1e-3),
-            control_divisor=smc.get("control_divisor", 10),
-            lane_change_offset=smc.get("lane_change_offset_m"),
-            abort_time=smc.get("abort_time_s"),
+            **_fields(smc, sim._SIM_KEYS),
         )
     except ValueError as exc:
         raise ScenarioValidationError(f"[sim]: {exc}") from None
 
-    out = values.get("output", {})
-    config = OutputConfig(
-        directory=out.get("directory", "out"),
-        emit_csv=out.get("emit_csv", True),
-        emit_svg=out.get("emit_svg", False),
-    )
+    config = OutputConfig(**values.get("output", {}))
     return scenario, config
 
 

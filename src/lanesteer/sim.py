@@ -51,10 +51,10 @@ class Scenario:
     _target: ReferenceLine = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.h <= 0:
-            raise ValueError("integration step must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
+        if not 0 < self.h < math.inf:
+            raise ValueError("integration step must be positive and finite")
         if self.control_divisor < 1:
             raise ValueError("control divisor must be at least 1")
         if self.abort_time is not None:
@@ -155,22 +155,17 @@ def run(scenario: Scenario) -> RunRecord:
     n_periods = round(scenario.duration / period)
     samples: list[Sample] = []
     completed, reason = True, None
-    for i in range(n_periods + 1):
-        t = i * period
-        try:
+    try:
+        for i in range(n_periods + 1):
+            t = i * period
             cs = ctl.plan_step(scenario.target_at(t), geom, state, params)
-        except PlannerError as exc:
-            completed, reason = False, f"{type(exc).__name__}: {exc}"
-            break
-        samples.append(_make_sample(t, state, cs))
-        if i == n_periods:
-            break
-        try:
+            samples.append(_make_sample(t, state, cs))
+            if i == n_periods:
+                break
             for _ in range(scenario.control_divisor):
                 state = veh.step(geom, state, cs.v, cs.u_applied, scenario.h)
-        except PlannerError as exc:
-            completed, reason = False, f"{type(exc).__name__}: {exc}"
-            break
+    except PlannerError as exc:
+        completed, reason = False, f"{type(exc).__name__}: {exc}"
     metrics = metrics_from_samples(scenario, samples)
     return RunRecord(
         scenario=scenario,
@@ -179,18 +174,6 @@ def run(scenario: Scenario) -> RunRecord:
         completed=completed,
         failure_reason=reason,
     )
-
-
-def run_abort(scenario: Scenario) -> RunRecord:
-    """Lane change aborted mid-maneuver (target swapped back)."""
-    if scenario.abort_time is None:
-        raise ValueError("scenario has no abort_time")
-    return run(scenario)
-
-
-def run_corner(scenario: Scenario) -> RunRecord:
-    """Constant-curvature tracking run; rely on the steady-window metrics."""
-    return run(scenario)
 
 
 def _steady_window_mean(values: list[float]) -> tuple[float, bool]:

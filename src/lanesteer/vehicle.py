@@ -28,8 +28,8 @@ class VehicleGeometry:
             raise ValueError("axle distances must be positive")
         if not (0 < self.delta_max < math.pi / 2):
             raise ValueError("delta_max must be in (0, pi/2)")
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
+        if not 0 < self.u_max < math.inf:
+            raise ValueError("u_max must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -14,15 +14,27 @@ import time
 import numpy as np
 import pytest
 
-from lanesteer import analysis, cli, sim
+from lanesteer import analysis, cli, scenario_io, sim
 from lanesteer import vehicle as veh
-from lanesteer.cli import _corner_scenarios, _lane_change_scenario
 from lanesteer.control import PlannerParams
 from lanesteer.refline import ReferenceLine
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
 HERE = os.path.dirname(__file__)
 FIXTURE = os.path.join(HERE, "data", "feasibility_fixture.json")
+
+
+def bundled(stem: str) -> sim.Scenario:
+    """A scenario file from the checkout's scenarios/ directory."""
+    scenario, _ = scenario_io.load(os.path.join(cli.SCENARIOS_DIR, f"{stem}.scenario"))
+    return scenario
+
+
+LANE_CHANGE_FILES = {
+    0.5: "lane_change_k05",
+    1.0: "lane_change_k10",
+    1.5: "lane_change_k15",
+}
 
 
 def conclude(number: int, ok: bool, description: str, detail: str = ""):
@@ -34,10 +46,12 @@ def conclude(number: int, ok: bool, description: str, detail: str = ""):
 @pytest.fixture(scope="module")
 def lane_change_trio():
     out = {}
-    for k in (0.5, 1.0, 1.5):
+    for k, stem in LANE_CHANGE_FILES.items():
+        scenario = bundled(stem)
+        assert scenario.params.k == k
         # CPU time: wall-clock is unreliable on loaded CI machines
         start = time.process_time()
-        record = sim.run(_lane_change_scenario(k))
+        record = sim.run(scenario)
         out[k] = (record, time.process_time() - start)
         assert record.completed, record.failure_reason
     return out
@@ -45,7 +59,9 @@ def lane_change_trio():
 
 @pytest.fixture(scope="module")
 def corner_records():
-    two_point, one_point = (sim.run_corner(s) for s in _corner_scenarios())
+    two_point, one_point = (
+        sim.run(bundled(stem)) for stem in ("corner_twopoint", "corner_onepoint")
+    )
     assert two_point.completed and one_point.completed
     return two_point, one_point
 
@@ -304,7 +320,7 @@ def test_criterion_09_property_suite(lane_change_trio, corner_records):
         ok = False
     details.append(f"max |<r, x_s>| {worst_dot:.2e}")
     # determinism: an independent rerun is bit-identical
-    again = sim.run(_lane_change_scenario(1.0))
+    again = sim.run(bundled(LANE_CHANGE_FILES[1.0]))
     if again.samples != lane_change_trio[1.0][0].samples:
         ok = False
     details.append("rerun bit-identical" if again.samples == lane_change_trio[1.0][0].samples

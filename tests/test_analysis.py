@@ -119,8 +119,10 @@ class TestCheckAbortSafety:
         # peak = lhs * e0 * sqrt(lam) / lambda0
         p = PlannerParams.build(k=0.4, lam=2.0, lambda0=0.7, lane_width=3.5)
         res = analysis.check_abort_safety(p, v=1.0)
-        peak, _ = analysis.implied_abort_peaks(p)
         e0 = p.k * p.lane_width
+        peak = analysis.predict_lane_change(
+            e0, p.lam, p.lambda0, num_samples=2
+        ).peak_dtheta
         assert peak == pytest.approx(
             res.rows[0].lhs * e0 * math.sqrt(p.lam) / p.lambda0, rel=1e-12
         )

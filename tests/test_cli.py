@@ -8,7 +8,6 @@ import pytest
 
 from lanesteer import cli, sim
 
-SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "feasibility_fixture.json")
 PYPROJECT = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
 
@@ -22,7 +21,7 @@ def _lanesteer_distribution():
 
 
 def scenario_path(name):
-    return os.path.join(SCENARIOS, name)
+    return os.path.join(cli.SCENARIOS_DIR, name)
 
 
 def run_cli(args):
@@ -125,6 +124,14 @@ class TestSweep:
         code = run_cli([
             "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
             "--grid", "planner.k_per_m=0.5,0.5",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+
+    def test_nan_grid_value_is_validation_error(self, tmp_path):
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--grid", "vehicle.u_max_rad_per_s=nan",
             "--out", str(tmp_path / "o"),
         ])
         assert code == 2

@@ -25,6 +25,11 @@ class TestPlannerParams:
             PlannerParams(k=0.5, lam=1.0, lambda0=0.5, alpha=0.5,
                           delta_d0=2.0, gamma=0.9)
 
+    def test_nan_gamma_is_inconsistent(self):
+        with pytest.raises(ValueError, match="gamma"):
+            PlannerParams(k=0.5, lam=1.0, lambda0=0.5, alpha=0.5,
+                          delta_d0=2.0, gamma=math.nan)
+
     def test_build_derives_gamma(self):
         p = base_params(alpha=0.5, delta_d0=2.0)
         assert p.gamma == pytest.approx(0.5 * 0.5 * 2.0)
@@ -49,11 +54,12 @@ class TestErrorStates:
     def test_one_point_on_manifold(self):
         # e = 0 exactly when the orientation difference equals k * lateral
         k, lat = 0.5, 1.2
-        e = ctl.error_one_point(k * lat, 0.0, lat, k)
+        e = ctl.error_two_point(k * lat, 0.0, 0.9, lat, k, 0.0)
         assert e == pytest.approx(0.0)
 
     def test_two_point_reduces_to_one_point_at_alpha_zero(self):
-        e1 = ctl.error_one_point(0.3, 0.1, 0.7, 0.5)
+        # the one-point error wrap(theta_v - theta_n) - k * lateral
+        e1 = wrap_angle(0.3 - 0.1) - 0.5 * 0.7
         e2 = ctl.error_two_point(0.3, 0.1, 2.0, 0.7, 0.5, 0.0)
         assert e2 == pytest.approx(e1)
 

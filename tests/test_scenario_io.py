@@ -1,0 +1,101 @@
+import dataclasses
+import os
+
+from lanesteer import cli, scenario_io, sim
+from lanesteer.control import PlannerParams
+from lanesteer.scenario_io import OutputConfig
+from lanesteer.vehicle import VehicleGeometry, VehicleState
+
+LANE_CHANGE = os.path.join(cli.SCENARIOS_DIR, "lane_change_k10.scenario")
+
+MINIMAL = """\
+[track]
+start_x_m = 0.0
+start_y_m = 0.0
+start_heading_rad = 0.0
+segment = line 200.0
+
+[vehicle]
+l_f_m = 1.4
+l_r_m = 1.6
+
+[planner]
+k_per_m = 0.5
+lambda_s2 = 1.0
+lambda0 = 0.5
+
+[sim]
+duration_s = 5.0
+initial_x_m = 1.0
+initial_y_m = 2.0
+initial_psi_rad = 0.1
+"""
+
+
+def _defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
+
+
+class TestValidate:
+    def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.scenario"
+        path.write_text(MINIMAL)
+        scenario, output = scenario_io.load(str(path))
+        assert scenario.geometry == VehicleGeometry(l_f=1.4, l_r=1.6)
+        assert scenario.params == PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5)
+        assert scenario.initial_state == VehicleState(1.0, 2.0, 0.1, 0.0)
+        for name, default in _defaults(sim.Scenario).items():
+            assert getattr(scenario, name) == default, name
+        assert output == OutputConfig()
+
+    def test_every_optional_key_reaches_its_field(self):
+        scenario, output = scenario_io.load(LANE_CHANGE, [
+            "vehicle.delta_max_rad=0.5",
+            "vehicle.u_max_rad_per_s=0.7",
+            "planner.alpha=0.25",
+            "planner.delta_d0_m=2.0",
+            "planner.c1_rad=0.3",
+            "planner.c2_rad_per_s=0.4",
+            "planner.c3_m=0.9",
+            "planner.lane_width_m=3.0",
+            "planner.v_s_m_per_s=2.0",
+            "sim.h_s=0.002",
+            "sim.control_divisor=5",
+            "sim.abort_time_s=3.0",
+            "sim.lane_change_offset_m=3.0",
+            "sim.initial_delta_rad=0.05",
+            "output.directory=elsewhere",
+            "output.emit_csv=false",
+            "output.emit_svg=false",
+        ])
+        g, p = scenario.geometry, scenario.params
+        assert (g.delta_max, g.u_max) == (0.5, 0.7)
+        assert (p.alpha, p.delta_d0, p.gamma) == (0.25, 2.0, 0.25 * p.k * 2.0)
+        assert (p.c1, p.c2, p.c3, p.lane_width, p.v_s) == (0.3, 0.4, 0.9, 3.0, 2.0)
+        assert (scenario.h, scenario.control_divisor) == (0.002, 5)
+        assert (scenario.abort_time, scenario.lane_change_offset) == (3.0, 3.0)
+        assert scenario.initial_state.delta == 0.05
+        assert output == OutputConfig("elsewhere", False, False)
+
+
+def test_override_keys_match_scenario_file_keys():
+    """Every sweepable key is a scenario-file key and the reverse, so a key
+    added to only one side cannot escape validate() as a bare KeyError."""
+    base, _ = scenario_io.load(LANE_CHANGE)
+    tables = {
+        "planner": sim._PLANNER_KEYS,
+        "vehicle": sim._VEHICLE_KEYS,
+        "sim": sim._SIM_KEYS,
+    }
+    for section, table in tables.items():
+        file_keys = {
+            key for key in scenario_io._SCHEMA[section]
+            if not key.startswith("initial_")
+        }
+        assert file_keys == set(table), section
+        for key in file_keys:
+            try:
+                sim.apply_override(base, f"{section}.{key}", 0.5)
+            except ValueError:
+                pass  # the key is known; only the value is out of range

@@ -1,10 +1,13 @@
 import dataclasses
 import math
+import os
 
 import pytest
 
-from lanesteer import sim
+from lanesteer import cli, scenario_io, sim
+from lanesteer import vehicle as veh
 from lanesteer.control import PlannerParams
+from lanesteer.errors import NumericBlowupError
 from lanesteer.refline import ReferenceLine
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
@@ -26,6 +29,11 @@ def lane_change_scenario(k=0.5, duration=10.0, offset=3.5, **kw):
         lane_change_offset=offset,
         **kw,
     )
+
+
+def bundled(stem):
+    scenario, _ = scenario_io.load(os.path.join(cli.SCENARIOS_DIR, f"{stem}.scenario"))
+    return scenario
 
 
 class TestScenarioValidation:
@@ -126,64 +134,74 @@ class TestRun:
         assert record.samples  # partial record preserved
 
 
-class TestRunAbort:
-    def test_requires_abort_time(self):
-        with pytest.raises(ValueError):
-            sim.run_abort(lane_change_scenario())
+    def test_integration_failure_recorded_not_raised(self, monkeypatch):
+        sc = lane_change_scenario(duration=1.0)
+        real_step = veh.step
+        calls = []
 
+        def step_failing_in_second_period(*args):
+            calls.append(args)
+            if len(calls) > sc.control_divisor:
+                raise NumericBlowupError("injected")
+            return real_step(*args)
+
+        monkeypatch.setattr("lanesteer.vehicle.step", step_failing_in_second_period)
+        record = sim.run(sc)
+        assert not record.completed
+        assert record.failure_reason.startswith("NumericBlowupError")
+        # the sample taken at the start of the failed period is kept
+        period = sc.control_divisor * sc.h
+        assert [s.t for s in record.samples] == [0.0, period]
+
+
+class TestRunAbort:
     def test_abort_at_zero_never_leaves(self):
-        record = sim.run_abort(lane_change_scenario(abort_time=0.0))
+        record = sim.run(lane_change_scenario(abort_time=0.0))
         assert all(abs(s.d_lateral) < 1e-12 for s in record.samples)
 
     def test_prefix_identical_to_plain_run(self):
         full = sim.run(lane_change_scenario(duration=10.0))
-        aborted = sim.run_abort(lane_change_scenario(duration=10.0, abort_time=4.0))
+        aborted = sim.run(lane_change_scenario(duration=10.0, abort_time=4.0))
         for a, b in zip(full.samples, aborted.samples):
             if a.t >= 4.0:
                 break
             assert a == b
 
     def test_returns_to_original_lane(self):
-        record = sim.run_abort(
-            lane_change_scenario(duration=15.0, abort_time=2.0)
-        )
+        record = sim.run(lane_change_scenario(duration=15.0, abort_time=2.0))
         assert record.completed
         assert abs(record.metrics.final_lateral) < 0.05
 
 
 class TestRunCorner:
-    def make(self, alpha):
-        kappa0, k, lambda0 = 0.01, 0.12, 0.5
-        delta_d0 = 0.995 / (0.5 * k) if alpha else 0.0
-        params = PlannerParams.build(
-            k=k, lam=(lambda0 / k) ** 2, lambda0=lambda0,
-            alpha=alpha, delta_d0=delta_d0,
-        )
-        track = ReferenceLine.from_pieces(
-            0.0, 0.0, 0.0, [("arc", 2 * math.pi / kappa0, kappa0)]
-        )
-        return sim.Scenario(
-            track=track,
-            geometry=GEOM,
-            params=params,
-            initial_state=VehicleState(0.0, 0.0, 0.0, 0.0),
-            duration=250.0,
-            h=5e-3,
-        )
-
     def test_one_point_centers_the_lane(self):
-        record = sim.run_corner(self.make(alpha=0.0))
+        record = sim.run(bundled("corner_onepoint"))
         assert record.completed
         assert record.metrics.steady_converged
         assert abs(record.metrics.steady_lateral) < 1e-3
         assert record.metrics.mean_steady_curvature == pytest.approx(0.01, rel=0.01)
 
     def test_two_point_steady_lateral(self):
-        record = sim.run_corner(self.make(alpha=0.5))
+        record = sim.run(bundled("corner_twopoint"))
         p = record.scenario.params
         expected = -p.alpha * p.delta_d0 * 0.01 / p.k
         assert record.metrics.steady_converged
         assert record.metrics.steady_lateral == pytest.approx(expected, rel=0.05)
+
+
+# override keys whose values must be finite, and the safety bounds, for
+# which +inf means "no bound"
+FINITE_KEYS = [
+    "sim.duration_s",
+    "sim.h_s",
+    "planner.k_per_m",
+    "planner.lambda_s2",
+    "planner.delta_d0_m",
+    "planner.lane_width_m",
+    "planner.v_s_m_per_s",
+    "vehicle.u_max_rad_per_s",
+]
+BOUND_KEYS = ["planner.c1_rad", "planner.c2_rad_per_s", "planner.c3_m"]
 
 
 class TestSweep:
@@ -210,6 +228,16 @@ class TestSweep:
     def test_override_sim_field(self):
         sc = sim.apply_override(lane_change_scenario(), "sim.duration_s", 4.0)
         assert sc.duration == 4.0
+
+    @pytest.mark.parametrize("key", FINITE_KEYS + BOUND_KEYS)
+    def test_override_nan_rejected(self, key):
+        with pytest.raises(ValueError):
+            sim.apply_override(lane_change_scenario(), key, math.nan)
+
+    @pytest.mark.parametrize("key", FINITE_KEYS)
+    def test_override_inf_rejected(self, key):
+        with pytest.raises(ValueError):
+            sim.apply_override(lane_change_scenario(), key, math.inf)
 
 
 class TestCsv:

@@ -112,6 +112,22 @@ def predict_lane_change(
     )
 
 
+def _abort_terms(lam, lambda0, c1, c2, v, lane_width):
+    """Abort-safety peak (1/sqrt(lam)) exp(log lambda0 / (1 - lambda0)) and
+    its two limits c1 v / W and sqrt(c2 v / W)."""
+    lhs = (1.0 / math.sqrt(lam)) * math.exp(math.log(lambda0) / (1.0 - lambda0))
+    return lhs, c1 * v / lane_width, math.sqrt(c2 * v / lane_width)
+
+
+def _corner_k_bounds(gamma, kappa0, c3):
+    """Corner-cutting window k_lower < k < k_upper; k_upper is nan unless
+    0 < gamma < 1."""
+    ak0 = abs(kappa0)
+    k_lower = max(ak0 * math.sqrt(1.0 + gamma), math.sqrt(gamma * ak0 / c3))
+    k_upper = ak0 / math.sqrt(1.0 / gamma - 1.0) if 0 < gamma < 1 else math.nan
+    return k_lower, k_upper
+
+
 def check_oscillation(params: PlannerParams, v: float) -> CheckResult:
     """Fast/slow mode split: k v sqrt(lam) must equal lambda0 in (0, 1)."""
     tie = params.k * v * math.sqrt(params.lam)
@@ -130,10 +146,9 @@ def check_abort_safety(params: PlannerParams, v: float) -> CheckResult:
     Uses |e0| = k * W.  The returned rows report both limit branches
     individually so the binding one is visible.
     """
-    lam0, sq, w = params.lambda0, math.sqrt(params.lam), params.lane_width
-    lhs = (1.0 / sq) * math.exp(math.log(lam0) / (1.0 - lam0))
-    rhs1 = params.c1 * v / w
-    rhs2 = math.sqrt(params.c2 * v / w)
+    lhs, rhs1, rhs2 = _abort_terms(
+        params.lam, params.lambda0, params.c1, params.c2, v, params.lane_width
+    )
     rows = (
         CheckRow("abort_peak_vs_c1", lhs, "<=", rhs1, lhs <= rhs1),
         CheckRow("abort_peak_vs_c2", lhs, "<=", rhs2, lhs <= rhs2),
@@ -149,11 +164,7 @@ def check_corner_cutting(params: PlannerParams, kappa0: float) -> CheckResult:
     if kappa0 == 0:
         return CheckResult("corner_cutting", (), satisfied=True, applicable=False)
     gamma = params.gamma
-    ak0 = abs(kappa0)
-    k_lower = max(ak0 * math.sqrt(1.0 + gamma), math.sqrt(gamma * ak0 / params.c3))
-    k_upper = (
-        ak0 / math.sqrt(1.0 / gamma - 1.0) if 0 < gamma < 1 else math.nan
-    )
+    k_lower, k_upper = _corner_k_bounds(gamma, kappa0, params.c3)
     steady = abs(params.alpha * params.delta_d0 * kappa0 / params.k)
     rows = (
         CheckRow("gamma_range", gamma, "in", GAMMA_LOWER,
@@ -205,24 +216,84 @@ def find_feasible(
     checks.
 
     lambda and delta_d0 are derived per grid point: lam = (lambda0/(k v))^2
-    and delta_d0 = gamma / (alpha k).  Results are sorted by predicted
-    curvature ratio, then by grid coordinates, so the ordering is
-    deterministic regardless of evaluation order.
+    and delta_d0 = gamma / (alpha k).  Grid values outside the domain
+    (gamma <= 0, k <= 0, lambda0 outside (0, 1)) are skipped; non-finite
+    inputs, and grids whose derived lam or delta_d0 is not positive and
+    finite, raise ValueError.
+
+    The abort-safety rows depend on (lambda0, k) only and the corner-cutting
+    rows on (gamma, k) only, so both are evaluated first on those planes,
+    with the same floating-point expressions the checks use.  A point is
+    built only if it passes the abort-safety rows and the gamma-range and
+    k-window rows of the corner-cutting check there; a skipped point fails
+    one of those rows in the checks too.  A point that gets through is
+    built and checked exactly as before: `PlannerParams`,
+    `check_oscillation`, `check_abort_safety`, `check_corner_cutting` and
+    `predict_curvature_ratio`.
+
+    Results are sorted by predicted curvature ratio, then by grid
+    coordinates, so the ordering is deterministic regardless of evaluation
+    order.
     """
-    if v <= 0 or lane_width <= 0:
-        raise ValueError("v and lane width must be positive")
-    if alpha <= 0 or alpha >= 1:
+    if not (0 < v < math.inf and 0 < lane_width < math.inf):
+        raise ValueError("v and lane width must be positive and finite")
+    if not math.isfinite(kappa0):
+        raise ValueError("kappa0 must be finite")
+    # +inf is the "no bound" default
+    if not (c1 > 0 and c2 > 0 and c3 > 0):
+        raise ValueError("safety bounds must be positive")
+    if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1) for the search")
     if not gamma_grid or not lambda0_grid or not k_grid:
         raise ValueError("all grid axes must be non-empty")
+    if not all(map(math.isfinite, (*gamma_grid, *lambda0_grid, *k_grid))):
+        raise ValueError("grid values must be finite")
+    gammas = [gamma for gamma in gamma_grid if gamma > 0]
+    lambda0s = [lambda0 for lambda0 in lambda0_grid if 0 < lambda0 < 1]
+    ks = [k for k in k_grid if k > 0]
+    if not (gammas and lambda0s and ks):
+        return []
+    # lam falls with k and rises with lambda0, delta_d0 rises with gamma and
+    # falls with k: these two grid corners hold their extremes
+    for gamma, lambda0, k in ((max(gammas), max(lambda0s), min(ks)),
+                              (min(gammas), min(lambda0s), max(ks))):
+        try:
+            lam, delta_d0 = (lambda0 / (k * v)) ** 2, gamma / (alpha * k)
+        except (OverflowError, ZeroDivisionError):
+            lam = delta_d0 = math.inf
+        if not (0 < lam < math.inf and 0 < delta_d0 < math.inf):
+            raise ValueError(
+                "lambda and delta_d0 must be positive and finite on the grid"
+            )
+
+    abort_passing = []  # per lambda0: the (k, lam) pairs passing abort safety
+    for lambda0 in lambda0s:
+        passing = []
+        for k in ks:
+            lam = (lambda0 / (k * v)) ** 2
+            lhs, rhs1, rhs2 = _abort_terms(lam, lambda0, c1, c2, v, lane_width)
+            if lhs <= rhs1 and lhs <= rhs2:
+                passing.append((k, lam))
+        abort_passing.append((lambda0, passing))
+
     reports = []
-    for gamma in gamma_grid:
-        for lambda0 in lambda0_grid:
-            for k in k_grid:
-                if not (0 < lambda0 < 1) or k <= 0 or gamma <= 0:
+    for gamma in gammas:
+        corner = {}  # k -> delta_d0 for the k inside this gamma's window
+        for k in ks:
+            delta_d0 = gamma / (alpha * k)
+            if kappa0 != 0:
+                gamma_k = alpha * k * delta_d0
+                k_lower, k_upper = _corner_k_bounds(gamma_k, kappa0, c3)
+                if not (GAMMA_LOWER < gamma_k < 1.0 and k_lower < k < k_upper):
                     continue
-                lam = (lambda0 / (k * v)) ** 2
-                delta_d0 = gamma / (alpha * k)
+            corner[k] = delta_d0
+        if not corner:
+            continue
+        for lambda0, passing in abort_passing:
+            for k, lam in passing:
+                if k not in corner:
+                    continue
+                delta_d0 = corner[k]
                 params = PlannerParams(
                     k=k,
                     lam=lam,

@@ -180,8 +180,6 @@ def cmd_feasibility(args) -> int:
         unknown = set(axes) - {"gamma", "lambda0", "k"}
         if unknown:
             raise ValueError(f"unknown grid axes {sorted(unknown)}")
-        if args.v <= 0 or args.lane_width <= 0:
-            raise ValueError("v and lane width must be positive")
         reports = analysis.find_feasible(
             v=args.v,
             lane_width=args.lane_width,
@@ -215,7 +213,6 @@ def cmd_figures(args) -> int:
             "lane_change_k10",
             "lane_change_k15",
             "corner_twopoint",
-            "corner_onepoint",
         ):
             scenario, _ = scenario_io.load(
                 os.path.join(SCENARIOS_DIR, f"{stem}.scenario")
@@ -225,7 +222,7 @@ def cmd_figures(args) -> int:
                 print(f"run failed: {record.failure_reason}", file=sys.stderr)
                 return EXIT_RUN_FAILURE
             records.append(record)
-        *lane_changes, two_point, _ = records
+        *lane_changes, two_point = records
         lateral_series, rate_series = [], []
         for record in lane_changes:
             label = f"k={record.scenario.params.k:g}"

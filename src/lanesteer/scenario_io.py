@@ -142,7 +142,7 @@ def _convert(section: str, key: str, kind: str, value: str):
     try:
         if kind in ("float", "positive", "nonnegative"):
             num = float(value)
-            if not math.isfinite(num) and kind != "float":
+            if not math.isfinite(num):
                 raise ValueError("must be finite")
             if kind == "positive" and not num > 0:
                 raise ValueError("must be positive")

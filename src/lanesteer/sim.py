@@ -57,6 +57,10 @@ class Scenario:
             raise ValueError("integration step must be positive and finite")
         if self.control_divisor < 1:
             raise ValueError("control divisor must be at least 1")
+        if self.lane_change_offset is not None and not math.isfinite(
+            self.lane_change_offset
+        ):
+            raise ValueError("lane-change offset must be finite")
         if self.abort_time is not None:
             if self.lane_change_offset is None:
                 raise ValueError("abort_time requires a lane-change offset")

@@ -1,11 +1,20 @@
+import importlib.util
+import json
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lanesteer import analysis
 from lanesteer.control import PlannerParams
+
+HERE = os.path.dirname(__file__)
+FIXTURE = os.path.join(HERE, "data", "feasibility_fixture.json")
+ORACLE = os.path.join(HERE, "oracles", "gen_feasibility_fixture.py")
+with open(FIXTURE) as _fh:
+    FIXTURE_DATA = json.load(_fh)
 
 lambda0s = st.floats(0.05, 0.95)
 lams = st.floats(0.1, 25.0)
@@ -180,6 +189,108 @@ class TestPredictions:
         assert analysis.predict_steady_lateral(corner_params(), 0.0) == 0.0
 
 
+def per_point_find_feasible(v, lane_width, kappa0, c1, c2, c3, gamma_grid,
+                            lambda0_grid, k_grid, alpha=0.5):
+    """Reference search: every grid point through PlannerParams and the three
+    public checks, as find_feasible did before it rejected points by window."""
+    if v <= 0 or lane_width <= 0:
+        raise ValueError("v and lane width must be positive")
+    if alpha <= 0 or alpha >= 1:
+        raise ValueError("alpha must lie in (0, 1) for the search")
+    if not gamma_grid or not lambda0_grid or not k_grid:
+        raise ValueError("all grid axes must be non-empty")
+    reports = []
+    for gamma in gamma_grid:
+        for lambda0 in lambda0_grid:
+            for k in k_grid:
+                if not (0 < lambda0 < 1) or k <= 0 or gamma <= 0:
+                    continue
+                lam = (lambda0 / (k * v)) ** 2
+                delta_d0 = gamma / (alpha * k)
+                params = PlannerParams(
+                    k=k, lam=lam, lambda0=lambda0, alpha=alpha,
+                    delta_d0=delta_d0, gamma=alpha * k * delta_d0,
+                    c1=c1, c2=c2, c3=c3, lane_width=lane_width, v_s=v,
+                )
+                checks = (
+                    analysis.check_oscillation(params, v),
+                    analysis.check_abort_safety(params, v),
+                    analysis.check_corner_cutting(params, kappa0),
+                )
+                if not all(c.satisfied for c in checks):
+                    continue
+                reports.append(analysis.FeasibilityReport(
+                    params=params, checks=checks, feasible=True,
+                    predicted_curvature_ratio=analysis.predict_curvature_ratio(
+                        params, kappa0
+                    ),
+                ))
+    reports.sort(key=lambda r: (r.predicted_curvature_ratio, r.params.gamma,
+                                r.params.lambda0, r.params.k))
+    return reports
+
+
+def boundary_ks(inputs):
+    """k values on the corner-cutting window edges of each grid gamma and on
+    the abort-safety bound of each grid lambda0, with their float
+    neighbours, from the closed forms written out here."""
+    v, w, c1, c2, c3 = (inputs[n] for n in ("v", "lane_width", "c1", "c2", "c3"))
+    ak0 = abs(inputs["kappa0"])
+    edges = []
+    for gamma in inputs["gamma_grid"]:
+        if gamma > 0:
+            edges += [ak0 * math.sqrt(1.0 + gamma), math.sqrt(gamma * ak0 / c3)]
+        if 0 < gamma < 1:
+            edges.append(ak0 / math.sqrt(1.0 / gamma - 1.0))
+    limit = min(c1 * v / w, math.sqrt(c2 * v / w))
+    for lambda0 in inputs["lambda0_grid"]:
+        if 0 < lambda0 < 1:
+            peak = math.exp(math.log(lambda0) / (1.0 - lambda0))
+            edges.append(limit * lambda0 / (v * peak))
+    ks = []
+    for k in edges:
+        if 0 < k < math.inf:
+            ks += [math.nextafter(k, 0.0), k, math.nextafter(k, math.inf)]
+    return ks
+
+
+bounds = st.one_of(st.just(math.inf), st.floats(0.05, 5.0))
+
+
+@st.composite
+def search_inputs(draw):
+    """Random search inputs with small grids: out-of-domain grid values,
+    gamma on the golden-ratio bound and at 1, k on the window and abort
+    edges, and a k at which lam overflows.  Positive gamma stays above
+    1e-6: far below that delta_d0 can underflow to 0, which the windowed
+    search rejects and the point-by-point search accepted."""
+    inputs = dict(
+        v=draw(st.floats(0.1, 30.0)),
+        lane_width=draw(st.floats(1.0, 5.0)),
+        kappa0=draw(st.one_of(st.just(0.0), st.floats(-0.3, 0.3))),
+        c1=draw(bounds), c2=draw(bounds), c3=draw(bounds),
+        alpha=draw(st.floats(0.05, 0.95)),
+    )
+    gamma = st.one_of(
+        st.floats(1e-6, 10.0),
+        st.sampled_from([-0.5, 0.0, analysis.GAMMA_LOWER, 1.0,
+                         math.nextafter(analysis.GAMMA_LOWER, 1.0),
+                         math.nextafter(1.0, 0.0)]),
+    )
+    inputs["gamma_grid"] = draw(st.lists(gamma, min_size=1, max_size=4))
+    inputs["lambda0_grid"] = draw(
+        st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=4)
+    )
+    k_grid = draw(st.lists(st.floats(-0.1, 3.0), min_size=1, max_size=4))
+    edges = boundary_ks({**inputs, "k_grid": k_grid})
+    if edges:
+        k_grid += draw(st.lists(st.sampled_from(edges), max_size=4))
+    if draw(st.integers(0, 9)) == 0:
+        k_grid.append(1e-160)  # lam = (lambda0/(k v))^2 overflows
+    inputs["k_grid"] = draw(st.permutations(k_grid))
+    return inputs
+
+
 class TestFindFeasible:
     GRID = dict(
         gamma_grid=[0.7, 0.995],
@@ -225,12 +336,64 @@ class TestFindFeasible:
                 gamma_grid=[], lambda0_grid=[0.5], k_grid=[0.1],
             )
 
+    @settings(max_examples=300)
+    @given(search_inputs())
+    @example(FIXTURE_DATA["inputs"])
+    # PlannerParams rebuilds gamma = 1.0 as 0.9999999999999999 at this k,
+    # which passes the gamma range: one feasible set
+    @example(dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=math.inf,
+                  c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[1.0],
+                  lambda0_grid=[0.5], k_grid=[0.09]))
+    def test_matches_per_point_search(self, inputs):
+        # the point-by-point search raised OverflowError or
+        # ZeroDivisionError where lam or delta_d0 overflowed; the windowed
+        # one raises ValueError before the search for all of them
+        try:
+            want = per_point_find_feasible(**inputs)
+        except (ValueError, ArithmeticError):
+            with pytest.raises(ValueError):
+                analysis.find_feasible(**inputs)
+            return
+        assert repr(analysis.find_feasible(**inputs)) == repr(want)
+
+    @pytest.mark.parametrize("bad", [
+        dict(v=math.nan), dict(v=math.inf), dict(v=0.0),
+        dict(lane_width=math.nan), dict(lane_width=math.inf),
+        dict(kappa0=math.nan), dict(kappa0=math.inf), dict(kappa0=-math.inf),
+        dict(c1=math.nan), dict(c2=-1.0), dict(c3=0.0),
+        dict(alpha=math.nan),
+        dict(gamma_grid=[0.995, math.inf]),
+        dict(lambda0_grid=[0.5, math.nan]),
+        dict(lambda0_grid=[math.inf]),
+        dict(k_grid=[-math.inf, 0.12]),
+        dict(k_grid=[0.12, 1e-160]),  # lam overflows
+        dict(k_grid=[0.12, 1e170]),  # lam underflows to 0
+        dict(gamma_grid=[5e-324], k_grid=[10.0]),  # delta_d0 underflows to 0
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()).replace(
+        " ", ""
+    ))
+    def test_bad_input_rejected_before_the_search(self, bad):
+        inputs = dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=0.3, c2=0.3,
+                      c3=1.0, gamma_grid=[0.995], lambda0_grid=[0.5],
+                      k_grid=[0.12])
+        with pytest.raises(ValueError):
+            analysis.find_feasible(**{**inputs, **bad})
+
     def test_no_feasible_point_is_empty_list(self):
         reports = analysis.find_feasible(
             1.0, 3.5, 0.01, 0.3, 0.3, 1.0,
             gamma_grid=[0.3], lambda0_grid=[0.5], k_grid=[0.1],
         )
         assert reports == []
+
+
+def test_fixture_matches_its_oracle():
+    """The pinned fixture is what its brute-force generator computes."""
+    spec = importlib.util.spec_from_file_location("gen_feasibility_fixture", ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    assert oracle.INPUTS == FIXTURE_DATA["inputs"]
+    assert oracle.feasible_points(oracle.INPUTS) == FIXTURE_DATA["feasible"]
 
 
 class TestEigenvalues:

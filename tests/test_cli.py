@@ -75,6 +75,16 @@ class TestRun:
         assert "collapses" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nan_lane_change_offset_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli([
+            "run", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--set", "sim.lane_change_offset_m=nan", "--out", str(out),
+        ])
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_override_k_oscillates(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code = run_cli([
@@ -194,6 +204,19 @@ class TestFeasibility:
             assert float(fields["ratio"]) == pytest.approx(
                 row["predicted_ratio"], abs=1e-12
             )
+
+    @pytest.mark.parametrize("args, message", [
+        (["--kappa0", "nan"], "kappa0 must be finite"),
+        (["--kappa0", "0", "--c1", "-1"], "safety bounds must be positive"),
+        (["--kappa0", "0", "--v", "inf"], "v and lane width must be positive"),
+    ])
+    def test_bad_input_is_usage_error(self, capsys, args, message):
+        code = run_cli([
+            "feasibility", "--v", "1", "--lane-width", "3.5", *args,
+            "--grid", "gamma=0.9", "--grid", "lambda0=0.5", "--grid", "k=0.1",
+        ])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_missing_axis_is_usage_error(self):
         code = run_cli([

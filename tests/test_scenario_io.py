@@ -1,7 +1,10 @@
 import dataclasses
 import os
 
+import pytest
+
 from lanesteer import cli, scenario_io, sim
+from lanesteer.errors import ScenarioValidationError
 from lanesteer.control import PlannerParams
 from lanesteer.scenario_io import OutputConfig
 from lanesteer.vehicle import VehicleGeometry, VehicleState
@@ -99,3 +102,23 @@ def test_override_keys_match_scenario_file_keys():
                 sim.apply_override(base, f"{section}.{key}", 0.5)
             except ValueError:
                 pass  # the key is known; only the value is out of range
+
+
+# the keys of kind "float": any sign, but finite
+FLOAT_KEYS = [
+    "track.start_x_m",
+    "track.start_y_m",
+    "track.start_heading_rad",
+    "sim.initial_x_m",
+    "sim.initial_y_m",
+    "sim.initial_psi_rad",
+    "sim.initial_delta_rad",
+    "sim.lane_change_offset_m",
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_key_rejected(key, value):
+    with pytest.raises(ScenarioValidationError, match="must be finite"):
+        scenario_io.load(LANE_CHANGE, [f"{key}={value}"])

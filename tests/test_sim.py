@@ -200,6 +200,7 @@ FINITE_KEYS = [
     "planner.lane_width_m",
     "planner.v_s_m_per_s",
     "vehicle.u_max_rad_per_s",
+    "sim.lane_change_offset_m",
 ]
 BOUND_KEYS = ["planner.c1_rad", "planner.c2_rad_per_s", "planner.c3_m"]
 

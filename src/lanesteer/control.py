@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import vehicle as veh
 from .errors import GeometryDegenerateError, ShadowRegularityError
@@ -81,8 +82,7 @@ class PlannerParams:
         )
 
 
-@dataclass(frozen=True)
-class ControlSample:
+class ControlSample(NamedTuple):
     """Everything one control evaluation produced, for logging."""
 
     e: float

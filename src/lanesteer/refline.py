@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ArcCenterSingularityError,
@@ -46,8 +47,7 @@ def wrap_angle(a: float) -> float:
     return a
 
 
-@dataclass(frozen=True)
-class FramePoint:
+class FramePoint(NamedTuple):
     """Curve frame at one station: position, unit tangent/normal, heading, curvature."""
 
     position: tuple[float, float]
@@ -58,8 +58,7 @@ class FramePoint:
     station: float
 
 
-@dataclass(frozen=True)
-class ShadowResult:
+class ShadowResult(NamedTuple):
     """Closest-point projection of a vehicle position onto the line."""
 
     frame: FramePoint
@@ -100,11 +99,18 @@ class StraightSegment:
         )
 
     def closest(self, px: float, py: float):
+        """[(local station, distance, foot x, foot y, clamp)]: clamp is -1 or
+        +1 where the perpendicular foot fell before the start or past the
+        end and was clamped to that endpoint, 0 for a true foot."""
         c, sn = math.cos(self.heading), math.sin(self.heading)
         t = (px - self.x0) * c + (py - self.y0) * sn
-        t = min(max(t, 0.0), self.length)
+        clamp = 0
+        if t < 0.0:
+            t, clamp = 0.0, -1
+        elif t > self.length:
+            t, clamp = self.length, 1
         fx, fy = self.x0 + t * c, self.y0 + t * sn
-        return [(t, math.hypot(px - fx, py - fy), fx, fy)]
+        return [(t, math.hypot(px - fx, py - fy), fx, fy, clamp)]
 
     def offset(self, d: float) -> "StraightSegment":
         c, sn = math.cos(self.heading), math.sin(self.heading)
@@ -157,6 +163,8 @@ class ArcSegment:
         )
 
     def closest(self, px: float, py: float):
+        """As StraightSegment.closest; a radial foot outside the sweep gives
+        both endpoints, clamped."""
         dx, dy = px - self.cx, py - self.cy
         d = math.hypot(dx, dy)
         if d < 1e-9:
@@ -169,13 +177,11 @@ class ArcSegment:
             s = a * self.radius
             fx = self.cx + self.radius * dx / d
             fy = self.cy + self.radius * dy / d
-            return [(s, abs(d - self.radius), fx, fy)]
-        # radial foot falls outside the sweep: endpoints are the candidates
+            return [(s, abs(d - self.radius), fx, fy, 0)]
         out = []
-        for s in (0.0, self.length):
-            f = self.frame_at(s, 0.0)
-            fx, fy = f.position
-            out.append((s, math.hypot(px - fx, py - fy), fx, fy))
+        for s, clamp in ((0.0, -1), (self.length, 1)):
+            fx, fy = self.frame_at(s, 0.0).position
+            out.append((s, math.hypot(px - fx, py - fy), fx, fy, clamp))
         return out
 
     def offset(self, d: float) -> "ArcSegment":
@@ -271,10 +277,23 @@ class ReferenceLine:
 
     def project(self, position: tuple[float, float]) -> ShadowResult:
         px, py = position
+        # a clamped segment end is no perpendicular foot, and at a junction
+        # the neighbour's candidate is at least as close; so the junction is
+        # a candidate only where both sides are clamped to it (the position
+        # lies between the two end normals), and a clamped end only at either
+        # end of the whole line
         candidates = []  # (distance, global_station, fx, fy)
+        prev_clamped = True  # the line start counts as a clamped neighbour
         for seg, s0 in zip(self.segments, self._starts):
-            for local, dist, fx, fy in seg.closest(px, py):
-                candidates.append((dist, s0 + local, fx, fy))
+            end = None
+            for local, dist, fx, fy, clamp in seg.closest(px, py):
+                if clamp > 0:
+                    end = (dist, s0 + local, fx, fy)
+                elif clamp == 0 or prev_clamped:
+                    candidates.append((dist, s0 + local, fx, fy))
+            prev_clamped = end is not None
+        if end is not None:
+            candidates.append(end)
         best = min(candidates)
         bd, bs, bx, by = best
         for dist, s, fx, fy in candidates:

@@ -15,6 +15,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import control as ctl
 from . import vehicle as veh
@@ -22,12 +23,6 @@ from .control import ControlSample, PlannerParams
 from .errors import PlannerError
 from .refline import ReferenceLine, wrap_angle
 from .vehicle import VehicleGeometry, VehicleState
-
-CSV_COLUMNS = (
-    "t", "x", "y", "psi", "delta", "beta", "theta_v", "theta_n", "theta_f",
-    "e", "d_lateral", "d_lateral_rate", "u_s", "u_c", "u_applied", "v",
-    "kappa_e_inst",
-)
 
 # sub-threshold lateral rates are treated as zero by the sign-change counter
 _RATE_DEADBAND = 1e-3
@@ -55,8 +50,8 @@ class Scenario:
             raise ValueError("duration must be positive and finite")
         if not 0 < self.h < math.inf:
             raise ValueError("integration step must be positive and finite")
-        if self.control_divisor < 1:
-            raise ValueError("control divisor must be at least 1")
+        if not isinstance(self.control_divisor, int) or self.control_divisor < 1:
+            raise ValueError("control divisor must be an integer of at least 1")
         if self.lane_change_offset is not None and not math.isfinite(
             self.lane_change_offset
         ):
@@ -80,9 +75,9 @@ class Scenario:
         return self._target
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One CSV row; field order matches CSV_COLUMNS."""
+class Sample(NamedTuple):
+    """One control period's record: the state at its start and what plan_step
+    made of it.  The fields, in order, are the CSV columns."""
 
     t: float
     x: float
@@ -101,6 +96,9 @@ class Sample:
     u_applied: float
     v: float
     kappa_e_inst: float
+
+
+CSV_COLUMNS = Sample._fields
 
 
 @dataclass(frozen=True)
@@ -127,23 +125,10 @@ class RunRecord:
 
 def _make_sample(t: float, state: VehicleState, cs: ControlSample) -> Sample:
     return Sample(
-        t=t,
-        x=state.x,
-        y=state.y,
-        psi=state.psi,
-        delta=state.delta,
-        beta=cs.beta,
-        theta_v=cs.theta_v,
-        theta_n=cs.theta_n,
-        theta_f=cs.theta_f,
-        e=cs.e,
-        d_lateral=cs.lateral,
-        d_lateral_rate=-cs.v * math.sin(cs.delta_theta),
-        u_s=cs.u_s,
-        u_c=cs.u_c,
-        u_applied=cs.u_applied,
-        v=cs.v,
-        kappa_e_inst=cs.kappa_e,
+        t, state.x, state.y, state.psi, state.delta, cs.beta, cs.theta_v,
+        cs.theta_n, cs.theta_f, cs.e, cs.lateral,
+        -cs.v * math.sin(cs.delta_theta), cs.u_s, cs.u_c, cs.u_applied, cs.v,
+        cs.kappa_e,
     )
 
 
@@ -158,19 +143,21 @@ def run(scenario: Scenario) -> RunRecord:
     period = scenario.control_divisor * scenario.h
     n_periods = round(scenario.duration / period)
     samples: list[Sample] = []
+    kappa_n: list[float] = []
     completed, reason = True, None
     try:
         for i in range(n_periods + 1):
             t = i * period
             cs = ctl.plan_step(scenario.target_at(t), geom, state, params)
             samples.append(_make_sample(t, state, cs))
+            kappa_n.append(cs.kappa_n)
             if i == n_periods:
                 break
             for _ in range(scenario.control_divisor):
                 state = veh.step(geom, state, cs.v, cs.u_applied, scenario.h)
     except PlannerError as exc:
         completed, reason = False, f"{type(exc).__name__}: {exc}"
-    metrics = metrics_from_samples(scenario, samples)
+    metrics = metrics_from_samples(scenario, samples, kappa_n)
     return RunRecord(
         scenario=scenario,
         samples=tuple(samples),
@@ -205,12 +192,14 @@ def _count_sign_changes(rates: list[float]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def metrics_from_samples(scenario: Scenario, samples) -> RunMetrics:
-    """Summary metrics from recorded rows.
+def metrics_from_samples(
+    scenario: Scenario, samples: list[Sample], kappa_n: list[float]
+) -> RunMetrics:
+    """Summary metrics of a run.
 
-    Works identically on in-memory samples and CSV-parsed rows; everything
-    not stored in the row (lane curvature at the shadow point, the offset
-    from the original track) is recovered by re-projecting (x, y).
+    kappa_n[i] is the lane curvature at the shadow point of samples[i], as
+    plan_step found it.  The offset from the original track, which no sample
+    holds, comes from projecting the last sample onto scenario.track.
     """
     if not samples:
         return RunMetrics(
@@ -227,13 +216,11 @@ def metrics_from_samples(scenario: Scenario, samples) -> RunMetrics:
     params = scenario.params
     dthetas, dtheta_dots, laterals, rates = [], [], [], []
     saturated = 0
-    for row in samples:
+    for row, kn in zip(samples, kappa_n, strict=True):
         dtheta = wrap_angle(row.theta_v - row.theta_n)
         dthetas.append(dtheta)
-        target = scenario.target_at(row.t)
-        kappa_n = target.project((row.x, row.y)).frame.curvature
         # theta_dot_n = v_s * kappa_n since the shadow advances at v_s
-        dtheta_dots.append(row.kappa_e_inst * row.v - params.v_s * kappa_n)
+        dtheta_dots.append(row.kappa_e_inst * row.v - params.v_s * kn)
         laterals.append(row.d_lateral)
         rates.append(row.d_lateral_rate)
         if abs((row.u_s + row.u_c) - row.u_applied) > 1e-12:
@@ -328,6 +315,8 @@ def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
         if field not in _SIM_KEYS:
             raise KeyError(f"unknown sim parameter {field!r}")
         if field == "control_divisor":
+            if not float(value).is_integer():
+                raise ValueError(f"control divisor {value!r} is not an integer")
             value = int(value)
         return dataclasses.replace(scenario, **{_SIM_KEYS[field]: value})
     raise KeyError(f"unknown override section {section!r}")
@@ -363,8 +352,8 @@ def write_csv(path, samples) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in samples:
-            writer.writerow([repr(getattr(row, col)) for col in CSV_COLUMNS])
+        # csv writes floats with repr, which round-trips them exactly
+        writer.writerows(samples)
 
 
 def read_csv(path) -> list[Sample]:

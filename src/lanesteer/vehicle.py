@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import atan, cos, isfinite, sin, tan
+from typing import NamedTuple
 
 from .errors import NumericBlowupError, SteeringDomainError
 from .refline import wrap_angle
@@ -32,8 +33,7 @@ class VehicleGeometry:
             raise ValueError("u_max must be positive and finite")
 
 
-@dataclass(frozen=True)
-class VehicleState:
+class VehicleState(NamedTuple):
     x: float
     y: float
     psi: float

@@ -146,6 +146,16 @@ class TestSweep:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["inf", "2.5"])
+    def test_non_integral_control_divisor_grid_is_validation_error(self, tmp_path, value):
+        # --set sim.control_divisor=2.5 is a validation error as well
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--grid", f"sim.control_divisor={value}",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+
     def test_bad_grid_is_usage_error(self, tmp_path):
         code = run_cli([
             "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),

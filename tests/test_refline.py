@@ -23,6 +23,21 @@ def make_mixed_track():
     )
 
 
+def brute_force_foot(line, pos, step=1e-2, fine_step=1e-6):
+    """Nearest point by scanning point_at: a coarse pass over the whole line,
+    then a fine pass around the coarse minimum."""
+
+    def dist(s):
+        x, y = line.point_at(s).position
+        return math.hypot(x - pos[0], y - pos[1])
+
+    n = int(line.total_length / step)
+    s0 = min((i * step for i in range(n + 1)), key=dist)
+    lo, hi = max(s0 - step, 0.0), min(s0 + step, line.total_length)
+    m = int((hi - lo) / fine_step)
+    return min((lo + i * fine_step for i in range(m + 1)), key=dist)
+
+
 class TestWrapAngle:
     def test_interval_is_half_open(self):
         assert wrap_angle(math.pi) == pytest.approx(math.pi)
@@ -184,10 +199,28 @@ class TestProjection:
         with pytest.raises(ProjectionAmbiguityError):
             line.project((5.0, 5.0))
 
+    @pytest.mark.parametrize("station", [49.999, 50.001, 109.999, 110.001])
+    def test_concave_side_of_junction_projects_onto_foot(self, station):
+        # 0.7 m toward the arc's center and 1 mm from a line/arc junction,
+        # the end of the neighbouring segment is nearly as close as the foot
+        line = ReferenceLine.from_pieces(
+            0.0, 0.0, 0.0, [("line", 50.0), ("arc", 60.0, 0.02), ("line", 100.0)]
+        )
+        f = line.point_at(station)
+        pos = (f.position[0] + 0.7 * f.normal[0], f.position[1] + 0.7 * f.normal[1])
+        res = line.project(pos)
+        assert res.frame.station == pytest.approx(brute_force_foot(line, pos), abs=1e-5)
+        assert res.signed_lateral == pytest.approx(-0.7, abs=1e-6)
+
     def test_beyond_end_rejected(self):
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 10.0)])
         with pytest.raises(StationRangeError):
             line.project((15.0, 1.0))
+
+    def test_before_start_rejected(self):
+        line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 10.0)])
+        with pytest.raises(StationRangeError):
+            line.project((-5.0, 1.0))
 
 
 class TestParallelOffset:

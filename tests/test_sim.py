@@ -68,6 +68,11 @@ class TestScenarioValidation:
                 lane_change_offset=3.5,
             )
 
+    @pytest.mark.parametrize("divisor", [2.5, 10.0, 0])
+    def test_control_divisor_must_be_a_positive_int(self, divisor):
+        with pytest.raises(ValueError, match="control divisor"):
+            lane_change_scenario(control_divisor=divisor)
+
     def test_target_swaps_at_abort(self):
         sc = lane_change_scenario(abort_time=2.0)
         before = sc.target_at(1.9).point_at(0.0).position
@@ -153,6 +158,21 @@ class TestRun:
         period = sc.control_divisor * sc.h
         assert [s.t for s in record.samples] == [0.0, period]
 
+    def test_one_projection_per_sample_plus_final_lateral(self, monkeypatch):
+        sc = bundled("lane_change_k10")
+        real_project = ReferenceLine.project
+        calls = []
+
+        def counting_project(self, position):
+            calls.append(position)
+            return real_project(self, position)
+
+        monkeypatch.setattr(ReferenceLine, "project", counting_project)
+        record = sim.run(sc)
+        assert record.completed
+        n_periods = round(sc.duration / (sc.control_divisor * sc.h))
+        assert len(calls) == n_periods + 2
+
 
 class TestRunAbort:
     def test_abort_at_zero_never_leaves(self):
@@ -189,6 +209,19 @@ class TestRunCorner:
         assert record.metrics.steady_lateral == pytest.approx(expected, rel=0.05)
 
 
+    def test_two_point_drives_from_line_into_arc(self):
+        # the two-point planner tracks inside the lane, so it meets the arc
+        # on its concave side, where the arc's foot is clamped to the junction
+        track = ReferenceLine.from_pieces(
+            0.0, 0.0, 0.0, [("line", 50.0), ("arc", 60.0, 0.02), ("line", 100.0)]
+        )
+        sc = dataclasses.replace(bundled("corner_twopoint"), track=track, duration=150.0)
+        record = sim.run(sc)
+        assert record.completed, record.failure_reason
+        assert record.samples[-1].t == pytest.approx(150.0)
+        assert abs(record.metrics.final_lateral) < 0.05
+
+
 # override keys whose values must be finite, and the safety bounds, for
 # which +inf means "no bound"
 FINITE_KEYS = [
@@ -201,6 +234,7 @@ FINITE_KEYS = [
     "planner.v_s_m_per_s",
     "vehicle.u_max_rad_per_s",
     "sim.lane_change_offset_m",
+    "sim.control_divisor",
 ]
 BOUND_KEYS = ["planner.c1_rad", "planner.c2_rad_per_s", "planner.c3_m"]
 
@@ -240,23 +274,38 @@ class TestSweep:
         with pytest.raises(ValueError):
             sim.apply_override(lane_change_scenario(), key, math.inf)
 
+    def test_override_fractional_control_divisor_rejected(self):
+        with pytest.raises(ValueError, match="control divisor"):
+            sim.apply_override(lane_change_scenario(), "sim.control_divisor", 2.5)
+
+    def test_override_integral_control_divisor(self):
+        sc = sim.apply_override(lane_change_scenario(), "sim.control_divisor", 4.0)
+        assert sc.control_divisor == 4 and isinstance(sc.control_divisor, int)
+
 
 class TestCsv:
     def test_round_trip_metrics(self, tmp_path):
-        sc = lane_change_scenario(duration=5.0)
-        record = sim.run(sc)
-        path = tmp_path / "run.csv"
-        sim.write_csv(path, record.samples)
-        rows = sim.read_csv(path)
-        assert rows == list(record.samples)
-        again = sim.metrics_from_samples(sc, rows)
-        for field in dataclasses.fields(sim.RunMetrics):
-            a = getattr(record.metrics, field.name)
-            b = getattr(again, field.name)
-            if isinstance(a, float):
-                assert b == pytest.approx(a, abs=1e-9)
-            else:
-                assert a == b
+        # on the corner the shadow-point curvature is not zero
+        corner = dataclasses.replace(bundled("corner_twopoint"), duration=20.0)
+        for sc in (lane_change_scenario(duration=5.0), corner):
+            record = sim.run(sc)
+            path = tmp_path / "run.csv"
+            sim.write_csv(path, record.samples)
+            rows = sim.read_csv(path)
+            assert rows == list(record.samples)
+            # re-projecting each row is the oracle for the curvature the run
+            # hands over from plan_step
+            kappa_n = [
+                sc.target_at(r.t).project((r.x, r.y)).frame.curvature for r in rows
+            ]
+            again = sim.metrics_from_samples(sc, rows, kappa_n)
+            for field in dataclasses.fields(sim.RunMetrics):
+                a = getattr(record.metrics, field.name)
+                b = getattr(again, field.name)
+                if isinstance(a, float):
+                    assert b == pytest.approx(a, abs=1e-9)
+                else:
+                    assert a == b
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -300,7 +300,6 @@ def find_feasible(
                     lambda0=lambda0,
                     alpha=alpha,
                     delta_d0=delta_d0,
-                    gamma=alpha * k * delta_d0,
                     c1=c1,
                     c2=c2,
                     c3=c3,

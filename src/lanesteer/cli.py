@@ -129,7 +129,8 @@ def cmd_sweep(args) -> int:
     try:
         results = sim.sweep(scenario, axes)
     except (ValueError, KeyError) as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        # the message itself: str() of a KeyError is its repr, in quotes
+        print(f"validation error: {exc.args[0]}", file=sys.stderr)
         return EXIT_VALIDATION
 
     out_dir = args.out or output.directory

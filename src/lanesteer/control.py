@@ -24,22 +24,16 @@ from .vehicle import VehicleGeometry, VehicleState
 # minimum alignment <x_s, x_v> before the speed coupling is declared degenerate
 EPS_ALIGN = 0.1
 
-_GAMMA_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class PlannerParams:
-    """Planner gains and safety limits.
-
-    gamma is stored redundantly and must equal alpha * k * delta_d0.
-    """
+    """Planner gains and safety limits."""
 
     k: float  # 1/m, manifold gain
     lam: float  # s^2, LQR balance
     lambda0: float  # dimensionless, = k * v_s * sqrt(lam) by design
-    alpha: float  # two-point blend weight
-    delta_d0: float  # m, look-ahead distance
-    gamma: float  # = alpha * k * delta_d0
+    alpha: float = 0.0  # two-point blend weight
+    delta_d0: float = 0.0  # m, look-ahead distance
     c1: float = math.inf  # rad, orientation-difference bound
     c2: float = math.inf  # rad/s, orientation-rate bound
     c3: float = math.inf  # m, steady lateral-deviation bound
@@ -65,21 +59,11 @@ class PlannerParams:
         # +inf is the "no bound" default
         if not (self.c1 > 0 and self.c2 > 0 and self.c3 > 0):
             raise ValueError("safety bounds must be positive")
-        if not abs(self.gamma - self.alpha * self.k * self.delta_d0) <= _GAMMA_TOL:
-            raise ValueError("gamma inconsistent with alpha * k * delta_d0")
 
-    @classmethod
-    def build(cls, k, lam, lambda0, alpha=0.0, delta_d0=0.0, **kwargs):
-        """Construct with gamma derived from the other fields."""
-        return cls(
-            k=k,
-            lam=lam,
-            lambda0=lambda0,
-            alpha=alpha,
-            delta_d0=delta_d0,
-            gamma=alpha * k * delta_d0,
-            **kwargs,
-        )
+    @property
+    def gamma(self) -> float:
+        """Corner-cutting parameter alpha * k * delta_d0."""
+        return self.alpha * self.k * self.delta_d0
 
 
 class ControlSample(NamedTuple):
@@ -93,10 +77,7 @@ class ControlSample(NamedTuple):
     v: float
     u_s: float
     u_c: float
-    u: float  # u_s + u_c, before saturation
     u_applied: float
-    theta_dot_ref: float  # rate of the blended target orientation
-    station: float
     kappa_n: float
     beta: float  # slip angle at the sampled state
     theta_v: float  # velocity orientation psi + beta, wrapped
@@ -182,8 +163,7 @@ def plan_step(
     # residual in the error dynamics on curved lanes
     u_s = (-yaw_rate + theta_dot_ref - params.k * v * math.sin(delta_theta)) / g
     u_c = -e / (g * math.sqrt(params.lam))
-    u = u_s + u_c
-    u_applied = min(max(u, -geom.u_max), geom.u_max)
+    u_applied = min(max(u_s + u_c, -geom.u_max), geom.u_max)
     return ControlSample(
         e=e,
         theta_n=near.orientation,
@@ -193,10 +173,7 @@ def plan_step(
         v=v,
         u_s=u_s,
         u_c=u_c,
-        u=u,
         u_applied=u_applied,
-        theta_dot_ref=theta_dot_ref,
-        station=near.station,
         kappa_n=near.curvature,
         beta=beta,
         theta_v=theta_v,

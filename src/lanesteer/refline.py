@@ -63,7 +63,6 @@ class ShadowResult(NamedTuple):
 
     frame: FramePoint
     signed_lateral: float
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -313,7 +312,7 @@ class ReferenceLine:
                 "projection domain"
             )
         lateral = rx * frame.normal[0] + ry * frame.normal[1]
-        return ShadowResult(frame=frame, signed_lateral=lateral, distance=bd)
+        return ShadowResult(frame=frame, signed_lateral=lateral)
 
     def parallel_offset(self, d: float) -> "ReferenceLine":
         """Parallel track at offset d along the +normal direction."""

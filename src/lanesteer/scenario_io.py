@@ -233,7 +233,7 @@ def validate(sections: dict) -> tuple[Scenario, OutputConfig]:
         raise ScenarioValidationError(f"[vehicle]: {exc}") from None
 
     try:
-        params = PlannerParams.build(**_fields(values["planner"], sim._PLANNER_KEYS))
+        params = PlannerParams(**_fields(values["planner"], sim._PLANNER_KEYS))
     except ValueError as exc:
         raise ScenarioValidationError(f"[planner]: {exc}") from None
 

@@ -287,21 +287,18 @@ def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
     """New scenario with one dotted-key parameter replaced.
 
     Keys use the scenario-file vocabulary (units in the name), e.g.
-    planner.k_per_m, vehicle.l_f_m, sim.duration_s.  Replacing a planner
-    field rederives gamma.
+    planner.k_per_m, vehicle.l_f_m, sim.duration_s.
     """
     section, _, field = key.partition(".")
     if section == "planner":
         if field not in _PLANNER_KEYS:
             raise KeyError(f"unknown planner parameter {field!r}")
-        p = scenario.params
-        kwargs = {
-            f.name: getattr(p, f.name)
-            for f in dataclasses.fields(p)
-            if f.name != "gamma"
-        }
-        kwargs[_PLANNER_KEYS[field]] = value
-        return dataclasses.replace(scenario, params=PlannerParams.build(**kwargs))
+        return dataclasses.replace(
+            scenario,
+            params=dataclasses.replace(
+                scenario.params, **{_PLANNER_KEYS[field]: value}
+            ),
+        )
     if section == "vehicle":
         if field not in _VEHICLE_KEYS:
             raise KeyError(f"unknown vehicle parameter {field!r}")
@@ -326,8 +323,10 @@ def sweep(scenario: Scenario, axes: dict[str, list[float]]) -> list[tuple[dict, 
     """Independent runs over the cartesian product of the axis values.
 
     Results are keyed and ordered by the grid coordinates, so they do not
-    depend on evaluation order.  Individual run failures are recorded in
-    their RunRecord; the sweep continues.
+    depend on evaluation order.  Every grid point's scenario is built before
+    any run, so an invalid value anywhere in the grid raises before any
+    simulation.  Individual run failures are recorded in their RunRecord;
+    the sweep continues.
     """
     if not axes:
         raise ValueError("sweep needs at least one axis")
@@ -337,14 +336,14 @@ def sweep(scenario: Scenario, axes: dict[str, list[float]]) -> list[tuple[dict, 
         if len(set(values)) != len(values):
             raise ValueError(f"axis {key!r} has duplicate values")
     keys = sorted(axes)
-    results = []
+    points = []
     for combo in itertools.product(*(axes[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         sc = scenario
         for key, value in overrides.items():
             sc = apply_override(sc, key, value)
-        results.append((overrides, run(sc)))
-    return results
+        points.append((overrides, sc))
+    return [(overrides, run(sc)) for overrides, sc in points]
 
 
 def write_csv(path, samples) -> None:
@@ -354,12 +353,3 @@ def write_csv(path, samples) -> None:
         writer.writerow(CSV_COLUMNS)
         # csv writes floats with repr, which round-trips them exactly
         writer.writerows(samples)
-
-
-def read_csv(path) -> list[Sample]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header {header}")
-        return [Sample(*(float(v) for v in row)) for row in reader]

@@ -108,7 +108,7 @@ def test_criterion_03_error_decay_rate():
         if not 0 < lambda0 < 0.95:
             lam = (0.9 / k) ** 2 * rng.uniform(0.3, 0.9)
             lambda0 = k * math.sqrt(lam)
-        params = PlannerParams.build(k=k, lam=lam, lambda0=lambda0)
+        params = PlannerParams(k=k, lam=lam, lambda0=lambda0)
         sc = sim.Scenario(
             track=track,
             geometry=geom,
@@ -135,7 +135,7 @@ def test_criterion_03_error_decay_rate():
 def _small_lane_change(abort_time=None, c1=math.inf, c2=math.inf):
     track = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 500.0)])
     geom = VehicleGeometry(l_f=1.5, l_r=1.5, u_max=10.0)
-    params = PlannerParams.build(
+    params = PlannerParams(
         k=0.25, lam=1.0, lambda0=0.25, lane_width=1.0, c1=c1, c2=c2
     )
     return sim.Scenario(
@@ -280,7 +280,7 @@ def test_criterion_08_projection_oracle():
         res = line.project(pos)
         d2 = (xs - pos[0]) ** 2 + (ys - pos[1]) ** 2
         idx = int(np.argmin(d2))
-        worst_d = max(worst_d, abs(math.sqrt(d2[idx]) - res.distance))
+        worst_d = max(worst_d, abs(math.sqrt(d2[idx]) - abs(res.signed_lateral)))
         worst_p = max(
             worst_p,
             math.hypot(xs[idx] - res.frame.position[0], ys[idx] - res.frame.position[1]),

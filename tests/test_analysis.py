@@ -21,7 +21,7 @@ lams = st.floats(0.1, 25.0)
 
 
 def corner_params(k=0.12, lambda0=0.5, gamma=0.995, alpha=0.5, v=1.0, **kw):
-    return PlannerParams.build(
+    return PlannerParams(
         k=k,
         lam=(lambda0 / (k * v)) ** 2,
         lambda0=lambda0,
@@ -86,17 +86,17 @@ class TestPredictLaneChange:
 
 class TestCheckOscillation:
     def test_consistent_params_pass(self):
-        p = PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5)
+        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
         assert analysis.check_oscillation(p, v=1.0).satisfied
 
     def test_fails_at_other_speed(self):
         # the tie k v sqrt(lam) = lambda0 is speed-specific
-        p = PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5)
+        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
         res = analysis.check_oscillation(p, v=2.0)
         assert not res.satisfied
 
     def test_row_values_reported(self):
-        p = PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5)
+        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
         res = analysis.check_oscillation(p, v=1.0)
         tie = next(r for r in res.rows if r.name == "mode_split_tie")
         assert tie.lhs == pytest.approx(0.5)
@@ -105,19 +105,19 @@ class TestCheckOscillation:
 
 class TestCheckAbortSafety:
     def test_infinite_limits_always_pass(self):
-        p = PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5)
+        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
         assert analysis.check_abort_safety(p, v=1.0).satisfied
 
     def test_closed_form_value(self):
         # lambda = 1, lambda0 = 1/2: lhs = exp(-2 ln 2) = 1/4
-        p = PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5, c1=1.0, c2=1.0)
+        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5, c1=1.0, c2=1.0)
         res = analysis.check_abort_safety(p, v=1.0)
         assert res.rows[0].lhs == pytest.approx(0.25)
         # min{1/3.5, sqrt(1/3.5)} = 0.2857 >= 0.25: passes
         assert res.satisfied
 
     def test_tight_c1_fails(self):
-        p = PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5, c1=0.5, c2=1.0)
+        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5, c1=0.5, c2=1.0)
         res = analysis.check_abort_safety(p, v=1.0)
         c1_row = next(r for r in res.rows if r.name == "abort_peak_vs_c1")
         assert not c1_row.satisfied
@@ -126,7 +126,7 @@ class TestCheckAbortSafety:
     def test_lhs_cross_checks_peak_formula(self):
         # the bound's lhs rescales to the lane-change peak with e0 = k W:
         # peak = lhs * e0 * sqrt(lam) / lambda0
-        p = PlannerParams.build(k=0.4, lam=2.0, lambda0=0.7, lane_width=3.5)
+        p = PlannerParams(k=0.4, lam=2.0, lambda0=0.7, lane_width=3.5)
         res = analysis.check_abort_safety(p, v=1.0)
         e0 = p.k * p.lane_width
         peak = analysis.predict_lane_change(
@@ -171,7 +171,7 @@ class TestCheckCornerCutting:
 
 class TestPredictions:
     def test_one_point_ratio_is_one(self):
-        p = PlannerParams.build(k=0.12, lam=(0.5 / 0.12) ** 2, lambda0=0.5)
+        p = PlannerParams(k=0.12, lam=(0.5 / 0.12) ** 2, lambda0=0.5)
         assert analysis.predict_curvature_ratio(p, 0.01) == pytest.approx(1.0)
         assert analysis.predict_steady_lateral(p, 0.01) == 0.0
 
@@ -209,8 +209,8 @@ def per_point_find_feasible(v, lane_width, kappa0, c1, c2, c3, gamma_grid,
                 delta_d0 = gamma / (alpha * k)
                 params = PlannerParams(
                     k=k, lam=lam, lambda0=lambda0, alpha=alpha,
-                    delta_d0=delta_d0, gamma=alpha * k * delta_d0,
-                    c1=c1, c2=c2, c3=c3, lane_width=lane_width, v_s=v,
+                    delta_d0=delta_d0, c1=c1, c2=c2, c3=c3,
+                    lane_width=lane_width, v_s=v,
                 )
                 checks = (
                     analysis.check_oscillation(params, v),
@@ -339,8 +339,9 @@ class TestFindFeasible:
     @settings(max_examples=300)
     @given(search_inputs())
     @example(FIXTURE_DATA["inputs"])
-    # PlannerParams rebuilds gamma = 1.0 as 0.9999999999999999 at this k,
-    # which passes the gamma range: one feasible set
+    # the PlannerParams.gamma property, alpha * k * delta_d0, gives back
+    # gamma = 1.0 as 0.9999999999999999 at this k, which passes the gamma
+    # range: one feasible set
     @example(dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=math.inf,
                   c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[1.0],
                   lambda0_grid=[0.5], k_grid=[0.09]))

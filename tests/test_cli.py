@@ -1,12 +1,15 @@
+import ast
+import glob
 import importlib.metadata
 import json
 import math
 import os
 import shutil
+import sys
 
 import pytest
 
-from lanesteer import cli, sim
+from lanesteer import cli
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "feasibility_fixture.json")
 PYPROJECT = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
@@ -29,14 +32,14 @@ def run_cli(args):
 
 
 class TestRun:
-    def test_bundled_lane_change_converges(self, tmp_path):
+    def test_bundled_lane_change_converges(self, tmp_path, read_samples):
         out = str(tmp_path / "o")
         code = run_cli([
             "run", "--scenario", scenario_path("lane_change_k05.scenario"),
             "--out", out,
         ])
         assert code == 0
-        rows = sim.read_csv(os.path.join(out, "lane_change_k05.csv"))
+        rows = read_samples(os.path.join(out, "lane_change_k05.csv"))
         # lateral position relative to the original lane after the change
         assert rows[-1].y == pytest.approx(3.5, abs=0.035)
         assert os.path.exists(os.path.join(out, "lane_change_k05_metrics.txt"))
@@ -145,6 +148,17 @@ class TestSweep:
             "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    def test_unknown_grid_key_message_is_unquoted(self, tmp_path, capsys):
+        # the same wording as --set, which has no quotes around the message
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--grid", "planner.bogus=1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "validation error: unknown planner parameter 'bogus'\n"
 
     @pytest.mark.parametrize("value", ["inf", "2.5"])
     def test_non_integral_control_divisor_grid_is_validation_error(self, tmp_path, value):
@@ -286,3 +300,21 @@ class TestUsage:
         assert scripts == {"lanesteer": "lanesteer.cli:main"}
         module, _, attr = scripts["lanesteer"].partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+    def test_runtime_imports_only_the_standard_library(self):
+        # pyproject.toml declares `dependencies = []`
+        sources = glob.glob(os.path.join(os.path.dirname(cli.__file__), "*.py"))
+        assert sources
+        for path in sources:
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.partition(".")[0]
+                    assert top in sys.stdlib_module_names, (path, name)

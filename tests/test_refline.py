@@ -159,7 +159,6 @@ class TestProjection:
         # along -normal, so the signed lateral is negative
         res = line.project((10.0, 2.0))
         assert res.signed_lateral == pytest.approx(-2.0)
-        assert res.distance == pytest.approx(2.0)
         assert res.frame.station == pytest.approx(10.0)
         res = line.project((10.0, -2.0))
         assert res.signed_lateral == pytest.approx(2.0)
@@ -169,7 +168,7 @@ class TestProjection:
         for s in (5.0, 55.0, 90.0, 140.0):
             f = line.point_at(s)
             res = line.project(f.position)
-            assert res.distance < 1e-9
+            assert abs(res.signed_lateral) < 1e-9
             assert res.frame.station == pytest.approx(s, abs=1e-9)
 
     def test_arc_projection_is_radial(self):
@@ -179,7 +178,6 @@ class TestProjection:
         # inside the left-turn circle (center (0, 20)) the vehicle sits on
         # the left of the line, so the signed lateral is negative
         res = line.project((0.0 + 14.0 * math.sin(0.3), 20.0 - 14.0 * math.cos(0.3)))
-        assert res.distance == pytest.approx(6.0)
         assert res.signed_lateral == pytest.approx(-6.0)
 
     def test_shadow_ray_orthogonal(self):
@@ -244,7 +242,8 @@ class TestParallelOffset:
         off = line.parallel_offset(1.5)
         for frac in (0.1, 0.4, 0.7, 0.95):
             p = off.point_at(frac * off.total_length).position
-            assert line.project(p).distance == pytest.approx(1.5, abs=1e-9)
+            # the offset lies on the +normal side: a negative signed lateral
+            assert line.project(p).signed_lateral == pytest.approx(-1.5, abs=1e-9)
 
     def test_collapsing_offset_rejected(self):
         line = ReferenceLine.from_pieces(

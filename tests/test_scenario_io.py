@@ -46,7 +46,7 @@ class TestValidate:
         path.write_text(MINIMAL)
         scenario, output = scenario_io.load(str(path))
         assert scenario.geometry == VehicleGeometry(l_f=1.4, l_r=1.6)
-        assert scenario.params == PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5)
+        assert scenario.params == PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
         assert scenario.initial_state == VehicleState(1.0, 2.0, 0.1, 0.0)
         for name, default in _defaults(sim.Scenario).items():
             assert getattr(scenario, name) == default, name

@@ -19,7 +19,7 @@ def straight_track(length=200.0):
 
 
 def lane_change_scenario(k=0.5, duration=10.0, offset=3.5, **kw):
-    params = PlannerParams.build(k=k, lam=1.0, lambda0=0.5, lane_width=3.5)
+    params = PlannerParams(k=k, lam=1.0, lambda0=0.5, lane_width=3.5)
     return sim.Scenario(
         track=straight_track(),
         geometry=GEOM,
@@ -42,7 +42,7 @@ class TestScenarioValidation:
             sim.Scenario(
                 track=straight_track(),
                 geometry=GEOM,
-                params=PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5),
+                params=PlannerParams(k=0.5, lam=1.0, lambda0=0.5),
                 initial_state=VehicleState(0, 0, 0, 0),
                 duration=5.0,
                 abort_time=2.0,
@@ -62,7 +62,7 @@ class TestScenarioValidation:
             sim.Scenario(
                 track=track,
                 geometry=GEOM,
-                params=PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5),
+                params=PlannerParams(k=0.5, lam=1.0, lambda0=0.5),
                 initial_state=VehicleState(0, 0, 0, 0),
                 duration=5.0,
                 lane_change_offset=3.5,
@@ -125,7 +125,7 @@ class TestRun:
 
     def test_failure_recorded_not_raised(self):
         # track too short: the vehicle runs off the end mid-run
-        params = PlannerParams.build(k=0.5, lam=1.0, lambda0=0.5)
+        params = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
         sc = sim.Scenario(
             track=straight_track(3.0),
             geometry=GEOM,
@@ -256,6 +256,13 @@ class TestSweep:
         ks = [o["planner.k_per_m"] for o, _ in results]
         assert ks == [1.0, 0.5]  # axis order preserved, not sorted values
 
+    def test_invalid_grid_value_fails_before_any_run(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(sim, "run", runs.append)
+        with pytest.raises(ValueError):
+            sim.sweep(lane_change_scenario(), {"planner.k_per_m": [0.5, 0.7, math.nan]})
+        assert len(runs) == 0
+
     def test_override_unknown_key(self):
         with pytest.raises(KeyError):
             sim.apply_override(lane_change_scenario(), "planner.bogus", 1.0)
@@ -284,14 +291,14 @@ class TestSweep:
 
 
 class TestCsv:
-    def test_round_trip_metrics(self, tmp_path):
+    def test_round_trip_metrics(self, tmp_path, read_samples):
         # on the corner the shadow-point curvature is not zero
         corner = dataclasses.replace(bundled("corner_twopoint"), duration=20.0)
         for sc in (lane_change_scenario(duration=5.0), corner):
             record = sim.run(sc)
             path = tmp_path / "run.csv"
             sim.write_csv(path, record.samples)
-            rows = sim.read_csv(path)
+            rows = read_samples(path)
             assert rows == list(record.samples)
             # re-projecting each row is the oracle for the curvature the run
             # hands over from plan_step
@@ -306,9 +313,3 @@ class TestCsv:
                     assert b == pytest.approx(a, abs=1e-9)
                 else:
                     assert a == b
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="header"):
-            sim.read_csv(path)

@@ -246,7 +246,9 @@ def boundary_ks(inputs):
     for lambda0 in inputs["lambda0_grid"]:
         if 0 < lambda0 < 1:
             peak = math.exp(math.log(lambda0) / (1.0 - lambda0))
-            edges.append(limit * lambda0 / (v * peak))
+            # v * peak underflows to 0 for subnormal lambda0: no finite edge
+            if v * peak > 0:
+                edges.append(limit * lambda0 / (v * peak))
     ks = []
     for k in edges:
         if 0 < k < math.inf:
@@ -356,6 +358,13 @@ class TestFindFeasible:
                 analysis.find_feasible(**inputs)
             return
         assert repr(analysis.find_feasible(**inputs)) == repr(want)
+
+    def test_boundary_ks_skip_subnormal_lambda0(self):
+        # the abort edge's peak underflows to 0 here, so its k is infinite
+        inputs = dict(v=0.1, lane_width=3.5, kappa0=0.0, c1=math.inf,
+                      c2=math.inf, c3=math.inf, gamma_grid=[-0.5],
+                      lambda0_grid=[5e-324])
+        assert boundary_ks(inputs) == []
 
     @pytest.mark.parametrize("bad", [
         dict(v=math.nan), dict(v=math.inf), dict(v=0.0),

@@ -222,20 +222,22 @@ class ReferenceLine:
     ) -> "ReferenceLine":
         """Build a chain from ("line", length) / ("arc", length, curvature) pieces."""
         x, y, h = start_x, start_y, start_heading
+        if not all(map(math.isfinite, (x, y, h))):
+            raise ValueError("start pose must be finite")
         segments: list[Segment] = []
         for piece in pieces:
             kind = piece[0]
             if kind == "line":
                 (_, length) = piece
-                if length <= 0:
-                    raise ValueError("segment length must be positive")
+                if not 0 < length < math.inf:
+                    raise ValueError("segment length must be positive and finite")
                 seg = StraightSegment(x, y, h, length)
             elif kind == "arc":
                 (_, length, kappa) = piece
-                if length <= 0:
-                    raise ValueError("segment length must be positive")
-                if kappa == 0:
-                    raise ValueError("arc curvature must be nonzero")
+                if not 0 < length < math.inf:
+                    raise ValueError("segment length must be positive and finite")
+                if not (kappa != 0 and math.isfinite(kappa)):
+                    raise ValueError("arc curvature must be nonzero and finite")
                 turn = 1.0 if kappa > 0 else -1.0
                 radius = 1.0 / abs(kappa)
                 nx, ny = -math.sin(h), math.cos(h)

@@ -8,7 +8,7 @@ stages so overrides can be applied in between.
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass
 
 from . import sim
@@ -26,49 +26,32 @@ class OutputConfig:
     emit_svg: bool = False
 
 
-# section -> key -> (required, kind) with kind in
-# {"float", "positive", "nonnegative", "int", "bool", "str", "multi"}
-_SCHEMA = {
-    "track": {
-        "start_x_m": (True, "float"),
-        "start_y_m": (True, "float"),
-        "start_heading_rad": (True, "float"),
-        "segment": (True, "multi"),
-    },
-    "vehicle": {
-        "l_f_m": (True, "positive"),
-        "l_r_m": (True, "positive"),
-        "delta_max_rad": (False, "positive"),
-        "u_max_rad_per_s": (False, "positive"),
-    },
-    "planner": {
-        "k_per_m": (True, "positive"),
-        "lambda_s2": (True, "positive"),
-        "lambda0": (True, "positive"),
-        "alpha": (False, "nonnegative"),
-        "delta_d0_m": (False, "nonnegative"),
-        "c1_rad": (False, "positive"),
-        "c2_rad_per_s": (False, "positive"),
-        "c3_m": (False, "positive"),
-        "lane_width_m": (False, "positive"),
-        "v_s_m_per_s": (False, "positive"),
-    },
-    "sim": {
-        "h_s": (False, "positive"),
-        "duration_s": (True, "positive"),
-        "control_divisor": (False, "int"),
-        "initial_x_m": (True, "float"),
-        "initial_y_m": (True, "float"),
-        "initial_psi_rad": (True, "float"),
-        "initial_delta_rad": (False, "float"),
-        "lane_change_offset_m": (False, "float"),
-        "abort_time_s": (False, "nonnegative"),
-    },
-    "output": {
-        "directory": (False, "str"),
-        "emit_csv": (False, "bool"),
-        "emit_svg": (False, "bool"),
-    },
+_TRACK_KEYS = ("start_x_m", "start_y_m", "start_heading_rad", "segment")
+_INITIAL_KEYS = ("initial_x_m", "initial_y_m", "initial_psi_rad")
+
+
+def _required(table: dict, cls) -> list[str]:
+    """The keys of one of sim's key tables whose field has no default."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    return [key for key, name in table.items()
+            if fields[name].default is dataclasses.MISSING]
+
+
+# section -> (accepted keys, required keys).  The [vehicle], [planner] and
+# [sim] keys that map to dataclass fields are sim's override keys.
+_SECTIONS = {
+    "track": (_TRACK_KEYS, _TRACK_KEYS),
+    "vehicle": (
+        tuple(sim._VEHICLE_KEYS), _required(sim._VEHICLE_KEYS, VehicleGeometry)
+    ),
+    "planner": (
+        tuple(sim._PLANNER_KEYS), _required(sim._PLANNER_KEYS, PlannerParams)
+    ),
+    "sim": (
+        (*sim._SIM_KEYS, *_INITIAL_KEYS, "initial_delta_rad"),
+        (*_required(sim._SIM_KEYS, Scenario), *_INITIAL_KEYS),
+    ),
+    "output": (("directory", "emit_csv", "emit_svg"), ()),
 }
 
 
@@ -138,30 +121,20 @@ def apply_overrides(sections: dict, overrides: list[str]) -> dict:
     return out
 
 
-def _convert(section: str, key: str, kind: str, value: str):
+def _convert(section: str, key: str, value: str):
+    """Parse one value's text: [output] keys are text or booleans, every
+    other value is a number.  Ranges are the constructors' to check."""
     try:
-        if kind in ("float", "positive", "nonnegative"):
-            num = float(value)
-            if not math.isfinite(num):
-                raise ValueError("must be finite")
-            if kind == "positive" and not num > 0:
-                raise ValueError("must be positive")
-            if kind == "nonnegative" and num < 0:
-                raise ValueError("must be nonnegative")
-            return num
-        if kind == "int":
-            num = int(value)
-            if num < 1:
-                raise ValueError("must be a positive integer")
-            return num
-        if kind == "bool":
-            low = value.lower()
-            if low in ("true", "yes", "1"):
-                return True
-            if low in ("false", "no", "0"):
-                return False
-            raise ValueError("must be a boolean")
-        return value
+        if section != "output":
+            return float(value)
+        if key == "directory":
+            return value
+        low = value.lower()
+        if low in ("true", "yes", "1"):
+            return True
+        if low in ("false", "no", "0"):
+            return False
+        raise ValueError("must be a boolean")
     except ValueError as exc:
         raise ScenarioValidationError(
             f"[{section}] {key} = {value!r}: {exc}"
@@ -180,18 +153,12 @@ def _parse_segment(text: str):
     )
 
 
-def _fields(values: dict, table: dict) -> dict:
-    """Dataclass keyword arguments for the file keys present in a section;
-    absent keys take the dataclass defaults."""
-    return {table[key]: value for key, value in values.items()}
-
-
 def validate(sections: dict) -> tuple[Scenario, OutputConfig]:
     """Enforce the schema and build the Scenario. Unknown keys are errors."""
     for section in sections:
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ScenarioValidationError(f"unknown section [{section}]")
-    for section, keys in _SCHEMA.items():
+    for section, (keys, required) in _SECTIONS.items():
         if section == "output" and section not in sections:
             continue
         if section not in sections:
@@ -202,21 +169,19 @@ def validate(sections: dict) -> tuple[Scenario, OutputConfig]:
                 raise ScenarioValidationError(
                     f"unknown key {key!r} in [{section}]"
                 )
-        for key, (required, _) in keys.items():
-            if required and key not in present:
+        for key in required:
+            if key not in present:
                 raise ScenarioValidationError(
                     f"missing required key {key!r} in [{section}]"
                 )
 
-    values: dict[str, dict] = {}
-    for section, present in sections.items():
-        values[section] = {}
-        for key, raw in present.items():
-            kind = _SCHEMA[section][key][1]
-            if kind == "multi":
-                values[section][key] = list(raw)
-            else:
-                values[section][key] = _convert(section, key, kind, raw)
+    values = {
+        section: {
+            key: list(raw) if key == "segment" else _convert(section, key, raw)
+            for key, raw in present.items()
+        }
+        for section, present in sections.items()
+    }
 
     trk = values["track"]
     try:
@@ -228,12 +193,12 @@ def validate(sections: dict) -> tuple[Scenario, OutputConfig]:
         raise ScenarioValidationError(f"[track]: {exc}") from None
 
     try:
-        geometry = VehicleGeometry(**_fields(values["vehicle"], sim._VEHICLE_KEYS))
+        geometry = VehicleGeometry(**sim.field_values("vehicle", values["vehicle"]))
     except ValueError as exc:
         raise ScenarioValidationError(f"[vehicle]: {exc}") from None
 
     try:
-        params = PlannerParams(**_fields(values["planner"], sim._PLANNER_KEYS))
+        params = PlannerParams(**sim.field_values("planner", values["planner"]))
     except ValueError as exc:
         raise ScenarioValidationError(f"[planner]: {exc}") from None
 
@@ -250,7 +215,7 @@ def validate(sections: dict) -> tuple[Scenario, OutputConfig]:
             geometry=geometry,
             params=params,
             initial_state=initial,
-            **_fields(smc, sim._SIM_KEYS),
+            **sim.field_values("sim", smc),
         )
     except ValueError as exc:
         raise ScenarioValidationError(f"[sim]: {exc}") from None

@@ -52,6 +52,8 @@ class Scenario:
             raise ValueError("integration step must be positive and finite")
         if not isinstance(self.control_divisor, int) or self.control_divisor < 1:
             raise ValueError("control divisor must be an integer of at least 1")
+        if not all(map(math.isfinite, self.initial_state)):
+            raise ValueError("initial state must be finite")
         if self.lane_change_offset is not None and not math.isfinite(
             self.lane_change_offset
         ):
@@ -283,40 +285,49 @@ _SIM_KEYS = {
 }
 
 
+_TABLES = {"planner": _PLANNER_KEYS, "vehicle": _VEHICLE_KEYS, "sim": _SIM_KEYS}
+
+
+def field_values(section: str, values: dict[str, float]) -> dict:
+    """Dataclass keyword arguments for one section's scenario-file keys.
+
+    Besides the renaming, the one conversion is of an integral control
+    divisor such as 2.0 to the int that Scenario requires; every range is
+    the constructors' to check.
+    """
+    table = _TABLES[section]
+    kwargs = {}
+    for key, value in values.items():
+        if key not in table:
+            raise KeyError(f"unknown {section} parameter {key!r}")
+        name = table[key]
+        if name == "control_divisor":
+            if not float(value).is_integer():
+                raise ValueError(f"control divisor {value!r} is not an integer")
+            value = int(value)
+        kwargs[name] = value
+    return kwargs
+
+
 def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
     """New scenario with one dotted-key parameter replaced.
 
     Keys use the scenario-file vocabulary (units in the name), e.g.
     planner.k_per_m, vehicle.l_f_m, sim.duration_s.
     """
-    section, _, field = key.partition(".")
+    section, _, name = key.partition(".")
+    if section not in _TABLES:
+        raise KeyError(f"unknown override section {section!r}")
+    kwargs = field_values(section, {name: value})
     if section == "planner":
-        if field not in _PLANNER_KEYS:
-            raise KeyError(f"unknown planner parameter {field!r}")
         return dataclasses.replace(
-            scenario,
-            params=dataclasses.replace(
-                scenario.params, **{_PLANNER_KEYS[field]: value}
-            ),
+            scenario, params=dataclasses.replace(scenario.params, **kwargs)
         )
     if section == "vehicle":
-        if field not in _VEHICLE_KEYS:
-            raise KeyError(f"unknown vehicle parameter {field!r}")
         return dataclasses.replace(
-            scenario,
-            geometry=dataclasses.replace(
-                scenario.geometry, **{_VEHICLE_KEYS[field]: value}
-            ),
+            scenario, geometry=dataclasses.replace(scenario.geometry, **kwargs)
         )
-    if section == "sim":
-        if field not in _SIM_KEYS:
-            raise KeyError(f"unknown sim parameter {field!r}")
-        if field == "control_divisor":
-            if not float(value).is_integer():
-                raise ValueError(f"control divisor {value!r} is not an integer")
-            value = int(value)
-        return dataclasses.replace(scenario, **{_SIM_KEYS[field]: value})
-    raise KeyError(f"unknown override section {section!r}")
+    return dataclasses.replace(scenario, **kwargs)
 
 
 def sweep(scenario: Scenario, axes: dict[str, list[float]]) -> list[tuple[dict, RunRecord]]:
@@ -325,8 +336,8 @@ def sweep(scenario: Scenario, axes: dict[str, list[float]]) -> list[tuple[dict, 
     Results are keyed and ordered by the grid coordinates, so they do not
     depend on evaluation order.  Every grid point's scenario is built before
     any run, so an invalid value anywhere in the grid raises before any
-    simulation.  Individual run failures are recorded in their RunRecord;
-    the sweep continues.
+    simulation; its ValueError names the key and value.  Individual run
+    failures are recorded in their RunRecord; the sweep continues.
     """
     if not axes:
         raise ValueError("sweep needs at least one axis")
@@ -341,7 +352,10 @@ def sweep(scenario: Scenario, axes: dict[str, list[float]]) -> list[tuple[dict, 
         overrides = dict(zip(keys, combo))
         sc = scenario
         for key, value in overrides.items():
-            sc = apply_override(sc, key, value)
+            try:
+                sc = apply_override(sc, key, value)
+            except ValueError as exc:
+                raise ValueError(f"{key} = {value!r}: {exc}") from None
         points.append((overrides, sc))
     return [(overrides, run(sc)) for overrides, sc in points]
 

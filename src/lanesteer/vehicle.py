@@ -25,8 +25,8 @@ class VehicleGeometry:
     u_max: float = 1.0  # rad/s
 
     def __post_init__(self):
-        if not (self.l_f > 0 and self.l_r > 0):
-            raise ValueError("axle distances must be positive")
+        if not (0 < self.l_f < math.inf and 0 < self.l_r < math.inf):
+            raise ValueError("axle distances must be positive and finite")
         if not (0 < self.delta_max < math.pi / 2):
             raise ValueError("delta_max must be in (0, pi/2)")
         if not 0 < self.u_max < math.inf:

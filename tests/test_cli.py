@@ -160,6 +160,19 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == "validation error: unknown planner parameter 'bogus'\n"
 
+    def test_invalid_grid_value_message_names_the_point(self, tmp_path, capsys):
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--grid", "planner.k_per_m=0.5,-1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "validation error: planner.k_per_m = -1.0: "
+            "k must be positive and finite\n"
+        )
+
     @pytest.mark.parametrize("value", ["inf", "2.5"])
     def test_non_integral_control_divisor_grid_is_validation_error(self, tmp_path, value):
         # --set sim.control_divisor=2.5 is a validation error as well

@@ -1,5 +1,7 @@
 import dataclasses
+import math
 import os
+import re
 
 import pytest
 
@@ -82,29 +84,44 @@ class TestValidate:
         assert output == OutputConfig("elsewhere", False, False)
 
 
-def test_override_keys_match_scenario_file_keys():
-    """Every sweepable key is a scenario-file key and the reverse, so a key
-    added to only one side cannot escape validate() as a bare KeyError."""
+OVERRIDE_KEYS = [
+    f"{section}.{key}"
+    for section, table in (
+        ("planner", sim._PLANNER_KEYS),
+        ("vehicle", sim._VEHICLE_KEYS),
+        ("sim", sim._SIM_KEYS),
+    )
+    for key in table
+]
+SCENARIO_FIELDS = [
+    "geometry", "params", "h", "duration", "control_divisor", "abort_time",
+    "lane_change_offset", "initial_state",
+]
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 2.0, 2.5, 3.0]
+)
+@pytest.mark.parametrize("key", OVERRIDE_KEYS)
+def test_set_and_override_accept_the_same_values(key, value):
+    """--set (through the scenario file's parser) and sweep's apply_override
+    reject exactly the same values, and otherwise build the same scenario.
+    apply_override knows every key: a KeyError would fail the test."""
     base, _ = scenario_io.load(LANE_CHANGE)
-    tables = {
-        "planner": sim._PLANNER_KEYS,
-        "vehicle": sim._VEHICLE_KEYS,
-        "sim": sim._SIM_KEYS,
-    }
-    for section, table in tables.items():
-        file_keys = {
-            key for key in scenario_io._SCHEMA[section]
-            if not key.startswith("initial_")
-        }
-        assert file_keys == set(table), section
-        for key in file_keys:
-            try:
-                sim.apply_override(base, f"{section}.{key}", 0.5)
-            except ValueError:
-                pass  # the key is known; only the value is out of range
+    try:
+        overridden = sim.apply_override(base, key, value)
+    except ValueError:
+        overridden = None
+    if overridden is None:
+        with pytest.raises(ScenarioValidationError):
+            scenario_io.load(LANE_CHANGE, [f"{key}={value!r}"])
+        return
+    loaded, _ = scenario_io.load(LANE_CHANGE, [f"{key}={value!r}"])
+    for name in SCENARIO_FIELDS:
+        assert getattr(loaded, name) == getattr(overridden, name), name
 
 
-# the keys of kind "float": any sign, but finite
+# keys of any sign, but finite
 FLOAT_KEYS = [
     "track.start_x_m",
     "track.start_y_m",
@@ -122,3 +139,20 @@ FLOAT_KEYS = [
 def test_non_finite_float_key_rejected(key, value):
     with pytest.raises(ScenarioValidationError, match="must be finite"):
         scenario_io.load(LANE_CHANGE, [f"{key}={value}"])
+
+
+@pytest.mark.parametrize("line", [
+    "segment = line nan",
+    "segment = line inf",
+    "segment = arc 10 nan",
+    "segment = arc nan 0.01",
+    "segment = arc inf 0.01",
+    "segment = arc 10 inf",
+    "start_heading_rad = inf",
+])
+def test_non_finite_track_number_rejected(tmp_path, line):
+    key = line.partition(" = ")[0]
+    path = tmp_path / "track.scenario"
+    path.write_text(re.sub(rf"^{key} = .*$", line, MINIMAL, count=1, flags=re.M))
+    with pytest.raises(ScenarioValidationError, match="finite"):
+        scenario_io.load(str(path))

@@ -232,6 +232,8 @@ FINITE_KEYS = [
     "planner.delta_d0_m",
     "planner.lane_width_m",
     "planner.v_s_m_per_s",
+    "vehicle.l_f_m",
+    "vehicle.l_r_m",
     "vehicle.u_max_rad_per_s",
     "sim.lane_change_offset_m",
     "sim.control_divisor",

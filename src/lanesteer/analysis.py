@@ -140,15 +140,16 @@ def check_oscillation(params: PlannerParams, v: float) -> CheckResult:
     return CheckResult("oscillation", rows, all(r.satisfied for r in rows))
 
 
-def check_abort_safety(params: PlannerParams, v: float) -> CheckResult:
-    """Peak orientation-difference bounds for an abortable lane change.
+def check_abort_safety(
+    params: PlannerParams, v: float, lane_width: float, c1: float, c2: float
+) -> CheckResult:
+    """Peak orientation-difference bounds c1 (rad) and c2 (rad/s) for an
+    abortable lane change across a lane of width W = lane_width.
 
     Uses |e0| = k * W.  The returned rows report both limit branches
     individually so the binding one is visible.
     """
-    lhs, rhs1, rhs2 = _abort_terms(
-        params.lam, params.lambda0, params.c1, params.c2, v, params.lane_width
-    )
+    lhs, rhs1, rhs2 = _abort_terms(params.lam, params.lambda0, c1, c2, v, lane_width)
     rows = (
         CheckRow("abort_peak_vs_c1", lhs, "<=", rhs1, lhs <= rhs1),
         CheckRow("abort_peak_vs_c2", lhs, "<=", rhs2, lhs <= rhs2),
@@ -156,15 +157,18 @@ def check_abort_safety(params: PlannerParams, v: float) -> CheckResult:
     return CheckResult("abort_safety", rows, all(r.satisfied for r in rows))
 
 
-def check_corner_cutting(params: PlannerParams, kappa0: float) -> CheckResult:
-    """Parameter window from the constant-curvature corner analysis.
+def check_corner_cutting(
+    params: PlannerParams, kappa0: float, c3: float
+) -> CheckResult:
+    """Parameter window from the constant-curvature corner analysis, with
+    c3 (m) the bound on the steady lateral deviation.
 
     Not applicable (vacuously satisfied) on a straight lane.
     """
     if kappa0 == 0:
         return CheckResult("corner_cutting", (), satisfied=True, applicable=False)
     gamma = params.gamma
-    k_lower, k_upper = _corner_k_bounds(gamma, kappa0, params.c3)
+    k_lower, k_upper = _corner_k_bounds(gamma, kappa0, c3)
     steady = abs(params.alpha * params.delta_d0 * kappa0 / params.k)
     rows = (
         CheckRow("gamma_range", gamma, "in", GAMMA_LOWER,
@@ -172,8 +176,7 @@ def check_corner_cutting(params: PlannerParams, kappa0: float) -> CheckResult:
         CheckRow("k_above_lower", k_lower, "<", params.k, k_lower < params.k),
         CheckRow("k_below_upper", params.k, "<", k_upper,
                  bool(params.k < k_upper) if not math.isnan(k_upper) else False),
-        CheckRow("steady_lateral_bound", steady, "<", params.c3,
-                 steady < params.c3),
+        CheckRow("steady_lateral_bound", steady, "<", c3, steady < c3),
     )
     return CheckResult("corner_cutting", rows, all(r.satisfied for r in rows))
 
@@ -300,16 +303,12 @@ def find_feasible(
                     lambda0=lambda0,
                     alpha=alpha,
                     delta_d0=delta_d0,
-                    c1=c1,
-                    c2=c2,
-                    c3=c3,
-                    lane_width=lane_width,
                     v_s=v,
                 )
                 checks = (
                     check_oscillation(params, v),
-                    check_abort_safety(params, v),
-                    check_corner_cutting(params, kappa0),
+                    check_abort_safety(params, v, lane_width, c1, c2),
+                    check_corner_cutting(params, kappa0, c3),
                 )
                 if not all(c.satisfied for c in checks):
                     continue

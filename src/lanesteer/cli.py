@@ -41,18 +41,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _metrics_lines(record: sim.RunRecord) -> list[str]:
     lines = [f"completed = {record.completed}"]
     if record.failure_reason:
         lines.append(f"failure_reason = {record.failure_reason}")
     for field in dataclasses.fields(record.metrics):
-        lines.append(f"{field.name} = {_fmt(getattr(record.metrics, field.name))}")
+        lines.append(f"{field.name} = {getattr(record.metrics, field.name)}")
     return lines
 
 
@@ -75,8 +69,7 @@ def cmd_run(args) -> int:
     out_dir = args.out or output.directory
     os.makedirs(out_dir, exist_ok=True)
     stem = _scenario_stem(args.scenario)
-    if output.emit_csv:
-        sim.write_csv(os.path.join(out_dir, f"{stem}.csv"), record.samples)
+    sim.write_csv(os.path.join(out_dir, f"{stem}.csv"), record.samples)
     with open(os.path.join(out_dir, f"{stem}_metrics.txt"), "w") as fh:
         fh.write("\n".join(_metrics_lines(record)) + "\n")
     if output.emit_svg and record.samples:
@@ -141,8 +134,8 @@ def cmd_sweep(args) -> int:
     with open(path, "w") as fh:
         fh.write(",".join(keys + metric_names + ["completed"]) + "\n")
         for overrides, record in results:
-            row = [_fmt(overrides[k]) for k in keys]
-            row += [_fmt(getattr(record.metrics, n)) for n in metric_names]
+            row = [str(overrides[k]) for k in keys]
+            row += [str(getattr(record.metrics, n)) for n in metric_names]
             row.append(str(record.completed))
             fh.write(",".join(row) + "\n")
     print(f"wrote {len(results)} rows to {path}")

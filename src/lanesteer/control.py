@@ -27,17 +27,14 @@ EPS_ALIGN = 0.1
 
 @dataclass(frozen=True)
 class PlannerParams:
-    """Planner gains and safety limits."""
+    """Planner gains and speed plan.  The safety limits and the lane width
+    only constrain their choice, so the analysis checks take those."""
 
     k: float  # 1/m, manifold gain
     lam: float  # s^2, LQR balance
     lambda0: float  # dimensionless, = k * v_s * sqrt(lam) by design
     alpha: float = 0.0  # two-point blend weight
     delta_d0: float = 0.0  # m, look-ahead distance
-    c1: float = math.inf  # rad, orientation-difference bound
-    c2: float = math.inf  # rad/s, orientation-rate bound
-    c3: float = math.inf  # m, steady lateral-deviation bound
-    lane_width: float = 3.5  # m
     v_s: float = 1.0  # m/s, constant speed plan along the line
 
     def __post_init__(self):
@@ -52,13 +49,8 @@ class PlannerParams:
             raise ValueError("alpha must lie in [0, 1)")
         if not 0 <= self.delta_d0 < math.inf:
             raise ValueError("delta_d0 must be nonnegative and finite")
-        if not 0 < self.lane_width < math.inf:
-            raise ValueError("lane width must be positive and finite")
         if not 0 < self.v_s < math.inf:
             raise ValueError("v_s must be positive and finite")
-        # +inf is the "no bound" default
-        if not (self.c1 > 0 and self.c2 > 0 and self.c3 > 0):
-            raise ValueError("safety bounds must be positive")
 
     @property
     def gamma(self) -> float:

@@ -240,6 +240,8 @@ class ReferenceLine:
                     raise ValueError("arc curvature must be nonzero and finite")
                 turn = 1.0 if kappa > 0 else -1.0
                 radius = 1.0 / abs(kappa)
+                if radius == math.inf:
+                    raise ValueError("arc radius 1/|curvature| must be finite")
                 nx, ny = -math.sin(h), math.cos(h)
                 cx, cy = x + turn * radius * nx, y + turn * radius * ny
                 start_angle = math.atan2(y - cy, x - cx)

@@ -22,7 +22,6 @@ from .vehicle import VehicleGeometry, VehicleState
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    emit_csv: bool = True
     emit_svg: bool = False
 
 
@@ -51,7 +50,7 @@ _SECTIONS = {
         (*sim._SIM_KEYS, *_INITIAL_KEYS, "initial_delta_rad"),
         (*_required(sim._SIM_KEYS, Scenario), *_INITIAL_KEYS),
     ),
-    "output": (("directory", "emit_csv", "emit_svg"), ()),
+    "output": (("directory", "emit_svg"), ()),
 }
 
 
@@ -117,7 +116,8 @@ def apply_overrides(sections: dict, overrides: list[str]) -> dict:
         value = value.strip()
         if not section or not key or not value:
             raise ScenarioFormatError(f"override {item!r} has empty parts")
-        out.setdefault(section, {})[key] = value
+        # a segment replaces the file's chain, a list as parse_file builds it
+        out.setdefault(section, {})[key] = [value] if key == "segment" else value
     return out
 
 

@@ -264,10 +264,6 @@ _PLANNER_KEYS = {
     "lambda0": "lambda0",
     "alpha": "alpha",
     "delta_d0_m": "delta_d0",
-    "c1_rad": "c1",
-    "c2_rad_per_s": "c2",
-    "c3_m": "c3",
-    "lane_width_m": "lane_width",
     "v_s_m_per_s": "v_s",
 }
 _VEHICLE_KEYS = {

@@ -132,12 +132,10 @@ def test_criterion_03_error_decay_rate():
                     "over 20 randomized runs", f"worst relative error {worst:.5f}")
 
 
-def _small_lane_change(abort_time=None, c1=math.inf, c2=math.inf):
+def _small_lane_change(abort_time=None):
     track = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 500.0)])
     geom = VehicleGeometry(l_f=1.5, l_r=1.5, u_max=10.0)
-    params = PlannerParams(
-        k=0.25, lam=1.0, lambda0=0.25, lane_width=1.0, c1=c1, c2=c2
-    )
+    params = PlannerParams(k=0.25, lam=1.0, lambda0=0.25)
     return sim.Scenario(
         track=track,
         geometry=geom,
@@ -179,11 +177,14 @@ def test_criterion_04_linearized_closed_forms():
 
 def test_criterion_05_abort_safety_bounds():
     c1, c2 = 0.2, 0.3
-    sc = _small_lane_change(c1=c1, c2=c2)
-    assert analysis.check_abort_safety(sc.params, 1.0).satisfied
+    # the lane change crosses one 1 m lane (the scenario's offset)
+    check = analysis.check_abort_safety(
+        _small_lane_change().params, 1.0, lane_width=1.0, c1=c1, c2=c2
+    )
+    assert check.satisfied
     details, ok = [], True
     for abort in (None, 1.85):
-        record = sim.run(_small_lane_change(abort_time=abort, c1=c1, c2=c2))
+        record = sim.run(_small_lane_change(abort_time=abort))
         assert record.completed and record.metrics.saturation_fraction == 0.0
         m = record.metrics
         if not (m.peak_abs_dtheta <= 1.05 * c1 and m.peak_abs_dtheta_dot <= 1.05 * c2):
@@ -200,7 +201,7 @@ def test_criterion_06_corner_cutting(corner_records):
     two_point, _ = corner_records
     p = two_point.scenario.params
     kappa0 = 0.01
-    assert analysis.check_corner_cutting(p, kappa0).satisfied
+    assert analysis.check_corner_cutting(p, kappa0, c3=1.0).satisfied
     m = two_point.metrics
     assert m.steady_converged
     expected_lat = analysis.predict_steady_lateral(p, kappa0)

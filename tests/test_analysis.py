@@ -20,7 +20,7 @@ lambda0s = st.floats(0.05, 0.95)
 lams = st.floats(0.1, 25.0)
 
 
-def corner_params(k=0.12, lambda0=0.5, gamma=0.995, alpha=0.5, v=1.0, **kw):
+def corner_params(k=0.12, lambda0=0.5, gamma=0.995, alpha=0.5, v=1.0):
     return PlannerParams(
         k=k,
         lam=(lambda0 / (k * v)) ** 2,
@@ -28,7 +28,6 @@ def corner_params(k=0.12, lambda0=0.5, gamma=0.995, alpha=0.5, v=1.0, **kw):
         alpha=alpha,
         delta_d0=gamma / (alpha * k),
         v_s=v,
-        **kw,
     )
 
 
@@ -106,19 +105,19 @@ class TestCheckOscillation:
 class TestCheckAbortSafety:
     def test_infinite_limits_always_pass(self):
         p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
-        assert analysis.check_abort_safety(p, v=1.0).satisfied
+        assert analysis.check_abort_safety(p, 1.0, 3.5, math.inf, math.inf).satisfied
 
     def test_closed_form_value(self):
         # lambda = 1, lambda0 = 1/2: lhs = exp(-2 ln 2) = 1/4
-        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5, c1=1.0, c2=1.0)
-        res = analysis.check_abort_safety(p, v=1.0)
+        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
+        res = analysis.check_abort_safety(p, v=1.0, lane_width=3.5, c1=1.0, c2=1.0)
         assert res.rows[0].lhs == pytest.approx(0.25)
         # min{1/3.5, sqrt(1/3.5)} = 0.2857 >= 0.25: passes
         assert res.satisfied
 
     def test_tight_c1_fails(self):
-        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5, c1=0.5, c2=1.0)
-        res = analysis.check_abort_safety(p, v=1.0)
+        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
+        res = analysis.check_abort_safety(p, v=1.0, lane_width=3.5, c1=0.5, c2=1.0)
         c1_row = next(r for r in res.rows if r.name == "abort_peak_vs_c1")
         assert not c1_row.satisfied
         assert not res.satisfied
@@ -126,9 +125,9 @@ class TestCheckAbortSafety:
     def test_lhs_cross_checks_peak_formula(self):
         # the bound's lhs rescales to the lane-change peak with e0 = k W:
         # peak = lhs * e0 * sqrt(lam) / lambda0
-        p = PlannerParams(k=0.4, lam=2.0, lambda0=0.7, lane_width=3.5)
-        res = analysis.check_abort_safety(p, v=1.0)
-        e0 = p.k * p.lane_width
+        p, lane_width = PlannerParams(k=0.4, lam=2.0, lambda0=0.7), 3.5
+        res = analysis.check_abort_safety(p, 1.0, lane_width, math.inf, math.inf)
+        e0 = p.k * lane_width
         peak = analysis.predict_lane_change(
             e0, p.lam, p.lambda0, num_samples=2
         ).peak_dtheta
@@ -140,7 +139,7 @@ class TestCheckAbortSafety:
 class TestCheckCornerCutting:
     def test_straight_lane_not_applicable(self):
         p = corner_params()
-        res = analysis.check_corner_cutting(p, 0.0)
+        res = analysis.check_corner_cutting(p, 0.0, math.inf)
         assert not res.applicable
         assert res.satisfied
 
@@ -149,15 +148,15 @@ class TestCheckCornerCutting:
 
     def test_gamma_below_bound_fails(self):
         p = corner_params(gamma=0.5)
-        res = analysis.check_corner_cutting(p, 0.01)
+        res = analysis.check_corner_cutting(p, 0.01, math.inf)
         row = next(r for r in res.rows if r.name == "gamma_range")
         assert not row.satisfied
 
     def test_window_values(self):
         # gamma = 0.8, kappa0 = 0.01, C3 = 1: upper bound 0.01/sqrt(0.25) = 0.02,
         # lower bound max{0.01 sqrt(1.8), sqrt(0.008)} = 0.0894: empty window
-        p = corner_params(gamma=0.8, k=0.12, c3=1.0)
-        res = analysis.check_corner_cutting(p, 0.01)
+        p = corner_params(gamma=0.8, k=0.12)
+        res = analysis.check_corner_cutting(p, 0.01, c3=1.0)
         upper = next(r for r in res.rows if r.name == "k_below_upper")
         lower = next(r for r in res.rows if r.name == "k_above_lower")
         assert upper.rhs == pytest.approx(0.02)
@@ -165,8 +164,8 @@ class TestCheckCornerCutting:
         assert lower.lhs > upper.rhs
 
     def test_feasible_set_passes(self):
-        p = corner_params(gamma=0.995, k=0.12, c3=1.0)
-        assert analysis.check_corner_cutting(p, 0.01).satisfied
+        p = corner_params(gamma=0.995, k=0.12)
+        assert analysis.check_corner_cutting(p, 0.01, c3=1.0).satisfied
 
 
 class TestPredictions:
@@ -209,13 +208,12 @@ def per_point_find_feasible(v, lane_width, kappa0, c1, c2, c3, gamma_grid,
                 delta_d0 = gamma / (alpha * k)
                 params = PlannerParams(
                     k=k, lam=lam, lambda0=lambda0, alpha=alpha,
-                    delta_d0=delta_d0, c1=c1, c2=c2, c3=c3,
-                    lane_width=lane_width, v_s=v,
+                    delta_d0=delta_d0, v_s=v,
                 )
                 checks = (
                     analysis.check_oscillation(params, v),
-                    analysis.check_abort_safety(params, v),
-                    analysis.check_corner_cutting(params, kappa0),
+                    analysis.check_abort_safety(params, v, lane_width, c1, c2),
+                    analysis.check_corner_cutting(params, kappa0, c3),
                 )
                 if not all(c.satisfied for c in checks):
                     continue
@@ -314,8 +312,9 @@ class TestFindFeasible:
         )
         for rep in reports:
             assert analysis.check_oscillation(rep.params, 1.0).satisfied
-            assert analysis.check_abort_safety(rep.params, 1.0).satisfied
-            assert analysis.check_corner_cutting(rep.params, 0.01).satisfied
+            abort = analysis.check_abort_safety(rep.params, 1.0, 3.5, 0.3, 0.3)
+            assert abort.satisfied
+            assert analysis.check_corner_cutting(rep.params, 0.01, 1.0).satisfied
 
     def test_sorted_by_ratio(self):
         reports = analysis.find_feasible(

@@ -160,6 +160,16 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == "validation error: unknown planner parameter 'bogus'\n"
 
+    def test_safety_limit_is_not_a_grid_key(self, tmp_path, capsys):
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--grid", "planner.c3_m=1",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "validation error: unknown planner parameter 'c3_m'\n"
+
     def test_invalid_grid_value_message_names_the_point(self, tmp_path, capsys):
         code = run_cli([
             "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),

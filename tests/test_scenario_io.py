@@ -60,10 +60,6 @@ class TestValidate:
             "vehicle.u_max_rad_per_s=0.7",
             "planner.alpha=0.25",
             "planner.delta_d0_m=2.0",
-            "planner.c1_rad=0.3",
-            "planner.c2_rad_per_s=0.4",
-            "planner.c3_m=0.9",
-            "planner.lane_width_m=3.0",
             "planner.v_s_m_per_s=2.0",
             "sim.h_s=0.002",
             "sim.control_divisor=5",
@@ -71,17 +67,16 @@ class TestValidate:
             "sim.lane_change_offset_m=3.0",
             "sim.initial_delta_rad=0.05",
             "output.directory=elsewhere",
-            "output.emit_csv=false",
             "output.emit_svg=false",
         ])
         g, p = scenario.geometry, scenario.params
         assert (g.delta_max, g.u_max) == (0.5, 0.7)
         assert (p.alpha, p.delta_d0, p.gamma) == (0.25, 2.0, 0.25 * p.k * 2.0)
-        assert (p.c1, p.c2, p.c3, p.lane_width, p.v_s) == (0.3, 0.4, 0.9, 3.0, 2.0)
+        assert p.v_s == 2.0
         assert (scenario.h, scenario.control_divisor) == (0.002, 5)
         assert (scenario.abort_time, scenario.lane_change_offset) == (3.0, 3.0)
         assert scenario.initial_state.delta == 0.05
-        assert output == OutputConfig("elsewhere", False, False)
+        assert output == OutputConfig("elsewhere", False)
 
 
 OVERRIDE_KEYS = [
@@ -93,6 +88,11 @@ OVERRIDE_KEYS = [
     )
     for key in table
 ]
+# the safety limits and the lane width are feasibility inputs, not scenario
+# values (the control law never reads them): both entry points reject them
+REMOVED_KEYS = [
+    "planner.c1_rad", "planner.c2_rad_per_s", "planner.c3_m", "planner.lane_width_m",
+]
 SCENARIO_FIELDS = [
     "geometry", "params", "h", "duration", "control_divisor", "abort_time",
     "lane_change_offset", "initial_state",
@@ -102,12 +102,19 @@ SCENARIO_FIELDS = [
 @pytest.mark.parametrize(
     "value", [math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 2.0, 2.5, 3.0]
 )
-@pytest.mark.parametrize("key", OVERRIDE_KEYS)
+@pytest.mark.parametrize("key", OVERRIDE_KEYS + REMOVED_KEYS)
 def test_set_and_override_accept_the_same_values(key, value):
     """--set (through the scenario file's parser) and sweep's apply_override
-    reject exactly the same values, and otherwise build the same scenario.
-    apply_override knows every key: a KeyError would fail the test."""
+    reject exactly the same keys and values, and otherwise build the same
+    scenario.  apply_override knows every key of sim's tables: a KeyError
+    for one of them would fail the test."""
     base, _ = scenario_io.load(LANE_CHANGE)
+    if key in REMOVED_KEYS:
+        with pytest.raises(KeyError):
+            sim.apply_override(base, key, value)
+        with pytest.raises(ScenarioValidationError, match="unknown key"):
+            scenario_io.load(LANE_CHANGE, [f"{key}={value!r}"])
+        return
     try:
         overridden = sim.apply_override(base, key, value)
     except ValueError:
@@ -148,6 +155,7 @@ def test_non_finite_float_key_rejected(key, value):
     "segment = arc nan 0.01",
     "segment = arc inf 0.01",
     "segment = arc 10 inf",
+    "segment = arc 10 1e-320",  # subnormal curvature: the radius overflows
     "start_heading_rad = inf",
 ])
 def test_non_finite_track_number_rejected(tmp_path, line):
@@ -156,3 +164,8 @@ def test_non_finite_track_number_rejected(tmp_path, line):
     path.write_text(re.sub(rf"^{key} = .*$", line, MINIMAL, count=1, flags=re.M))
     with pytest.raises(ScenarioValidationError, match="finite"):
         scenario_io.load(str(path))
+
+
+def test_set_segment_replaces_the_track():
+    scenario, _ = scenario_io.load(LANE_CHANGE, ["track.segment=line 100"])
+    assert scenario.track.total_length == 100.0

@@ -19,7 +19,7 @@ def straight_track(length=200.0):
 
 
 def lane_change_scenario(k=0.5, duration=10.0, offset=3.5, **kw):
-    params = PlannerParams(k=k, lam=1.0, lambda0=0.5, lane_width=3.5)
+    params = PlannerParams(k=k, lam=1.0, lambda0=0.5)
     return sim.Scenario(
         track=straight_track(),
         geometry=GEOM,
@@ -82,6 +82,21 @@ class TestScenarioValidation:
 
 
 class TestRun:
+    @pytest.mark.parametrize(
+        "name",
+        # lambda0 is the one exception: the run never reads it (it is
+        # k*v_s*sqrt(lam) by design), but the benchmark reads the field
+        [f.name for f in dataclasses.fields(PlannerParams) if f.name != "lambda0"],
+    )
+    def test_every_planner_field_reaches_the_run(self, name):
+        base = dataclasses.replace(bundled("corner_twopoint"), duration=20.0)
+        params = base.params
+        changed = dataclasses.replace(
+            params, **{name: 1.1 * getattr(params, name)}
+        )
+        samples = sim.run(base).samples
+        assert sim.run(dataclasses.replace(base, params=changed)).samples != samples
+
     def test_equilibrium_stays_on_line(self):
         sc = lane_change_scenario(offset=None)
         record = sim.run(sc)
@@ -222,15 +237,13 @@ class TestRunCorner:
         assert abs(record.metrics.final_lateral) < 0.05
 
 
-# override keys whose values must be finite, and the safety bounds, for
-# which +inf means "no bound"
+# override keys whose values must be finite: NaN and +inf are both rejected
 FINITE_KEYS = [
     "sim.duration_s",
     "sim.h_s",
     "planner.k_per_m",
     "planner.lambda_s2",
     "planner.delta_d0_m",
-    "planner.lane_width_m",
     "planner.v_s_m_per_s",
     "vehicle.l_f_m",
     "vehicle.l_r_m",
@@ -238,7 +251,6 @@ FINITE_KEYS = [
     "sim.lane_change_offset_m",
     "sim.control_divisor",
 ]
-BOUND_KEYS = ["planner.c1_rad", "planner.c2_rad_per_s", "planner.c3_m"]
 
 
 class TestSweep:
@@ -273,7 +285,7 @@ class TestSweep:
         sc = sim.apply_override(lane_change_scenario(), "sim.duration_s", 4.0)
         assert sc.duration == 4.0
 
-    @pytest.mark.parametrize("key", FINITE_KEYS + BOUND_KEYS)
+    @pytest.mark.parametrize("key", FINITE_KEYS)
     def test_override_nan_rejected(self, key):
         with pytest.raises(ValueError):
             sim.apply_override(lane_change_scenario(), key, math.nan)

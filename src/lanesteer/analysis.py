@@ -9,7 +9,7 @@ and a grid search combining all of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .control import PlannerParams
 
@@ -31,18 +31,17 @@ class CheckRow:
 class CheckResult:
     name: str
     rows: tuple[CheckRow, ...]
-    satisfied: bool
     applicable: bool = True
+
+    @property
+    def satisfied(self) -> bool:
+        return all(r.satisfied for r in self.rows)
 
 
 @dataclass(frozen=True)
 class LinearizedPrediction:
-    """Linearized lane-change transient and its analytic peak magnitudes."""
+    """Peak magnitudes of the linearized lane-change transient and their times."""
 
-    e0: float
-    lam: float
-    lambda0: float
-    samples: tuple[tuple[float, float, float], ...]  # (t, dtheta, dtheta_dot)
     peak_dtheta: float
     peak_dtheta_dot: float
     peak_time_dtheta: float
@@ -54,7 +53,7 @@ class FeasibilityReport:
     params: PlannerParams
     checks: tuple[CheckResult, ...]
     feasible: bool
-    predicted_curvature_ratio: float = field(default=math.nan)
+    predicted_curvature_ratio: float
 
 
 def dtheta_solution(t: float, e0: float, lam: float, lambda0: float) -> float:
@@ -72,43 +71,23 @@ def dtheta_dot_solution(t: float, e0: float, lam: float, lambda0: float) -> floa
     )
 
 
-def predict_lane_change(
-    e0: float, lam: float, lambda0: float, num_samples: int = 2001
-) -> LinearizedPrediction:
-    """Evaluate the closed-form lane-change transient on a uniform grid.
+def predict_lane_change(e0: float, lam: float, lambda0: float) -> LinearizedPrediction:
+    """Interior extrema of the closed-form lane-change transient: dtheta
+    peaks at t* = sqrt(lam) log(lambda0) / (lambda0 - 1) and its rate at 2 t*.
 
-    Peak magnitudes are the interior extrema, located analytically from
-    the log-ratio of the two decay rates (not by sampling).  Note the
-    rate magnitude at t = 0 is |e0|/sqrt(lam), which exceeds the
-    interior extremum for every lambda0 in (0, 1).
+    The rate magnitude at t = 0, |e0|/sqrt(lam), exceeds the interior
+    extremum for every lambda0 in (0, 1).
     """
     if not 0 < lambda0 < 1:
         raise ValueError("lambda0 must lie in (0, 1)")
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    sq = math.sqrt(lam)
-    horizon = 10.0 * sq / lambda0
-    samples = []
-    for i in range(num_samples):
-        t = horizon * i / (num_samples - 1)
-        samples.append(
-            (t, dtheta_solution(t, e0, lam, lambda0), dtheta_dot_solution(t, e0, lam, lambda0))
-        )
-    t_peak = sq * math.log(lambda0) / (lambda0 - 1.0)
-    t_peak_dot = 2.0 * t_peak
-    peak = (abs(e0) / lambda0) * math.exp(math.log(lambda0) / (1.0 - lambda0))
-    peak_dot = (abs(e0) / (lambda0 * sq)) * math.exp(
-        2.0 * math.log(lambda0) / (1.0 - lambda0)
-    )
+    t_peak = math.sqrt(lam) * math.log(lambda0) / (lambda0 - 1.0)
     return LinearizedPrediction(
-        e0=e0,
-        lam=lam,
-        lambda0=lambda0,
-        samples=tuple(samples),
-        peak_dtheta=peak,
-        peak_dtheta_dot=peak_dot,
+        peak_dtheta=abs(dtheta_solution(t_peak, e0, lam, lambda0)),
+        peak_dtheta_dot=abs(dtheta_dot_solution(2.0 * t_peak, e0, lam, lambda0)),
         peak_time_dtheta=t_peak,
-        peak_time_dtheta_dot=t_peak_dot,
+        peak_time_dtheta_dot=2.0 * t_peak,
     )
 
 
@@ -137,7 +116,7 @@ def check_oscillation(params: PlannerParams, v: float) -> CheckResult:
         CheckRow("mode_split_tie", tie, "==", params.lambda0,
                  abs(tie - params.lambda0) < _TIE_TOL),
     )
-    return CheckResult("oscillation", rows, all(r.satisfied for r in rows))
+    return CheckResult("oscillation", rows)
 
 
 def check_abort_safety(
@@ -154,7 +133,7 @@ def check_abort_safety(
         CheckRow("abort_peak_vs_c1", lhs, "<=", rhs1, lhs <= rhs1),
         CheckRow("abort_peak_vs_c2", lhs, "<=", rhs2, lhs <= rhs2),
     )
-    return CheckResult("abort_safety", rows, all(r.satisfied for r in rows))
+    return CheckResult("abort_safety", rows)
 
 
 def check_corner_cutting(
@@ -166,10 +145,10 @@ def check_corner_cutting(
     Not applicable (vacuously satisfied) on a straight lane.
     """
     if kappa0 == 0:
-        return CheckResult("corner_cutting", (), satisfied=True, applicable=False)
+        return CheckResult("corner_cutting", (), applicable=False)
     gamma = params.gamma
     k_lower, k_upper = _corner_k_bounds(gamma, kappa0, c3)
-    steady = abs(params.alpha * params.delta_d0 * kappa0 / params.k)
+    steady = abs(predict_steady_lateral(params, kappa0))
     rows = (
         CheckRow("gamma_range", gamma, "in", GAMMA_LOWER,
                  GAMMA_LOWER < gamma < 1.0),
@@ -178,7 +157,7 @@ def check_corner_cutting(
                  bool(params.k < k_upper) if not math.isnan(k_upper) else False),
         CheckRow("steady_lateral_bound", steady, "<", c3, steady < c3),
     )
-    return CheckResult("corner_cutting", rows, all(r.satisfied for r in rows))
+    return CheckResult("corner_cutting", rows)
 
 
 def predict_curvature_ratio(params: PlannerParams, kappa0: float) -> float:

@@ -66,16 +66,15 @@ def cmd_run(args) -> int:
 
     record = sim.run(scenario)
 
-    out_dir = args.out or output.directory
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     stem = _scenario_stem(args.scenario)
-    sim.write_csv(os.path.join(out_dir, f"{stem}.csv"), record.samples)
-    with open(os.path.join(out_dir, f"{stem}_metrics.txt"), "w") as fh:
+    sim.write_csv(os.path.join(args.out, f"{stem}.csv"), record.samples)
+    with open(os.path.join(args.out, f"{stem}_metrics.txt"), "w") as fh:
         fh.write("\n".join(_metrics_lines(record)) + "\n")
     if output.emit_svg and record.samples:
         series = [(stem, [(s.t, s.d_lateral) for s in record.samples])]
         svg = svgplot.line_chart(series, stem, "t [s]", "lateral deviation [m]")
-        with open(os.path.join(out_dir, f"{stem}.svg"), "w") as fh:
+        with open(os.path.join(args.out, f"{stem}.svg"), "w") as fh:
             fh.write(svg)
 
     for line in _metrics_lines(record):
@@ -111,7 +110,7 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        scenario, output = scenario_io.load(args.scenario, args.set or [])
+        scenario, _ = scenario_io.load(args.scenario, args.set or [])
     except (OSError, ScenarioFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -126,11 +125,10 @@ def cmd_sweep(args) -> int:
         print(f"validation error: {exc.args[0]}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    out_dir = args.out or output.directory
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     keys = sorted(axes)
     metric_names = [f.name for f in dataclasses.fields(sim.RunMetrics)]
-    path = os.path.join(out_dir, f"{_scenario_stem(args.scenario)}_sweep.csv")
+    path = os.path.join(args.out, f"{_scenario_stem(args.scenario)}_sweep.csv")
     with open(path, "w") as fh:
         fh.write(",".join(keys + metric_names + ["completed"]) + "\n")
         for overrides, record in results:
@@ -274,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate one scenario file")
     p_run.add_argument("--scenario", required=True)
     p_run.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
-    p_run.add_argument("--out", default=None)
+    p_run.add_argument("--out", default="out")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="metrics over a parameter grid")
@@ -282,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE")
     p_sweep.add_argument("--grid", action="append", required=True,
                          metavar="KEY=V1,V2,...")
-    p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--out", default="out")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_feas = sub.add_parser("feasibility", help="search the parameter space")

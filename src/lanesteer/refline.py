@@ -38,6 +38,10 @@ _AMBIGUITY_TOL = 1e-6
 
 _ORTHO_TOL = 1e-8
 
+# arc positions c + R cos(phi) carry about R * 2e-16 m of rounding, which
+# passes _ORTHO_TOL from R of about 5e7 m on
+_MAX_ARC_RADIUS = 1e6
+
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -71,10 +75,6 @@ class StraightSegment:
     y0: float
     heading: float
     length: float
-
-    @property
-    def curvature(self) -> float:
-        return 0.0
 
     def start_pose(self):
         return self.x0, self.y0, self.heading
@@ -240,8 +240,9 @@ class ReferenceLine:
                     raise ValueError("arc curvature must be nonzero and finite")
                 turn = 1.0 if kappa > 0 else -1.0
                 radius = 1.0 / abs(kappa)
-                if radius == math.inf:
-                    raise ValueError("arc radius 1/|curvature| must be finite")
+                if radius > _MAX_ARC_RADIUS:
+                    raise ValueError("arc radius 1/|curvature| must be finite, "
+                                     f"at most {_MAX_ARC_RADIUS:,.0f} m")
                 nx, ny = -math.sin(h), math.cos(h)
                 cx, cy = x + turn * radius * nx, y + turn * radius * ny
                 start_angle = math.atan2(y - cy, x - cx)

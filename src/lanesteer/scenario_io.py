@@ -21,7 +21,6 @@ from .vehicle import VehicleGeometry, VehicleState
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str = "out"
     emit_svg: bool = False
 
 
@@ -50,7 +49,7 @@ _SECTIONS = {
         (*sim._SIM_KEYS, *_INITIAL_KEYS, "initial_delta_rad"),
         (*_required(sim._SIM_KEYS, Scenario), *_INITIAL_KEYS),
     ),
-    "output": (("directory", "emit_svg"), ()),
+    "output": (("emit_svg",), ()),
 }
 
 
@@ -122,13 +121,11 @@ def apply_overrides(sections: dict, overrides: list[str]) -> dict:
 
 
 def _convert(section: str, key: str, value: str):
-    """Parse one value's text: [output] keys are text or booleans, every
-    other value is a number.  Ranges are the constructors' to check."""
+    """Parse one value's text: [output] keys are booleans, every other
+    value is a number.  Ranges are the constructors' to check."""
     try:
         if section != "output":
             return float(value)
-        if key == "directory":
-            return value
         low = value.lower()
         if low in ("true", "yes", "1"):
             return True

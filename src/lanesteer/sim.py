@@ -121,8 +121,11 @@ class RunRecord:
     scenario: Scenario
     samples: tuple[Sample, ...]
     metrics: RunMetrics
-    completed: bool
     failure_reason: str | None = None
+
+    @property
+    def completed(self) -> bool:
+        return self.failure_reason is None
 
 
 def _make_sample(t: float, state: VehicleState, cs: ControlSample) -> Sample:
@@ -138,7 +141,7 @@ def run(scenario: Scenario) -> RunRecord:
     """Integrate the closed loop and collect one sample per control period.
 
     Planner or integration errors terminate the run early; the partial
-    record is returned with completed = False and the reason attached.
+    record is returned with the reason attached (completed = False).
     """
     geom, params = scenario.geometry, scenario.params
     state = scenario.initial_state
@@ -146,7 +149,7 @@ def run(scenario: Scenario) -> RunRecord:
     n_periods = round(scenario.duration / period)
     samples: list[Sample] = []
     kappa_n: list[float] = []
-    completed, reason = True, None
+    reason = None
     try:
         for i in range(n_periods + 1):
             t = i * period
@@ -158,13 +161,12 @@ def run(scenario: Scenario) -> RunRecord:
             for _ in range(scenario.control_divisor):
                 state = veh.step(geom, state, cs.v, cs.u_applied, scenario.h)
     except PlannerError as exc:
-        completed, reason = False, f"{type(exc).__name__}: {exc}"
+        reason = f"{type(exc).__name__}: {exc}"
     metrics = metrics_from_samples(scenario, samples, kappa_n)
     return RunRecord(
         scenario=scenario,
         samples=tuple(samples),
         metrics=metrics,
-        completed=completed,
         failure_reason=reason,
     )
 

@@ -5,6 +5,7 @@ One test per criterion; each prints a single PASS/FAIL line (visible with
 Shared long runs are computed once in module-scoped fixtures.
 """
 
+import itertools
 import json
 import math
 import os
@@ -151,7 +152,7 @@ def test_criterion_04_linearized_closed_forms():
     record = sim.run(_small_lane_change())
     assert record.completed and record.metrics.saturation_fraction == 0.0
     e0, lam, lambda0 = record.samples[0].e, 1.0, 0.25
-    pred = analysis.predict_lane_change(e0, lam, lambda0, num_samples=2)
+    pred = analysis.predict_lane_change(e0, lam, lambda0)
     allow_d = max(0.05 * pred.peak_dtheta, 1e-3)
     allow_r = max(0.05 * pred.peak_dtheta_dot, 1e-3)
     max_err_d = max_err_r = peak_d = peak_r = 0.0
@@ -290,6 +291,59 @@ def test_criterion_08_projection_oracle():
     ok = worst_d < 1e-4 and worst_p < 1e-4
     conclude(8, ok, "projection agrees with the brute-force search on 50 poses",
              f"worst distance err {worst_d:.2e}, worst foot err {worst_p:.2e}")
+
+
+def _random_chain(rng):
+    """A G1 chain of 2-4 line/arc pieces, 5-30 m each, with radii of at
+    least 6.7 m, from a random start pose."""
+    pieces = []
+    for _ in range(rng.randint(2, 4)):
+        length = rng.uniform(5.0, 30.0)
+        if rng.random() < 0.3:
+            pieces.append(("line", length))
+        else:
+            kappa = rng.choice((-1.0, 1.0)) * rng.uniform(0.01, 0.15)
+            pieces.append(("arc", length, kappa))
+    return ReferenceLine.from_pieces(
+        rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0),
+        rng.uniform(-math.pi, math.pi), pieces,
+    )
+
+
+def test_criterion_08_projection_oracle_at_junctions():
+    # 80 poses within 1 cm of each junction of 8 random chains, up to 3 m to
+    # either side.  The brute force samples every 0.2 mm and searches the
+    # samples within 6.1 m of the junction: the closest point is at most
+    # 3.01 m from a pose that is at most 3.01 m from the junction
+    rng = random.Random(11)
+    worst_d = worst_p = worst_lat = 0.0
+    checked = 0
+    for _ in range(8):
+        line = _random_chain(rng)
+        _, xs, ys = _brute_force_positions(line, math.ceil(line.total_length / 2e-4) + 1)
+        for junction in itertools.accumulate(seg.length for seg in line.segments[:-1]):
+            jx, jy = line.point_at(junction).position
+            near = (np.abs(xs - jx) < 6.1) & (np.abs(ys - jy) < 6.1)
+            near_x, near_y = xs[near], ys[near]
+            for _ in range(80):
+                f = line.point_at(junction + rng.uniform(-0.01, 0.01))
+                lat = rng.uniform(-3.0, 3.0)
+                pos = (f.position[0] - lat * f.normal[0], f.position[1] - lat * f.normal[1])
+                res = line.project(pos)
+                d2 = (near_x - pos[0]) ** 2 + (near_y - pos[1]) ** 2
+                idx = int(np.argmin(d2))
+                worst_d = max(worst_d, abs(math.sqrt(d2[idx]) - abs(res.signed_lateral)))
+                worst_p = max(worst_p, math.hypot(near_x[idx] - res.frame.position[0],
+                                                  near_y[idx] - res.frame.position[1]))
+                worst_lat = max(worst_lat, abs(res.signed_lateral - lat))
+                checked += 1
+    # a sample lies within half the 0.2 mm spacing of the closest point, and
+    # the pose's own foot is the closest: the lateral it was placed at
+    ok = worst_d < 2e-4 and worst_p < 2e-4 and worst_lat < 1e-9
+    conclude(8, ok, f"projection agrees with the brute-force search on {checked} "
+                    "poses at the junctions of random chains",
+             f"worst distance err {worst_d:.2e}, worst foot err {worst_p:.2e}, "
+             f"worst signed lateral err {worst_lat:.2e}")
 
 
 def test_criterion_09_property_suite(lane_change_trio, corner_records):

@@ -31,23 +31,40 @@ def corner_params(k=0.12, lambda0=0.5, gamma=0.995, alpha=0.5, v=1.0):
     )
 
 
+def transient(e0, lam, lambda0, num_samples):
+    """The lane-change transient (t, dtheta, dtheta_dot) in numpy, on a
+    uniform grid over ten slow time constants 10 sqrt(lam)/lambda0."""
+    a = 1.0 / math.sqrt(lam)
+    t = np.linspace(0.0, 10.0 * math.sqrt(lam) / lambda0, num_samples)
+    fast, slow = np.exp(-a * t), np.exp(-lambda0 * a * t)
+    scale = e0 / (1.0 - lambda0)
+    return t, scale * (fast - slow), -scale * a * (fast - lambda0 * slow)
+
+
 class TestPredictLaneChange:
     def test_zero_initial_error(self):
         pred = analysis.predict_lane_change(0.0, 1.0, 0.5)
         assert pred.peak_dtheta == 0.0
-        assert all(d == 0.0 and r == 0.0 for _, d, r in pred.samples)
+        for t in np.linspace(0.0, 20.0, 2001):
+            assert analysis.dtheta_solution(t, 0.0, 1.0, 0.5) == 0.0
+            assert analysis.dtheta_dot_solution(t, 0.0, 1.0, 0.5) == 0.0
 
     def test_starts_at_zero(self):
-        pred = analysis.predict_lane_change(-1.75, 1.0, 0.5)
-        assert pred.samples[0][1] == 0.0
+        assert analysis.dtheta_solution(0.0, -1.75, 1.0, 0.5) == 0.0
 
     @given(st.floats(-2, 2).filter(lambda e: abs(e) > 1e-6), lams, lambda0s)
     def test_peak_formulas_match_series(self, e0, lam, lambda0):
-        pred = analysis.predict_lane_change(e0, lam, lambda0, num_samples=20001)
-        grid_peak = max(abs(d) for _, d, _ in pred.samples)
-        assert pred.peak_dtheta == pytest.approx(grid_peak, rel=1e-4)
+        pred = analysis.predict_lane_change(e0, lam, lambda0)
+        t, dtheta, rate = transient(e0, lam, lambda0, 20001)
+        # the numpy series is the module's transient
+        for i in range(0, 20001, 2000):
+            assert (dtheta[i], rate[i]) == pytest.approx((
+                analysis.dtheta_solution(t[i], e0, lam, lambda0),
+                analysis.dtheta_dot_solution(t[i], e0, lam, lambda0),
+            ), rel=1e-9)
+        assert pred.peak_dtheta == pytest.approx(np.abs(dtheta).max(), rel=1e-4)
         # the rate's interior extremum; exclude the t = 0 boundary value
-        grid_peak_dot = max(abs(r) for t, _, r in pred.samples if t > pred.peak_time_dtheta)
+        grid_peak_dot = np.abs(rate[t > pred.peak_time_dtheta]).max()
         assert pred.peak_dtheta_dot == pytest.approx(grid_peak_dot, rel=1e-3)
 
     def test_known_peak_value(self):
@@ -58,8 +75,7 @@ class TestPredictLaneChange:
 
     @given(lams, lambda0s)
     def test_unique_interior_extremum(self, lam, lambda0):
-        pred = analysis.predict_lane_change(1.0, lam, lambda0, num_samples=4001)
-        dthetas = [d for _, d, _ in pred.samples]
+        _, dthetas, _ = transient(1.0, lam, lambda0, 4001)
         diffs = np.diff(dthetas)
         signs = np.sign(diffs[np.abs(diffs) > 1e-15])
         flips = np.count_nonzero(np.diff(signs))
@@ -128,9 +144,7 @@ class TestCheckAbortSafety:
         p, lane_width = PlannerParams(k=0.4, lam=2.0, lambda0=0.7), 3.5
         res = analysis.check_abort_safety(p, 1.0, lane_width, math.inf, math.inf)
         e0 = p.k * lane_width
-        peak = analysis.predict_lane_change(
-            e0, p.lam, p.lambda0, num_samples=2
-        ).peak_dtheta
+        peak = analysis.predict_lane_change(e0, p.lam, p.lambda0).peak_dtheta
         assert peak == pytest.approx(
             res.rows[0].lhs * e0 * math.sqrt(p.lam) / p.lambda0, rel=1e-12
         )

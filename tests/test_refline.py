@@ -210,6 +210,12 @@ class TestProjection:
         assert res.frame.station == pytest.approx(brute_force_foot(line, pos), abs=1e-5)
         assert res.signed_lateral == pytest.approx(-0.7, abs=1e-6)
 
+    def test_flattest_arc_keeps_its_lateral(self):
+        # radius 1e6 m, the largest a track takes: (1, 0) lies
+        # kappa s^2 / 2 = 5e-7 m to the right of the arc
+        line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("arc", 200.0, 1e-6)])
+        assert line.project((1.0, 0.0)).signed_lateral == pytest.approx(5e-7, abs=1e-9)
+
     def test_beyond_end_rejected(self):
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 10.0)])
         with pytest.raises(StationRangeError):

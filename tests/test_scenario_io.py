@@ -66,7 +66,6 @@ class TestValidate:
             "sim.abort_time_s=3.0",
             "sim.lane_change_offset_m=3.0",
             "sim.initial_delta_rad=0.05",
-            "output.directory=elsewhere",
             "output.emit_svg=false",
         ])
         g, p = scenario.geometry, scenario.params
@@ -76,7 +75,7 @@ class TestValidate:
         assert (scenario.h, scenario.control_divisor) == (0.002, 5)
         assert (scenario.abort_time, scenario.lane_change_offset) == (3.0, 3.0)
         assert scenario.initial_state.delta == 0.05
-        assert output == OutputConfig("elsewhere", False)
+        assert output == OutputConfig(False)
 
 
 OVERRIDE_KEYS = [
@@ -156,6 +155,7 @@ def test_non_finite_float_key_rejected(key, value):
     "segment = arc inf 0.01",
     "segment = arc 10 inf",
     "segment = arc 10 1e-320",  # subnormal curvature: the radius overflows
+    "segment = arc 200 1e-9",  # radius 1e9 m: projection loses its precision
     "start_heading_rad = inf",
 ])
 def test_non_finite_track_number_rejected(tmp_path, line):
@@ -164,6 +164,12 @@ def test_non_finite_track_number_rejected(tmp_path, line):
     path.write_text(re.sub(rf"^{key} = .*$", line, MINIMAL, count=1, flags=re.M))
     with pytest.raises(ScenarioValidationError, match="finite"):
         scenario_io.load(str(path))
+
+
+def test_output_directory_is_not_a_key():
+    # the output directory is the command line's --out
+    with pytest.raises(ScenarioValidationError, match="unknown key"):
+        scenario_io.load(LANE_CHANGE, ["output.directory=x"])
 
 
 def test_set_segment_replaces_the_track():

@@ -9,7 +9,7 @@ and a grid search combining all of it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .control import PlannerParams
 
@@ -18,8 +18,7 @@ GAMMA_LOWER = (math.sqrt(5.0) - 1.0) / 2.0
 _TIE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     lhs: float
     comparator: str
@@ -27,8 +26,7 @@ class CheckRow:
     satisfied: bool
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     rows: tuple[CheckRow, ...]
     applicable: bool = True
@@ -38,8 +36,7 @@ class CheckResult:
         return all(r.satisfied for r in self.rows)
 
 
-@dataclass(frozen=True)
-class LinearizedPrediction:
+class LinearizedPrediction(NamedTuple):
     """Peak magnitudes of the linearized lane-change transient and their times."""
 
     peak_dtheta: float
@@ -48,8 +45,7 @@ class LinearizedPrediction:
     peak_time_dtheta_dot: float
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     params: PlannerParams
     checks: tuple[CheckResult, ...]
     feasible: bool

@@ -66,16 +66,20 @@ def cmd_run(args) -> int:
 
     record = sim.run(scenario)
 
-    os.makedirs(args.out, exist_ok=True)
     stem = _scenario_stem(args.scenario)
-    sim.write_csv(os.path.join(args.out, f"{stem}.csv"), record.samples)
-    with open(os.path.join(args.out, f"{stem}_metrics.txt"), "w") as fh:
-        fh.write("\n".join(_metrics_lines(record)) + "\n")
-    if output.emit_svg and record.samples:
-        series = [(stem, [(s.t, s.d_lateral) for s in record.samples])]
-        svg = svgplot.line_chart(series, stem, "t [s]", "lateral deviation [m]")
-        with open(os.path.join(args.out, f"{stem}.svg"), "w") as fh:
-            fh.write(svg)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        sim.write_csv(os.path.join(args.out, f"{stem}.csv"), record.samples)
+        with open(os.path.join(args.out, f"{stem}_metrics.txt"), "w") as fh:
+            fh.write("\n".join(_metrics_lines(record)) + "\n")
+        if output.emit_svg and record.samples:
+            series = [(stem, [(s.t, s.d_lateral) for s in record.samples])]
+            svg = svgplot.line_chart(series, stem, "t [s]", "lateral deviation [m]")
+            with open(os.path.join(args.out, f"{stem}.svg"), "w") as fh:
+                fh.write(svg)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     for line in _metrics_lines(record):
         print(line)
@@ -125,17 +129,21 @@ def cmd_sweep(args) -> int:
         print(f"validation error: {exc.args[0]}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    os.makedirs(args.out, exist_ok=True)
     keys = sorted(axes)
     metric_names = [f.name for f in dataclasses.fields(sim.RunMetrics)]
     path = os.path.join(args.out, f"{_scenario_stem(args.scenario)}_sweep.csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(keys + metric_names + ["completed"]) + "\n")
-        for overrides, record in results:
-            row = [str(overrides[k]) for k in keys]
-            row += [str(getattr(record.metrics, n)) for n in metric_names]
-            row.append(str(record.completed))
-            fh.write(",".join(row) + "\n")
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(",".join(keys + metric_names + ["completed"]) + "\n")
+            for overrides, record in results:
+                row = [str(overrides[k]) for k in keys]
+                row += [str(getattr(record.metrics, n)) for n in metric_names]
+                row.append(str(record.completed))
+                fh.write(",".join(row) + "\n")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {len(results)} rows to {path}")
     if any(not record.completed for _, record in results):
         return EXIT_RUN_FAILURE

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
@@ -75,24 +75,32 @@ class StraightSegment:
     y0: float
     heading: float
     length: float
+    # the unit tangent and normal and the wrapped heading, computed once;
+    # init=False so that dataclasses.replace recomputes them
+    tangent: tuple[float, float] = field(init=False, repr=False, compare=False)
+    normal: tuple[float, float] = field(init=False, repr=False, compare=False)
+    orientation: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        c, sn = math.cos(self.heading), math.sin(self.heading)
+        object.__setattr__(self, "tangent", (c, sn))
+        object.__setattr__(self, "normal", (-sn, c))
+        object.__setattr__(self, "orientation", wrap_angle(self.heading))
 
     def start_pose(self):
         return self.x0, self.y0, self.heading
 
     def end_pose(self):
-        return (
-            self.x0 + self.length * math.cos(self.heading),
-            self.y0 + self.length * math.sin(self.heading),
-            self.heading,
-        )
+        c, sn = self.tangent
+        return self.x0 + self.length * c, self.y0 + self.length * sn, self.heading
 
     def frame_at(self, s: float, station: float) -> FramePoint:
-        c, sn = math.cos(self.heading), math.sin(self.heading)
+        c, sn = self.tangent
         return FramePoint(
             position=(self.x0 + s * c, self.y0 + s * sn),
-            tangent=(c, sn),
-            normal=(-sn, c),
-            orientation=wrap_angle(self.heading),
+            tangent=self.tangent,
+            normal=self.normal,
+            orientation=self.orientation,
             curvature=0.0,
             station=station,
         )
@@ -101,7 +109,7 @@ class StraightSegment:
         """[(local station, distance, foot x, foot y, clamp)]: clamp is -1 or
         +1 where the perpendicular foot fell before the start or past the
         end and was clamped to that endpoint, 0 for a true foot."""
-        c, sn = math.cos(self.heading), math.sin(self.heading)
+        c, sn = self.tangent
         t = (px - self.x0) * c + (py - self.y0) * sn
         clamp = 0
         if t < 0.0:
@@ -112,7 +120,7 @@ class StraightSegment:
         return [(t, math.hypot(px - fx, py - fy), fx, fy, clamp)]
 
     def offset(self, d: float) -> "StraightSegment":
-        c, sn = math.cos(self.heading), math.sin(self.heading)
+        c, sn = self.tangent
         return StraightSegment(self.x0 - d * sn, self.y0 + d * c, self.heading, self.length)
 
 
@@ -123,18 +131,16 @@ class ArcSegment:
     radius: float
     start_angle: float  # angle of the start point as seen from the center
     sweep: float  # signed, radians; positive = counter-clockwise
+    # derived once; init=False so that dataclasses.replace recomputes them
+    turn: float = field(init=False, repr=False, compare=False)
+    curvature: float = field(init=False, repr=False, compare=False)
+    length: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def turn(self) -> float:
-        return 1.0 if self.sweep >= 0 else -1.0
-
-    @property
-    def curvature(self) -> float:
-        return self.turn / self.radius
-
-    @property
-    def length(self) -> float:
-        return self.radius * abs(self.sweep)
+    def __post_init__(self):
+        turn = 1.0 if self.sweep >= 0 else -1.0
+        object.__setattr__(self, "turn", turn)
+        object.__setattr__(self, "curvature", turn / self.radius)
+        object.__setattr__(self, "length", self.radius * abs(self.sweep))
 
     def _angle_at(self, s: float) -> float:
         return self.start_angle + self.turn * s / self.radius

@@ -10,7 +10,6 @@ and bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
 import math
@@ -145,8 +144,13 @@ def run(scenario: Scenario) -> RunRecord:
     """
     geom, params = scenario.geometry, scenario.params
     state = scenario.initial_state
-    period = scenario.control_divisor * scenario.h
+    h = scenario.h
+    period = scenario.control_divisor * h
     n_periods = round(scenario.duration / period)
+    # looked up per run, not at import, so that a wrapped or patched
+    # vehicle.step still sees every substep
+    step = veh.step
+    substeps = range(scenario.control_divisor)
     samples: list[Sample] = []
     kappa_n: list[float] = []
     reason = None
@@ -158,8 +162,9 @@ def run(scenario: Scenario) -> RunRecord:
             kappa_n.append(cs.kappa_n)
             if i == n_periods:
                 break
-            for _ in range(scenario.control_divisor):
-                state = veh.step(geom, state, cs.v, cs.u_applied, scenario.h)
+            v, u = cs.v, cs.u_applied
+            for _ in substeps:
+                state = step(geom, state, v, u, h)
     except PlannerError as exc:
         reason = f"{type(exc).__name__}: {exc}"
     metrics = metrics_from_samples(scenario, samples, kappa_n)
@@ -359,9 +364,12 @@ def sweep(scenario: Scenario, axes: dict[str, list[float]]) -> list[tuple[dict, 
 
 
 def write_csv(path, samples) -> None:
-    """Emit samples with full round-trip float precision."""
+    """Emit samples with full round-trip float precision.
+
+    The bytes are those of csv.writer's default dialect: every field is a
+    number, written with repr, which round-trips a float exactly and never
+    needs quoting, and every row ends in CRLF.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        # csv writes floats with repr, which round-trips them exactly
-        writer.writerows(samples)
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in samples)

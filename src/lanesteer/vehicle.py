@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import atan, cos, isfinite, sin, tan
+from math import atan, cos, isfinite, pi, remainder, sin, tan, tau
 from typing import NamedTuple
 
 from .errors import NumericBlowupError, SteeringDomainError
-from .refline import wrap_angle
 
 
 @dataclass(frozen=True)
@@ -79,17 +78,22 @@ def step(
     """
     if h <= 0:
         raise ValueError("step size must be positive")
-    ratio = geom.l_r / (geom.l_f + geom.l_r)
-    v_lr = v / geom.l_r
-    x0, y0, psi0, d0 = state.x, state.y, state.psi, state.delta
+    x0, y0, psi0, d0 = state
+    l_r = geom.l_r
+    ratio = l_r / (geom.l_f + l_r)
+    v_lr = v / l_r
 
-    _check_delta(d0)
+    # _check_delta's test, written out per stage: a call costs about as much
+    # as the stage's arithmetic
+    if not abs(d0) < _HALF_PI:
+        raise SteeringDomainError(f"front-wheel angle {d0} outside (-pi/2, pi/2)")
     beta = atan(ratio * tan(d0))
     heading = psi0 + beta
     ax1, ay1, ap1 = v * cos(heading), v * sin(heading), v_lr * sin(beta)
 
     d_mid = d0 + 0.5 * h * u
-    _check_delta(d_mid)
+    if not abs(d_mid) < _HALF_PI:
+        raise SteeringDomainError(f"front-wheel angle {d_mid} outside (-pi/2, pi/2)")
     beta = atan(ratio * tan(d_mid))
     ap_mid = v_lr * sin(beta)
     heading = psi0 + 0.5 * h * ap1 + beta
@@ -98,7 +102,8 @@ def step(
     ax3, ay3, ap3 = v * cos(heading), v * sin(heading), ap_mid
 
     d_end = d0 + h * u
-    _check_delta(d_end)
+    if not abs(d_end) < _HALF_PI:
+        raise SteeringDomainError(f"front-wheel angle {d_end} outside (-pi/2, pi/2)")
     beta = atan(ratio * tan(d_end))
     heading = psi0 + h * ap3 + beta
     ax4, ay4, ap4 = v * cos(heading), v * sin(heading), v_lr * sin(beta)
@@ -107,8 +112,12 @@ def step(
     x = x0 + h6 * (ax1 + 2.0 * (ax2 + ax3) + ax4)
     y = y0 + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
     psi = psi0 + h6 * (ap1 + 2.0 * (ap2 + ap3) + ap4)
-    delta = min(max(d_end, -geom.delta_max), geom.delta_max)
-    psi = wrap_angle(psi)
+    delta_max = geom.delta_max
+    delta = min(max(d_end, -delta_max), delta_max)
+    # wrap_angle, inline
+    psi = remainder(psi, tau)
+    if psi <= -pi:
+        psi += tau
     if not (isfinite(x) and isfinite(y) and isfinite(psi)):
         raise NumericBlowupError("integration produced a non-finite state")
     return VehicleState(x, y, psi, delta)

@@ -202,6 +202,36 @@ class TestSweep:
         assert code == 1
 
 
+class TestOutputDirectory:
+    """An --out that cannot be created is an error message and exit 1, for
+    run and sweep alike, not a traceback."""
+
+    COMMANDS = {
+        "run": ["run"],
+        "sweep": ["sweep", "--grid", "planner.k_per_m=0.5"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("kind", ["existing_file", "empty"])
+    def test_unusable_out_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                         command, kind):
+        monkeypatch.chdir(tmp_path)
+        if kind == "existing_file":
+            (tmp_path / "afile").write_text("")
+            out = "afile"
+        else:
+            out = ""
+        code = run_cli([
+            *self.COMMANDS[command],
+            "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--set", "sim.duration_s=0.5", "--out", out,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert os.listdir(tmp_path) == (["afile"] if kind == "existing_file" else [])
+
+
 class TestFeasibility:
     def test_relaxed_limits_nonempty(self, capsys):
         code = run_cli([

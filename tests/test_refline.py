@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from lanesteer.errors import (
     ProjectionAmbiguityError,
     StationRangeError,
 )
-from lanesteer.refline import ReferenceLine, wrap_angle
+from lanesteer.refline import ArcSegment, ReferenceLine, StraightSegment, wrap_angle
 
 
 def make_mixed_track():
@@ -242,6 +243,7 @@ class TestParallelOffset:
         off = line.parallel_offset(2.0)
         assert off.segments[0].radius == pytest.approx(18.0)
         assert off.total_length == pytest.approx(0.5 * math.pi * 18.0)
+        assert off.point_at(1.0).curvature == 1.0 / off.segments[0].radius
 
     def test_offset_points_at_constant_distance(self):
         line = make_mixed_track()
@@ -257,3 +259,32 @@ class TestParallelOffset:
         )
         with pytest.raises(ValueError, match="collapses"):
             line.parallel_offset(2.0)
+
+
+class TestSegmentCaches:
+    """The values a segment derives from its fields are computed once, at
+    construction, and are no part of its identity."""
+
+    def test_replace_rebuilds_straight_frame(self):
+        seg = dataclasses.replace(StraightSegment(1.0, 2.0, 0.3, 10.0), heading=4.0)
+        c, sn = math.cos(4.0), math.sin(4.0)
+        assert (seg.tangent, seg.normal) == ((c, sn), (-sn, c))
+        assert seg.orientation == wrap_angle(4.0) < 0
+        assert seg.frame_at(2.0, 0.0).position == (1.0 + 2.0 * c, 2.0 + 2.0 * sn)
+
+    def test_replace_rebuilds_arc_values(self):
+        seg = dataclasses.replace(ArcSegment(0.0, 0.0, 20.0, 0.0, 0.5),
+                                  radius=40.0, sweep=-0.25)
+        assert (seg.turn, seg.curvature, seg.length) == (-1.0, -1.0 / 40.0, 10.0)
+        assert seg.frame_at(5.0, 0.0).curvature == -1.0 / 40.0
+
+    @pytest.mark.parametrize("seg, cached", [
+        (StraightSegment(1.0, 2.0, 0.3, 10.0), ("tangent", "normal", "orientation")),
+        (ArcSegment(0.0, 0.0, 20.0, 0.0, 0.5), ("turn", "curvature", "length")),
+    ])
+    def test_equality_hash_and_repr_ignore_cached_values(self, seg, cached):
+        tampered = dataclasses.replace(seg)
+        for name in cached:
+            object.__setattr__(tampered, name, None)
+        assert tampered == seg and hash(tampered) == hash(seg)
+        assert repr(tampered) == repr(seg)

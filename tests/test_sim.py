@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import os
@@ -188,6 +189,24 @@ class TestRun:
         n_periods = round(sc.duration / (sc.control_divisor * sc.h))
         assert len(calls) == n_periods + 2
 
+    def test_one_vehicle_step_per_substep(self, monkeypatch):
+        # sim.run looks vehicle.step up per run, so a patch set before the
+        # run sees every substep
+        sc = lane_change_scenario(duration=0.5)
+        real_step = veh.step
+        calls = []
+
+        def counting_step(*args):
+            calls.append(args[4])
+            return real_step(*args)
+
+        monkeypatch.setattr("lanesteer.vehicle.step", counting_step)
+        record = sim.run(sc)
+        assert record.completed
+        n_periods = round(sc.duration / (sc.control_divisor * sc.h))
+        assert n_periods == 50
+        assert calls == [sc.h] * (sc.control_divisor * n_periods)
+
 
 class TestRunAbort:
     def test_abort_at_zero_never_leaves(self):
@@ -304,7 +323,33 @@ class TestSweep:
         assert sc.control_divisor == 4 and isinstance(sc.control_divisor, int)
 
 
+def csv_module_bytes(path, rows):
+    """The run CSV as the csv module's default writer emits it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(sim.CSV_COLUMNS)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
 class TestCsv:
+    def test_bytes_match_csv_module_on_special_floats(self, tmp_path):
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1]
+        n = len(sim.CSV_COLUMNS)
+        rows = [sim.Sample(*(values[(i + j) % len(values)] for j in range(n)))
+                for i in range(len(values))]
+        sim.write_csv(tmp_path / "run.csv", rows)
+        written = (tmp_path / "run.csv").read_bytes()
+        assert written == csv_module_bytes(tmp_path / "oracle.csv", rows)
+        assert written.count(b"\r\n") == len(rows) + 1 and b'"' not in written
+
+    def test_bytes_match_csv_module_on_a_corner(self, tmp_path):
+        record = sim.run(dataclasses.replace(bundled("corner_twopoint"), duration=20.0))
+        assert record.completed and len(record.samples) == 401
+        sim.write_csv(tmp_path / "run.csv", record.samples)
+        written = (tmp_path / "run.csv").read_bytes()
+        assert written == csv_module_bytes(tmp_path / "oracle.csv", record.samples)
+
     def test_round_trip_metrics(self, tmp_path, read_samples):
         # on the corner the shadow-point curvature is not zero
         corner = dataclasses.replace(bundled("corner_twopoint"), duration=20.0)

@@ -2,7 +2,7 @@
 
 Everything here is algebra on the planner parameters: linearized
 lane-change transients with their peak bounds, the oscillation-avoidance
-tie between k, lambda and lambda0, the corner-cutting parameter window,
+range of lambda0 = k v_s sqrt(lambda), the corner-cutting parameter window,
 and a grid search combining all of it.
 """
 
@@ -14,8 +14,6 @@ from typing import NamedTuple
 from .control import PlannerParams
 
 GAMMA_LOWER = (math.sqrt(5.0) - 1.0) / 2.0
-
-_TIE_TOL = 1e-9
 
 
 class CheckRow(NamedTuple):
@@ -103,16 +101,11 @@ def _corner_k_bounds(gamma, kappa0, c3):
     return k_lower, k_upper
 
 
-def check_oscillation(params: PlannerParams, v: float) -> CheckResult:
-    """Fast/slow mode split: k v sqrt(lam) must equal lambda0 in (0, 1)."""
-    tie = params.k * v * math.sqrt(params.lam)
-    rows = (
-        CheckRow("lambda0_range", params.lambda0, "in (0, 1)", 1.0,
-                 0.0 < params.lambda0 < 1.0),
-        CheckRow("mode_split_tie", tie, "==", params.lambda0,
-                 abs(tie - params.lambda0) < _TIE_TOL),
-    )
-    return CheckResult("oscillation", rows)
+def check_oscillation(params: PlannerParams) -> CheckResult:
+    """Fast/slow mode split: lambda0 = k v_s sqrt(lam) must lie in (0, 1)."""
+    lambda0 = params.lambda0
+    row = CheckRow("lambda0_range", lambda0, "in (0, 1)", 1.0, 0.0 < lambda0 < 1.0)
+    return CheckResult("oscillation", (row,))
 
 
 def check_abort_safety(
@@ -124,6 +117,8 @@ def check_abort_safety(
     Uses |e0| = k * W.  The returned rows report both limit branches
     individually so the binding one is visible.
     """
+    if not 0 < params.lambda0 < 1:
+        raise ValueError("lambda0 must lie in (0, 1)")
     lhs, rhs1, rhs2 = _abort_terms(params.lam, params.lambda0, c1, c2, v, lane_width)
     rows = (
         CheckRow("abort_peak_vs_c1", lhs, "<=", rhs1, lhs <= rhs1),
@@ -194,18 +189,19 @@ def find_feasible(
     checks.
 
     lambda and delta_d0 are derived per grid point: lam = (lambda0/(k v))^2
-    and delta_d0 = gamma / (alpha k).  Grid values outside the domain
-    (gamma <= 0, k <= 0, lambda0 outside (0, 1)) are skipped; non-finite
+    and delta_d0 = gamma / (alpha k); a report's lambda0, k v sqrt(lam), can
+    differ from the grid value in its last digit.  Grid values outside the
+    domain (gamma <= 0, k <= 0, lambda0 outside (0, 1)) are skipped; non-finite
     inputs, and grids whose derived lam or delta_d0 is not positive and
     finite, raise ValueError.
 
-    The abort-safety rows depend on (lambda0, k) only and the corner-cutting
-    rows on (gamma, k) only, so both are evaluated first on those planes,
-    with the same floating-point expressions the checks use.  A point is
-    built only if it passes the abort-safety rows and the gamma-range and
-    k-window rows of the corner-cutting check there; a skipped point fails
-    one of those rows in the checks too.  A point that gets through is
-    built and checked exactly as before: `PlannerParams`,
+    The oscillation and abort-safety rows depend on (lambda0, k) only and
+    the corner-cutting rows on (gamma, k) only, so they are evaluated first
+    on those planes, with the same floating-point expressions the checks
+    use.  A point is built only if it passes the lambda0-range, abort-safety,
+    gamma-range and k-window rows there; a skipped point fails one of those
+    rows in the checks too.  A point that gets through is built and checked
+    exactly as before: `PlannerParams`,
     `check_oscillation`, `check_abort_safety`, `check_corner_cutting` and
     `predict_curvature_ratio`.
 
@@ -249,10 +245,13 @@ def find_feasible(
         passing = []
         for k in ks:
             lam = (lambda0 / (k * v)) ** 2
-            lhs, rhs1, rhs2 = _abort_terms(lam, lambda0, c1, c2, v, lane_width)
+            derived = k * v * math.sqrt(lam)  # PlannerParams.lambda0
+            if not 0 < derived < 1:
+                continue
+            lhs, rhs1, rhs2 = _abort_terms(lam, derived, c1, c2, v, lane_width)
             if lhs <= rhs1 and lhs <= rhs2:
                 passing.append((k, lam))
-        abort_passing.append((lambda0, passing))
+        abort_passing.append(passing)
 
     reports = []
     for gamma in gammas:
@@ -267,21 +266,15 @@ def find_feasible(
             corner[k] = delta_d0
         if not corner:
             continue
-        for lambda0, passing in abort_passing:
+        for passing in abort_passing:
             for k, lam in passing:
                 if k not in corner:
                     continue
-                delta_d0 = corner[k]
                 params = PlannerParams(
-                    k=k,
-                    lam=lam,
-                    lambda0=lambda0,
-                    alpha=alpha,
-                    delta_d0=delta_d0,
-                    v_s=v,
+                    k=k, lam=lam, alpha=alpha, delta_d0=corner[k], v_s=v
                 )
                 checks = (
-                    check_oscillation(params, v),
+                    check_oscillation(params),
                     check_abort_safety(params, v, lane_width, c1, c2),
                     check_corner_cutting(params, kappa0, c3),
                 )

@@ -64,11 +64,10 @@ def cmd_run(args) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    record = sim.run(scenario)
-
     stem = _scenario_stem(args.scenario)
     try:
         os.makedirs(args.out, exist_ok=True)
+        record = sim.run(scenario)
         sim.write_csv(os.path.join(args.out, f"{stem}.csv"), record.samples)
         with open(os.path.join(args.out, f"{stem}_metrics.txt"), "w") as fh:
             fh.write("\n".join(_metrics_lines(record)) + "\n")
@@ -132,6 +131,7 @@ def cmd_sweep(args) -> int:
     keys = sorted(axes)
     metric_names = [f.name for f in dataclasses.fields(sim.RunMetrics)]
     path = os.path.join(args.out, f"{_scenario_stem(args.scenario)}_sweep.csv")
+    completed = []
     try:
         os.makedirs(args.out, exist_ok=True)
         with open(path, "w") as fh:
@@ -141,11 +141,12 @@ def cmd_sweep(args) -> int:
                 row += [str(getattr(record.metrics, n)) for n in metric_names]
                 row.append(str(record.completed))
                 fh.write(",".join(row) + "\n")
+                completed.append(record.completed)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"wrote {len(results)} rows to {path}")
-    if any(not record.completed for _, record in results):
+    print(f"wrote {len(completed)} rows to {path}")
+    if not all(completed):
         return EXIT_RUN_FAILURE
     return EXIT_OK
 

@@ -32,7 +32,6 @@ class PlannerParams:
 
     k: float  # 1/m, manifold gain
     lam: float  # s^2, LQR balance
-    lambda0: float  # dimensionless, = k * v_s * sqrt(lam) by design
     alpha: float = 0.0  # two-point blend weight
     delta_d0: float = 0.0  # m, look-ahead distance
     v_s: float = 1.0  # m/s, constant speed plan along the line
@@ -43,8 +42,6 @@ class PlannerParams:
             raise ValueError("k must be positive and finite")
         if not 0 < self.lam < math.inf:
             raise ValueError("lambda must be positive and finite")
-        if not 0 < self.lambda0 < 1:
-            raise ValueError("lambda0 must lie in (0, 1)")
         if not 0 <= self.alpha < 1:
             raise ValueError("alpha must lie in [0, 1)")
         if not 0 <= self.delta_d0 < math.inf:
@@ -56,6 +53,11 @@ class PlannerParams:
     def gamma(self) -> float:
         """Corner-cutting parameter alpha * k * delta_d0."""
         return self.alpha * self.k * self.delta_d0
+
+    @property
+    def lambda0(self) -> float:
+        """Mode ratio k * v_s * sqrt(lam), checked by `check_oscillation`."""
+        return self.k * self.v_s * math.sqrt(self.lam)
 
 
 class ControlSample(NamedTuple):

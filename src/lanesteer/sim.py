@@ -14,7 +14,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import control as ctl
 from . import vehicle as veh
@@ -268,7 +268,6 @@ def metrics_from_samples(
 _PLANNER_KEYS = {
     "k_per_m": "k",
     "lambda_s2": "lam",
-    "lambda0": "lambda0",
     "alpha": "alpha",
     "delta_d0_m": "delta_d0",
     "v_s_m_per_s": "v_s",
@@ -333,14 +332,16 @@ def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
     return dataclasses.replace(scenario, **kwargs)
 
 
-def sweep(scenario: Scenario, axes: dict[str, list[float]]) -> list[tuple[dict, RunRecord]]:
+def sweep(
+    scenario: Scenario, axes: dict[str, list[float]]
+) -> Iterator[tuple[dict, RunRecord]]:
     """Independent runs over the cartesian product of the axis values.
 
-    Results are keyed and ordered by the grid coordinates, so they do not
-    depend on evaluation order.  Every grid point's scenario is built before
-    any run, so an invalid value anywhere in the grid raises before any
-    simulation; its ValueError names the key and value.  Individual run
-    failures are recorded in their RunRecord; the sweep continues.
+    Results are keyed and ordered by the grid coordinates.  Every grid
+    point's scenario is built on the call, so an invalid value anywhere in
+    the grid raises before any simulation; its ValueError names the key and
+    value.  The returned iterator runs each point as it is reached; a failed
+    run is recorded in its RunRecord and the sweep continues.
     """
     if not axes:
         raise ValueError("sweep needs at least one axis")
@@ -360,7 +361,7 @@ def sweep(scenario: Scenario, axes: dict[str, list[float]]) -> list[tuple[dict, 
             except ValueError as exc:
                 raise ValueError(f"{key} = {value!r}: {exc}") from None
         points.append((overrides, sc))
-    return [(overrides, run(sc)) for overrides, sc in points]
+    return ((overrides, run(sc)) for overrides, sc in points)
 
 
 def write_csv(path, samples) -> None:

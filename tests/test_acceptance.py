@@ -105,11 +105,9 @@ def test_criterion_03_error_decay_rate():
     for _ in range(20):
         k = rng.uniform(0.2, 0.8)
         lam = rng.uniform(0.25, 4.0)
-        lambda0 = k * math.sqrt(lam)
-        if not 0 < lambda0 < 0.95:
+        if not 0 < k * math.sqrt(lam) < 0.95:
             lam = (0.9 / k) ** 2 * rng.uniform(0.3, 0.9)
-            lambda0 = k * math.sqrt(lam)
-        params = PlannerParams(k=k, lam=lam, lambda0=lambda0)
+        params = PlannerParams(k=k, lam=lam)
         sc = sim.Scenario(
             track=track,
             geometry=geom,
@@ -136,7 +134,7 @@ def test_criterion_03_error_decay_rate():
 def _small_lane_change(abort_time=None):
     track = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 500.0)])
     geom = VehicleGeometry(l_f=1.5, l_r=1.5, u_max=10.0)
-    params = PlannerParams(k=0.25, lam=1.0, lambda0=0.25)
+    params = PlannerParams(k=0.25, lam=1.0)
     return sim.Scenario(
         track=track,
         geometry=geom,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lanesteer import analysis
+from lanesteer import analysis, cli, scenario_io
 from lanesteer.control import PlannerParams
 
 HERE = os.path.dirname(__file__)
@@ -24,7 +24,6 @@ def corner_params(k=0.12, lambda0=0.5, gamma=0.995, alpha=0.5, v=1.0):
     return PlannerParams(
         k=k,
         lam=(lambda0 / (k * v)) ** 2,
-        lambda0=lambda0,
         alpha=alpha,
         delta_d0=gamma / (alpha * k),
         v_s=v,
@@ -101,47 +100,58 @@ class TestPredictLaneChange:
 
 class TestCheckOscillation:
     def test_consistent_params_pass(self):
-        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
-        assert analysis.check_oscillation(p, v=1.0).satisfied
+        p = PlannerParams(k=0.5, lam=1.0)
+        assert analysis.check_oscillation(p).satisfied
 
-    def test_fails_at_other_speed(self):
-        # the tie k v sqrt(lam) = lambda0 is speed-specific
-        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
-        res = analysis.check_oscillation(p, v=2.0)
-        assert not res.satisfied
-
-    def test_row_values_reported(self):
-        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
-        res = analysis.check_oscillation(p, v=1.0)
-        tie = next(r for r in res.rows if r.name == "mode_split_tie")
-        assert tie.lhs == pytest.approx(0.5)
-        assert tie.rhs == pytest.approx(0.5)
+    @pytest.mark.parametrize("stem, lambda0", [
+        ("lane_change_k05", 0.5),
+        ("lane_change_k10", 1.0),
+        ("lane_change_k15", 1.5),  # criterion 2's run that must oscillate
+        ("corner_twopoint", 0.5),
+        ("corner_onepoint", 0.5),
+    ])
+    def test_bundled_scenarios(self, stem, lambda0):
+        scenario, _ = scenario_io.load(
+            os.path.join(cli.SCENARIOS_DIR, f"{stem}.scenario")
+        )
+        [row] = analysis.check_oscillation(scenario.params).rows
+        assert row.name == "lambda0_range"
+        assert row.lhs == pytest.approx(lambda0, abs=1e-12)
+        assert row.satisfied == (lambda0 < 1.0)
 
 
 class TestCheckAbortSafety:
     def test_infinite_limits_always_pass(self):
-        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
+        p = PlannerParams(k=0.5, lam=1.0)
         assert analysis.check_abort_safety(p, 1.0, 3.5, math.inf, math.inf).satisfied
 
     def test_closed_form_value(self):
         # lambda = 1, lambda0 = 1/2: lhs = exp(-2 ln 2) = 1/4
-        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
+        p = PlannerParams(k=0.5, lam=1.0)
         res = analysis.check_abort_safety(p, v=1.0, lane_width=3.5, c1=1.0, c2=1.0)
         assert res.rows[0].lhs == pytest.approx(0.25)
         # min{1/3.5, sqrt(1/3.5)} = 0.2857 >= 0.25: passes
         assert res.satisfied
 
     def test_tight_c1_fails(self):
-        p = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
+        p = PlannerParams(k=0.5, lam=1.0)
         res = analysis.check_abort_safety(p, v=1.0, lane_width=3.5, c1=0.5, c2=1.0)
         c1_row = next(r for r in res.rows if r.name == "abort_peak_vs_c1")
         assert not c1_row.satisfied
         assert not res.satisfied
 
+    def test_lambda0_outside_unit_interval_rejected(self):
+        # k = 1, lam = 1, v_s = 1: lambda0 = 1, where the closed-form peak
+        # divides by 1 - lambda0
+        with pytest.raises(ValueError, match="lambda0"):
+            analysis.check_abort_safety(
+                PlannerParams(k=1.0, lam=1.0), 1.0, 3.5, math.inf, math.inf
+            )
+
     def test_lhs_cross_checks_peak_formula(self):
         # the bound's lhs rescales to the lane-change peak with e0 = k W:
         # peak = lhs * e0 * sqrt(lam) / lambda0
-        p, lane_width = PlannerParams(k=0.4, lam=2.0, lambda0=0.7), 3.5
+        p, lane_width = PlannerParams(k=0.4, lam=(0.7 / 0.4) ** 2), 3.5
         res = analysis.check_abort_safety(p, 1.0, lane_width, math.inf, math.inf)
         e0 = p.k * lane_width
         peak = analysis.predict_lane_change(e0, p.lam, p.lambda0).peak_dtheta
@@ -184,7 +194,7 @@ class TestCheckCornerCutting:
 
 class TestPredictions:
     def test_one_point_ratio_is_one(self):
-        p = PlannerParams(k=0.12, lam=(0.5 / 0.12) ** 2, lambda0=0.5)
+        p = PlannerParams(k=0.12, lam=(0.5 / 0.12) ** 2)
         assert analysis.predict_curvature_ratio(p, 0.01) == pytest.approx(1.0)
         assert analysis.predict_steady_lateral(p, 0.01) == 0.0
 
@@ -221,11 +231,15 @@ def per_point_find_feasible(v, lane_width, kappa0, c1, c2, c3, gamma_grid,
                 lam = (lambda0 / (k * v)) ** 2
                 delta_d0 = gamma / (alpha * k)
                 params = PlannerParams(
-                    k=k, lam=lam, lambda0=lambda0, alpha=alpha,
-                    delta_d0=delta_d0, v_s=v,
+                    k=k, lam=lam, alpha=alpha, delta_d0=delta_d0, v_s=v,
                 )
+                # the abort-safety closed form needs the derived lambda0 in
+                # (0, 1), which a grid lambda0 just below 1 can miss
+                oscillation = analysis.check_oscillation(params)
+                if not oscillation.satisfied:
+                    continue
                 checks = (
-                    analysis.check_oscillation(params, v),
+                    oscillation,
                     analysis.check_abort_safety(params, v, lane_width, c1, c2),
                     analysis.check_corner_cutting(params, kappa0, c3),
                 )
@@ -325,7 +339,7 @@ class TestFindFeasible:
             1.0, 3.5, 0.01, 0.3, 0.3, 1.0, **self.GRID
         )
         for rep in reports:
-            assert analysis.check_oscillation(rep.params, 1.0).satisfied
+            assert analysis.check_oscillation(rep.params).satisfied
             abort = analysis.check_abort_safety(rep.params, 1.0, 3.5, 0.3, 0.3)
             assert abort.satisfied
             assert analysis.check_corner_cutting(rep.params, 0.01, 1.0).satisfied

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from lanesteer import cli
+from lanesteer import cli, sim
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "feasibility_fixture.json")
 PYPROJECT = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
@@ -204,7 +204,7 @@ class TestSweep:
 
 class TestOutputDirectory:
     """An --out that cannot be created is an error message and exit 1, for
-    run and sweep alike, not a traceback."""
+    run and sweep alike, not a traceback, and before any simulation."""
 
     COMMANDS = {
         "run": ["run"],
@@ -221,6 +221,11 @@ class TestOutputDirectory:
             out = "afile"
         else:
             out = ""
+
+        def no_run(scenario):
+            raise AssertionError("simulated before creating --out")
+
+        monkeypatch.setattr(sim, "run", no_run)
         code = run_cli([
             *self.COMMANDS[command],
             "--scenario", scenario_path("lane_change_k10.scenario"),

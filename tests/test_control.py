@@ -14,7 +14,7 @@ GEOM = VehicleGeometry(l_f=1.5, l_r=1.5)
 
 
 def base_params(**overrides):
-    kwargs = dict(k=0.5, lam=1.0, lambda0=0.5)
+    kwargs = dict(k=0.5, lam=1.0)
     kwargs.update(overrides)
     return PlannerParams(**kwargs)
 
@@ -25,10 +25,13 @@ class TestPlannerParams:
         assert p.gamma == 0.5 * 0.5 * 2.0
         assert base_params().gamma == 0.0
 
-    @pytest.mark.parametrize("lambda0", [0.0, 1.0, 1.5, -0.2])
-    def test_lambda0_open_interval(self, lambda0):
-        with pytest.raises(ValueError, match="lambda0"):
-            base_params(lambda0=lambda0)
+    @pytest.mark.parametrize("lambda0", [0.5, 1.0, 1.5])
+    def test_lambda0_derived_without_a_range_check(self, lambda0):
+        # lambda0 >= 1 is check_oscillation's to reject, not the
+        # constructor's: the k = 1 and k = 1.5 lane changes run with it
+        k, v_s = 0.8, 2.5
+        p = base_params(k=k, v_s=v_s, lam=(lambda0 / (k * v_s)) ** 2)
+        assert p.lambda0 == pytest.approx(lambda0, rel=1e-15)
 
     def test_alpha_range(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -91,7 +94,7 @@ class TestControlLaw:
     def test_error_derivative_is_minus_e_over_sqrt_lambda(self):
         # finite-difference de/dt along the closed loop must equal -e/sqrt(lam)
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 200.0)])
-        params = base_params(k=0.3, lam=2.0, lambda0=0.3 * math.sqrt(2.0))
+        params = base_params(k=0.3, lam=2.0)
         state = VehicleState(5.0, 0.8, 0.2, 0.05)
         h = 1e-5
         cs = ctl.plan_step(line, GEOM, state, params)
@@ -106,7 +109,7 @@ class TestControlLaw:
             0.0, 0.0, 0.0, [("arc", 2 * math.pi * 100.0, 0.01)]
         )
         params = base_params(
-            k=0.12, lam=(0.5 / 0.12) ** 2, lambda0=0.5, alpha=0.5, delta_d0=8.0
+            k=0.12, lam=(0.5 / 0.12) ** 2, alpha=0.5, delta_d0=8.0
         )
         state = VehicleState(20.0, 2.5, 0.25, 0.02)
         h = 1e-5
@@ -126,7 +129,7 @@ class TestControlLaw:
 
     def test_saturation_clamps_u(self):
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
-        params = base_params(k=2.0, lambda0=2.0 * math.sqrt(0.01), lam=0.01)
+        params = base_params(k=2.0, lam=0.01)
         cs = ctl.plan_step(line, GEOM, VehicleState(10.0, 2.0, 0.0, 0.0), params)
         assert abs(cs.u_s + cs.u_c) > GEOM.u_max
         assert abs(cs.u_applied) == GEOM.u_max

@@ -27,7 +27,6 @@ l_r_m = 1.6
 [planner]
 k_per_m = 0.5
 lambda_s2 = 1.0
-lambda0 = 0.5
 
 [sim]
 duration_s = 5.0
@@ -48,7 +47,7 @@ class TestValidate:
         path.write_text(MINIMAL)
         scenario, output = scenario_io.load(str(path))
         assert scenario.geometry == VehicleGeometry(l_f=1.4, l_r=1.6)
-        assert scenario.params == PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
+        assert scenario.params == PlannerParams(k=0.5, lam=1.0)
         assert scenario.initial_state == VehicleState(1.0, 2.0, 0.1, 0.0)
         for name, default in _defaults(sim.Scenario).items():
             assert getattr(scenario, name) == default, name
@@ -88,9 +87,11 @@ OVERRIDE_KEYS = [
     for key in table
 ]
 # the safety limits and the lane width are feasibility inputs, not scenario
-# values (the control law never reads them): both entry points reject them
+# values (the control law never reads them), and lambda0 follows from k,
+# lambda and v_s: both entry points reject them
 REMOVED_KEYS = [
     "planner.c1_rad", "planner.c2_rad_per_s", "planner.c3_m", "planner.lane_width_m",
+    "planner.lambda0",
 ]
 SCENARIO_FIELDS = [
     "geometry", "params", "h", "duration", "control_divisor", "abort_time",

@@ -20,7 +20,7 @@ def straight_track(length=200.0):
 
 
 def lane_change_scenario(k=0.5, duration=10.0, offset=3.5, **kw):
-    params = PlannerParams(k=k, lam=1.0, lambda0=0.5)
+    params = PlannerParams(k=k, lam=1.0)
     return sim.Scenario(
         track=straight_track(),
         geometry=GEOM,
@@ -43,7 +43,7 @@ class TestScenarioValidation:
             sim.Scenario(
                 track=straight_track(),
                 geometry=GEOM,
-                params=PlannerParams(k=0.5, lam=1.0, lambda0=0.5),
+                params=PlannerParams(k=0.5, lam=1.0),
                 initial_state=VehicleState(0, 0, 0, 0),
                 duration=5.0,
                 abort_time=2.0,
@@ -63,7 +63,7 @@ class TestScenarioValidation:
             sim.Scenario(
                 track=track,
                 geometry=GEOM,
-                params=PlannerParams(k=0.5, lam=1.0, lambda0=0.5),
+                params=PlannerParams(k=0.5, lam=1.0),
                 initial_state=VehicleState(0, 0, 0, 0),
                 duration=5.0,
                 lane_change_offset=3.5,
@@ -83,12 +83,7 @@ class TestScenarioValidation:
 
 
 class TestRun:
-    @pytest.mark.parametrize(
-        "name",
-        # lambda0 is the one exception: the run never reads it (it is
-        # k*v_s*sqrt(lam) by design), but the benchmark reads the field
-        [f.name for f in dataclasses.fields(PlannerParams) if f.name != "lambda0"],
-    )
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PlannerParams)])
     def test_every_planner_field_reaches_the_run(self, name):
         base = dataclasses.replace(bundled("corner_twopoint"), duration=20.0)
         params = base.params
@@ -141,7 +136,7 @@ class TestRun:
 
     def test_failure_recorded_not_raised(self):
         # track too short: the vehicle runs off the end mid-run
-        params = PlannerParams(k=0.5, lam=1.0, lambda0=0.5)
+        params = PlannerParams(k=0.5, lam=1.0)
         sc = sim.Scenario(
             track=straight_track(3.0),
             geometry=GEOM,

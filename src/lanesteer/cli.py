@@ -314,7 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # inside the guard: piped output is buffered, so a closed pipe may
+        # show only when the last of it is written
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`lanesteer ... | head -1`): point stdout
+        # at devnull, so that the interpreter's flush of what is still
+        # buffered at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

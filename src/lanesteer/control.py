@@ -127,49 +127,32 @@ def plan_step(
     the lateral-rate coupling k*v*sin(delta_theta); the LQR feedback is
     u_c = -e / (g * sqrt(lam)) with g = d(beta)/d(delta).
     """
-    beta = veh.slip_angle(geom, state.delta)
-    g = veh.steering_gain(geom, state.delta)
-    theta_v = wrap_angle(state.psi + beta)
-    shadow = line.project((state.x, state.y))
-    near = shadow.frame
-    far = line.lookahead(near.station, params.delta_d0)
+    x, y, psi, delta = state
+    k, alpha, delta_d0, v_s = params.k, params.alpha, params.delta_d0, params.v_s
+    beta, g = veh.slip_and_gain(geom, delta)
+    theta_v = wrap_angle(psi + beta)
+    near, lateral = line.project((x, y))
+    theta_n, kappa_n = near.orientation, near.curvature
+    # with no look-ahead the far point is the shadow point: the same station,
+    # already checked against the line, so the same frame
+    far = near if delta_d0 == 0 else line.lookahead(near.station, delta_d0)
+    theta_f, kappa_f = far.orientation, far.curvature
 
-    delta_theta = wrap_angle(theta_v - near.orientation)
+    delta_theta = wrap_angle(theta_v - theta_n)
     alignment = math.cos(delta_theta)
-    v = vehicle_speed(params.v_s, shadow.signed_lateral * near.curvature, alignment)
+    v = vehicle_speed(v_s, lateral * kappa_n, alignment)
 
-    e = error_two_point(
-        theta_v,
-        near.orientation,
-        far.orientation,
-        shadow.signed_lateral,
-        params.k,
-        params.alpha,
-    )
-    theta_dot_ref = (
-        (1.0 - params.alpha) * params.v_s * near.curvature
-        + params.alpha * params.v_s * far.curvature
-    )
+    e = error_two_point(theta_v, theta_n, theta_f, lateral, k, alpha)
+    theta_dot_ref = (1.0 - alpha) * v_s * kappa_n + alpha * v_s * kappa_f
     yaw_rate = (v / geom.l_r) * math.sin(beta)
     # delta_theta must be the unblended theta_v - theta_n: the lateral
     # deviation evolves with the shadow-point orientation regardless of the
     # look-ahead blend, and using the blended difference here would leave a
     # residual in the error dynamics on curved lanes
-    u_s = (-yaw_rate + theta_dot_ref - params.k * v * math.sin(delta_theta)) / g
+    u_s = (-yaw_rate + theta_dot_ref - k * v * math.sin(delta_theta)) / g
     u_c = -e / (g * math.sqrt(params.lam))
     u_applied = min(max(u_s + u_c, -geom.u_max), geom.u_max)
     return ControlSample(
-        e=e,
-        theta_n=near.orientation,
-        theta_f=far.orientation,
-        delta_theta=delta_theta,
-        lateral=shadow.signed_lateral,
-        v=v,
-        u_s=u_s,
-        u_c=u_c,
-        u_applied=u_applied,
-        kappa_n=near.curvature,
-        beta=beta,
-        theta_v=theta_v,
-        kappa_e=(yaw_rate + g * u_applied) / v,
+        e, theta_n, theta_f, delta_theta, lateral, v, u_s, u_c,
+        u_applied, kappa_n, beta, theta_v, (yaw_rate + g * u_applied) / v,
     )

@@ -15,8 +15,8 @@ Conventions:
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -97,12 +97,8 @@ class StraightSegment:
     def frame_at(self, s: float, station: float) -> FramePoint:
         c, sn = self.tangent
         return FramePoint(
-            position=(self.x0 + s * c, self.y0 + s * sn),
-            tangent=self.tangent,
-            normal=self.normal,
-            orientation=self.orientation,
-            curvature=0.0,
-            station=station,
+            (self.x0 + s * c, self.y0 + s * sn), self.tangent, self.normal,
+            self.orientation, 0.0, station,
         )
 
     def closest(self, px: float, py: float):
@@ -142,9 +138,6 @@ class ArcSegment:
         object.__setattr__(self, "curvature", turn / self.radius)
         object.__setattr__(self, "length", self.radius * abs(self.sweep))
 
-    def _angle_at(self, s: float) -> float:
-        return self.start_angle + self.turn * s / self.radius
-
     def start_pose(self):
         f = self.frame_at(0.0, 0.0)
         return f.position[0], f.position[1], f.orientation
@@ -154,17 +147,13 @@ class ArcSegment:
         return f.position[0], f.position[1], f.orientation
 
     def frame_at(self, s: float, station: float) -> FramePoint:
-        phi = self._angle_at(s)
-        cp, sp = math.cos(phi), math.sin(phi)
-        theta = wrap_angle(phi + self.turn * math.pi / 2.0)
+        turn, radius = self.turn, self.radius
+        phi = self.start_angle + turn * s / radius
+        theta = wrap_angle(phi + turn * math.pi / 2.0)
         ct, st = math.cos(theta), math.sin(theta)
         return FramePoint(
-            position=(self.cx + self.radius * cp, self.cy + self.radius * sp),
-            tangent=(ct, st),
-            normal=(-st, ct),
-            orientation=theta,
-            curvature=self.curvature,
-            station=station,
+            (self.cx + radius * math.cos(phi), self.cy + radius * math.sin(phi)),
+            (ct, st), (-st, ct), theta, self.curvature, station,
         )
 
     def closest(self, px: float, py: float):
@@ -259,21 +248,16 @@ class ReferenceLine:
             x, y, h = seg.end_pose()
         return cls(segments)
 
-    def _locate(self, s: float) -> tuple[Segment, float]:
-        """Segment owning station s, left-closed: a junction belongs to the
-        segment that starts there."""
-        i = bisect.bisect_right(self._starts, s) - 1
-        i = min(i, len(self.segments) - 1)
-        return self.segments[i], s - self._starts[i]
-
     def point_at(self, s: float) -> FramePoint:
-        if not (-1e-12 <= s <= self.total_length + 1e-12):
-            raise StationRangeError(
-                f"station {s} outside [0, {self.total_length}]"
-            )
-        s = min(max(s, 0.0), self.total_length)
-        seg, local = self._locate(s)
-        return seg.frame_at(local, s)
+        total = self.total_length
+        if not (-1e-12 <= s <= total + 1e-12):
+            raise StationRangeError(f"station {s} outside [0, {total}]")
+        s = min(max(s, 0.0), total)
+        # the owning segment, left-closed: a junction belongs to the segment
+        # that starts there
+        starts, segments = self._starts, self.segments
+        i = min(bisect_right(starts, s) - 1, len(segments) - 1)
+        return segments[i].frame_at(s - starts[i], s)
 
     def lookahead(self, shadow_station: float, delta_d0: float) -> FramePoint:
         if delta_d0 < 0:
@@ -304,26 +288,29 @@ class ReferenceLine:
             prev_clamped = end is not None
         if end is not None:
             candidates.append(end)
-        best = min(candidates)
-        bd, bs, bx, by = best
-        for dist, s, fx, fy in candidates:
-            if s == bs:
-                continue
-            if dist - bd < _AMBIGUITY_TOL and math.hypot(fx - bx, fy - by) > _AMBIGUITY_TOL:
-                raise ProjectionAmbiguityError(
-                    f"two closest points at stations {bs:.6f} and {s:.6f}"
-                )
+        if len(candidates) == 1:
+            bd, bs, _, _ = candidates[0]
+        else:
+            bd, bs, bx, by = min(candidates)
+            for dist, s, fx, fy in candidates:
+                if s == bs:
+                    continue
+                if dist - bd < _AMBIGUITY_TOL and math.hypot(fx - bx, fy - by) > _AMBIGUITY_TOL:
+                    raise ProjectionAmbiguityError(
+                        f"two closest points at stations {bs:.6f} and {s:.6f}"
+                    )
+        # the frame at the global station, not the candidate's foot: at a
+        # junction the station decides which segment owns the point
         frame = self.point_at(bs)
-        rx, ry = frame.position[0] - px, frame.position[1] - py
-        tangential = rx * frame.tangent[0] + ry * frame.tangent[1]
-        if abs(tangential) > _ORTHO_TOL * max(1.0, bd):
+        (fx, fy), (tx, ty), (nx, ny), _, _, _ = frame
+        rx, ry = fx - px, fy - py
+        if abs(rx * tx + ry * ty) > _ORTHO_TOL * max(1.0, bd):
             # foot clamped to the track end: the ray is no longer normal
             raise StationRangeError(
                 "closest point clamped to the line end; vehicle outside the "
                 "projection domain"
             )
-        lateral = rx * frame.normal[0] + ry * frame.normal[1]
-        return ShadowResult(frame=frame, signed_lateral=lateral)
+        return ShadowResult(frame, rx * nx + ry * ny)
 
     def parallel_offset(self, d: float) -> "ReferenceLine":
         """Parallel track at offset d along the +normal direction."""

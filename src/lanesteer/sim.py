@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple
 
 from . import control as ctl
 from . import vehicle as veh
-from .control import ControlSample, PlannerParams
+from .control import PlannerParams
 from .errors import PlannerError
 from .refline import ReferenceLine, wrap_angle
 from .vehicle import VehicleGeometry, VehicleState
@@ -127,15 +127,6 @@ class RunRecord:
         return self.failure_reason is None
 
 
-def _make_sample(t: float, state: VehicleState, cs: ControlSample) -> Sample:
-    return Sample(
-        t, state.x, state.y, state.psi, state.delta, cs.beta, cs.theta_v,
-        cs.theta_n, cs.theta_f, cs.e, cs.lateral,
-        -cs.v * math.sin(cs.delta_theta), cs.u_s, cs.u_c, cs.u_applied, cs.v,
-        cs.kappa_e,
-    )
-
-
 def run(scenario: Scenario) -> RunRecord:
     """Integrate the closed loop and collect one sample per control period.
 
@@ -148,8 +139,9 @@ def run(scenario: Scenario) -> RunRecord:
     period = scenario.control_divisor * h
     n_periods = round(scenario.duration / period)
     # looked up per run, not at import, so that a wrapped or patched
-    # vehicle.step still sees every substep
-    step = veh.step
+    # plan_step or vehicle.step still sees every call
+    plan_step, step = ctl.plan_step, veh.step
+    target_at = scenario.target_at
     substeps = range(scenario.control_divisor)
     samples: list[Sample] = []
     kappa_n: list[float] = []
@@ -157,12 +149,17 @@ def run(scenario: Scenario) -> RunRecord:
     try:
         for i in range(n_periods + 1):
             t = i * period
-            cs = ctl.plan_step(scenario.target_at(t), geom, state, params)
-            samples.append(_make_sample(t, state, cs))
-            kappa_n.append(cs.kappa_n)
+            # ControlSample's fields, in order
+            (e, theta_n, theta_f, delta_theta, lateral, v, u_s, u_c, u, kn, beta,
+             theta_v, kappa_e) = plan_step(target_at(t), geom, state, params)
+            x, y, psi, delta = state
+            samples.append(Sample(
+                t, x, y, psi, delta, beta, theta_v, theta_n, theta_f, e, lateral,
+                -v * math.sin(delta_theta), u_s, u_c, u, v, kappa_e,
+            ))
+            kappa_n.append(kn)
             if i == n_periods:
                 break
-            v, u = cs.v, cs.u_applied
             for _ in substeps:
                 state = step(geom, state, v, u, h)
     except PlannerError as exc:

@@ -42,27 +42,19 @@ class VehicleState(NamedTuple):
 _HALF_PI = math.pi / 2
 
 
-def _check_delta(delta: float) -> None:
+def slip_and_gain(geom: VehicleGeometry, delta: float) -> tuple[float, float]:
+    """Slip angle beta of the center of gravity for a front-wheel angle, and
+    g = d(beta)/d(delta), how fast it responds to the wheel angle.
+
+    g is strictly positive on the domain, so the velocity orientation is
+    always controllable through the front wheel.
+    """
     if not abs(delta) < _HALF_PI:
         raise SteeringDomainError(f"front-wheel angle {delta} outside (-pi/2, pi/2)")
-
-
-def slip_angle(geom: VehicleGeometry, delta: float) -> float:
-    """Slip angle of the center of gravity for a given front-wheel angle."""
-    _check_delta(delta)
-    return atan(geom.l_r * tan(delta) / (geom.l_f + geom.l_r))
-
-
-def steering_gain(geom: VehicleGeometry, delta: float) -> float:
-    """d(beta)/d(delta): how fast the slip angle responds to the wheel angle.
-
-    Strictly positive on the domain, so the velocity orientation is always
-    controllable through the front wheel.
-    """
-    _check_delta(delta)
-    ratio = geom.l_r / (geom.l_f + geom.l_r)
-    t = geom.l_r * tan(delta) / (geom.l_f + geom.l_r)
-    return ratio / ((1.0 + t * t) * cos(delta) ** 2)
+    l_r = geom.l_r
+    wheelbase = geom.l_f + l_r
+    t = l_r * tan(delta) / wheelbase
+    return atan(t), (l_r / wheelbase) / ((1.0 + t * t) * cos(delta) ** 2)
 
 
 def step(
@@ -83,8 +75,8 @@ def step(
     ratio = l_r / (geom.l_f + l_r)
     v_lr = v / l_r
 
-    # _check_delta's test, written out per stage: a call costs about as much
-    # as the stage's arithmetic
+    # slip_and_gain's domain check, written out per stage: a call costs
+    # about as much as the stage's arithmetic
     if not abs(d0) < _HALF_PI:
         raise SteeringDomainError(f"front-wheel angle {d0} outside (-pi/2, pi/2)")
     beta = atan(ratio * tan(d0))

@@ -351,8 +351,9 @@ def test_criterion_09_property_suite(lane_change_trio, corner_records):
     eps = 1e-6
     gain_err = max(
         abs(
-            veh.steering_gain(geom, d)
-            - (veh.slip_angle(geom, d + eps) - veh.slip_angle(geom, d - eps)) / (2 * eps)
+            veh.slip_and_gain(geom, d)[1]
+            - (veh.slip_and_gain(geom, d + eps)[0] - veh.slip_and_gain(geom, d - eps)[0])
+            / (2 * eps)
         )
         for d in np.linspace(-1.4, 1.4, 57)
     )

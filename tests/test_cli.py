@@ -1,6 +1,8 @@
 import ast
+import errno
 import glob
 import importlib.metadata
+import io
 import json
 import math
 import os
@@ -235,6 +237,65 @@ class TestOutputDirectory:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert os.listdir(tmp_path) == (["afile"] if kind == "existing_file" else [])
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: `write` or `flush`, as chosen, raises
+    BrokenPipeError.  fileno() is a file of the test's own, which main may
+    re-point without touching the real stdout."""
+
+    def __init__(self, fd, failing):
+        self._fd, self._failing = fd, failing
+
+    def writable(self):
+        return True
+
+    def write(self, text):
+        if self._failing == "write":
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return len(text)
+
+    def flush(self):
+        if self._failing == "flush":
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def fileno(self):
+        return self._fd
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (`lanesteer ... | head -1`) ends the
+    command with exit 1 and no traceback, whichever subcommand printed."""
+
+    COMMANDS = {
+        "run": ["run", "--scenario", scenario_path("lane_change_k10.scenario"),
+                "--set", "sim.duration_s=0.5"],
+        "sweep": ["sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+                  "--set", "sim.duration_s=0.5", "--grid", "planner.k_per_m=0.5,0.6"],
+        "feasibility": ["feasibility", "--v", "1", "--lane-width", "3.5",
+                        "--kappa0", "0.01", "--c1", "0.3", "--c2", "0.3", "--c3", "1.0",
+                        "--grid", "gamma=0.992,0.995", "--grid", "lambda0=0.35,0.5",
+                        "--grid", "k=0.11,0.12"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_closed_stdout_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                          command, failing):
+        argv = self.COMMANDS[command]
+        if command != "feasibility":
+            argv = [*argv, "--out", str(tmp_path / "o")]
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd, failing))
+            code = run_cli(argv)
+            redirected, devnull = os.fstat(fd), os.stat(os.devnull)
+        finally:
+            os.close(fd)
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == ""
+        # what is still buffered goes to devnull when the interpreter exits
+        assert (redirected.st_dev, redirected.st_ino) == (devnull.st_dev, devnull.st_ino)
 
 
 class TestFeasibility:

@@ -6,7 +6,11 @@ from hypothesis import given, strategies as st
 from lanesteer import control as ctl
 from lanesteer import vehicle as veh
 from lanesteer.control import PlannerParams
-from lanesteer.errors import GeometryDegenerateError, ShadowRegularityError
+from lanesteer.errors import (
+    GeometryDegenerateError,
+    ShadowRegularityError,
+    SteeringDomainError,
+)
 from lanesteer.refline import ReferenceLine, wrap_angle
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
@@ -139,15 +143,22 @@ class TestControlLaw:
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
         params = base_params(lam=4.0)
         cs = ctl.plan_step(line, GEOM, VehicleState(10.0, 0.4, 0.0, 0.0), params)
-        g = veh.steering_gain(GEOM, 0.0)
+        g = veh.slip_and_gain(GEOM, 0.0)[1]
         assert cs.e == pytest.approx(0.5 * 0.4)
         assert cs.u_c == pytest.approx(-cs.e / (g * 2.0))
+
+    @pytest.mark.parametrize("delta", [math.pi / 2, -math.pi / 2, 1.6, -3.0, math.nan])
+    def test_wheel_angle_outside_domain_raises(self, delta):
+        line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
+        for params in (base_params(), base_params(alpha=0.5, delta_d0=5.0)):
+            with pytest.raises(SteeringDomainError, match="outside"):
+                ctl.plan_step(line, GEOM, VehicleState(10.0, 0.3, 0.0, delta), params)
 
     def test_velocity_orientation_is_heading_plus_slip(self):
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
         state = VehicleState(1.0, 2.0, 0.7, 0.1)
         cs = ctl.plan_step(line, GEOM, state, base_params())
-        assert cs.beta == veh.slip_angle(GEOM, 0.1)
+        assert cs.beta == veh.slip_and_gain(GEOM, 0.1)[0]
         assert cs.theta_v == wrap_angle(0.7 + cs.beta)
         assert cs.delta_theta == wrap_angle(cs.theta_v - cs.theta_n)
 
@@ -155,8 +166,8 @@ class TestControlLaw:
         # kappa_e = omega / v with omega = (v / l_r) sin(beta) + g(delta) u
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
         cs = ctl.plan_step(line, GEOM, VehicleState(10.0, 0.3, 0.1, 0.2), base_params())
-        beta = veh.slip_angle(GEOM, 0.2)
-        omega = (cs.v / GEOM.l_r) * math.sin(beta) + veh.steering_gain(GEOM, 0.2) * cs.u_applied
+        beta, g = veh.slip_and_gain(GEOM, 0.2)
+        omega = (cs.v / GEOM.l_r) * math.sin(beta) + g * cs.u_applied
         assert cs.u_applied != 0.0
         assert cs.kappa_e == pytest.approx(omega / cs.v)
 
@@ -170,5 +181,5 @@ class TestControlLaw:
         assert cs.kappa_n == 0.0
         # aligned with the line, so the yaw and lateral-rate terms of u_s
         # vanish and u_s is the target rate over the steering gain
-        g = veh.steering_gain(GEOM, 0.0)
+        g = veh.slip_and_gain(GEOM, 0.0)[1]
         assert cs.u_s == pytest.approx(0.5 * params.v_s * 0.02 / g)

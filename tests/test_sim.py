@@ -184,6 +184,26 @@ class TestRun:
         n_periods = round(sc.duration / (sc.control_divisor * sc.h))
         assert len(calls) == n_periods + 2
 
+    @pytest.mark.parametrize(
+        "stem, per_sample",
+        [("corner_onepoint", 0), ("lane_change_k10", 0), ("corner_twopoint", 1)],
+    )
+    def test_lookahead_only_with_a_lookahead_distance(self, monkeypatch, stem, per_sample):
+        # with delta_d0 = 0 the far point is the shadow point, so plan_step
+        # does not look it up again
+        sc = sim.apply_override(bundled(stem), "sim.duration_s", 5.0)
+        real_lookahead = ReferenceLine.lookahead
+        calls = []
+
+        def counting_lookahead(self, station, delta_d0):
+            calls.append(station)
+            return real_lookahead(self, station, delta_d0)
+
+        monkeypatch.setattr(ReferenceLine, "lookahead", counting_lookahead)
+        record = sim.run(sc)
+        assert record.completed and len(record.samples) > 100
+        assert len(calls) == per_sample * len(record.samples)
+
     def test_one_vehicle_step_per_substep(self, monkeypatch):
         # sim.run looks vehicle.step up per run, so a patch set before the
         # run sees every substep

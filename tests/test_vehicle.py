@@ -14,27 +14,36 @@ GEOM = VehicleGeometry(l_f=1.2, l_r=1.6)
 deltas = st.floats(-1.4, 1.4)
 
 
+def beta_of(d):
+    return veh.slip_and_gain(GEOM, d)[0]
+
+
+def gain_of(d):
+    return veh.slip_and_gain(GEOM, d)[1]
+
+
 class TestSlipAngle:
     def test_zero_at_zero(self):
-        assert veh.slip_angle(GEOM, 0.0) == 0.0
+        assert beta_of(0.0) == 0.0
 
     def test_known_value(self):
         # tan(beta) = l_r tan(delta) / (l_f + l_r)
-        beta = veh.slip_angle(GEOM, 0.3)
+        beta = beta_of(0.3)
         assert beta == pytest.approx(math.atan(1.6 * math.tan(0.3) / 2.8))
 
     @given(deltas)
     def test_odd(self, d):
-        assert veh.slip_angle(GEOM, -d) == pytest.approx(-veh.slip_angle(GEOM, d))
+        assert beta_of(-d) == pytest.approx(-beta_of(d))
 
     @given(deltas)
     def test_magnitude_below_delta(self, d):
         # rear axle is closer than the wheelbase, so |beta| < |delta|
-        assert abs(veh.slip_angle(GEOM, d)) <= abs(d)
+        assert abs(beta_of(d)) <= abs(d)
 
     def test_domain_boundary(self):
-        with pytest.raises(SteeringDomainError):
-            veh.slip_angle(GEOM, math.pi / 2)
+        for d in (math.pi / 2, -math.pi / 2, 2.0, math.nan):
+            with pytest.raises(SteeringDomainError):
+                veh.slip_and_gain(GEOM, d)
 
 
 class TestSteeringGain:
@@ -43,15 +52,15 @@ class TestSteeringGain:
         eps = 1e-6
         if abs(d) + eps >= math.pi / 2:
             return
-        fd = (veh.slip_angle(GEOM, d + eps) - veh.slip_angle(GEOM, d - eps)) / (2 * eps)
-        assert veh.steering_gain(GEOM, d) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        fd = (beta_of(d + eps) - beta_of(d - eps)) / (2 * eps)
+        assert gain_of(d) == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
     @given(deltas)
     def test_strictly_positive(self, d):
-        assert veh.steering_gain(GEOM, d) > 0.0
+        assert gain_of(d) > 0.0
 
     def test_value_at_zero(self):
-        assert veh.steering_gain(GEOM, 0.0) == pytest.approx(1.6 / 2.8)
+        assert gain_of(0.0) == pytest.approx(1.6 / 2.8)
 
 
 class TestDerivatives:
@@ -64,7 +73,7 @@ class TestDerivatives:
     def test_heading_uses_velocity_orientation(self):
         h = 1e-6
         state = veh.step(GEOM, VehicleState(0.0, 0.0, 0.5, 0.2), 1.0, 0.0, h)
-        beta = veh.slip_angle(GEOM, 0.2)
+        beta = beta_of(0.2)
         assert state.x / h == pytest.approx(math.cos(0.5 + beta))
         assert state.y / h == pytest.approx(math.sin(0.5 + beta))
 
@@ -72,9 +81,9 @@ class TestDerivatives:
         # d(psi + beta)/dt = (v / l_r) sin(beta) + g(delta) u
         h = 1e-6
         state = veh.step(GEOM, VehicleState(0.0, 0.0, 0.0, 0.2), 1.5, 0.4, h)
-        beta = veh.slip_angle(GEOM, 0.2)
-        w = (state.psi + veh.slip_angle(GEOM, state.delta) - beta) / h
-        expected = (1.5 / GEOM.l_r) * math.sin(beta) + veh.steering_gain(GEOM, 0.2) * 0.4
+        beta = beta_of(0.2)
+        w = (state.psi + beta_of(state.delta) - beta) / h
+        expected = (1.5 / GEOM.l_r) * math.sin(beta) + gain_of(0.2) * 0.4
         assert w == pytest.approx(expected)
 
 
@@ -82,7 +91,7 @@ class TestStep:
     def test_constant_delta_traces_circle(self):
         # with u = 0 the CoG moves on a circle of curvature sin(beta)/l_r
         delta = 0.25
-        beta = veh.slip_angle(GEOM, delta)
+        beta = beta_of(delta)
         kappa = math.sin(beta) / GEOM.l_r
         state = VehicleState(0.0, 0.0, -beta, delta)
         h, v = 1e-3, 1.0
@@ -116,7 +125,7 @@ class TestStep:
         # the global error of classical RK4 shrinks 2^4 = 16x per halving of h
         # (Hairer, Norsett & Wanner, Solving ODEs I)
         delta, v, t_end = 0.25, 1.0, 4.0
-        beta = veh.slip_angle(GEOM, delta)
+        beta = beta_of(delta)
         radius = GEOM.l_r / math.sin(beta)
         w = v / radius
         exact = (radius * math.sin(w * t_end), radius * (1.0 - math.cos(w * t_end)))

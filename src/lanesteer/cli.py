@@ -215,9 +215,14 @@ def cmd_figures(args) -> int:
             "lane_change_k15",
             "corner_twopoint",
         ):
-            scenario, _ = scenario_io.load(
-                os.path.join(SCENARIOS_DIR, f"{stem}.scenario")
-            )
+            try:
+                scenario, _ = scenario_io.load(
+                    os.path.join(SCENARIOS_DIR, f"{stem}.scenario")
+                )
+            except OSError as exc:
+                # a bundled file is missing: the checkout, not the arguments
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_RUN_FAILURE
             record = sim.run(scenario)
             if not record.completed:
                 print(f"run failed: {record.failure_reason}", file=sys.stderr)
@@ -265,8 +270,9 @@ def cmd_figures(args) -> int:
             with open(os.path.join(args.out, name), "w") as fh:
                 fh.write(svg)
     except OSError as exc:
+        # --out could not be created or written
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUN_FAILURE
+        return EXIT_USAGE
     except PlannerError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE

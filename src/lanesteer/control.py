@@ -24,6 +24,9 @@ from .vehicle import VehicleGeometry, VehicleState
 # minimum alignment <x_s, x_v> before the speed coupling is declared degenerate
 EPS_ALIGN = 0.1
 
+# builds a record without the NamedTuple constructor's Python-level __new__
+_tuple_new = tuple.__new__
+
 
 @dataclass(frozen=True)
 class PlannerParams:
@@ -151,8 +154,13 @@ def plan_step(
     # residual in the error dynamics on curved lanes
     u_s = (-yaw_rate + theta_dot_ref - k * v * math.sin(delta_theta)) / g
     u_c = -e / (g * math.sqrt(params.lam))
-    u_applied = min(max(u_s + u_c, -geom.u_max), geom.u_max)
-    return ControlSample(
+    u_max = geom.u_max
+    u_applied = u_s + u_c
+    if u_applied > u_max:
+        u_applied = u_max
+    elif u_applied < -u_max:
+        u_applied = -u_max
+    return _tuple_new(ControlSample, (
         e, theta_n, theta_f, delta_theta, lateral, v, u_s, u_c,
         u_applied, kappa_n, beta, theta_v, (yaw_rate + g * u_applied) / v,
-    )
+    ))

@@ -42,6 +42,9 @@ _ORTHO_TOL = 1e-8
 # passes _ORTHO_TOL from R of about 5e7 m on
 _MAX_ARC_RADIUS = 1e6
 
+# builds a record without the NamedTuple constructor's Python-level __new__
+_tuple_new = tuple.__new__
+
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
@@ -96,10 +99,10 @@ class StraightSegment:
 
     def frame_at(self, s: float, station: float) -> FramePoint:
         c, sn = self.tangent
-        return FramePoint(
+        return _tuple_new(FramePoint, (
             (self.x0 + s * c, self.y0 + s * sn), self.tangent, self.normal,
             self.orientation, 0.0, station,
-        )
+        ))
 
     def closest(self, px: float, py: float):
         """[(local station, distance, foot x, foot y, clamp)]: clamp is -1 or
@@ -151,10 +154,10 @@ class ArcSegment:
         phi = self.start_angle + turn * s / radius
         theta = wrap_angle(phi + turn * math.pi / 2.0)
         ct, st = math.cos(theta), math.sin(theta)
-        return FramePoint(
+        return _tuple_new(FramePoint, (
             (self.cx + radius * math.cos(phi), self.cy + radius * math.sin(phi)),
             (ct, st), (-st, ct), theta, self.curvature, station,
-        )
+        ))
 
     def closest(self, px: float, py: float):
         """As StraightSegment.closest; a radial foot outside the sweep gives
@@ -252,11 +255,17 @@ class ReferenceLine:
         total = self.total_length
         if not (-1e-12 <= s <= total + 1e-12):
             raise StationRangeError(f"station {s} outside [0, {total}]")
-        s = min(max(s, 0.0), total)
+        # clamps as comparisons, as in vehicle.step
+        if s > total:
+            s = total
+        elif s < 0.0:
+            s = 0.0
         # the owning segment, left-closed: a junction belongs to the segment
-        # that starts there
+        # that starts there, and the line end to the last one
         starts, segments = self._starts, self.segments
-        i = min(bisect_right(starts, s) - 1, len(segments) - 1)
+        i = bisect_right(starts, s) - 1
+        if i == len(segments):
+            i -= 1
         return segments[i].frame_at(s - starts[i], s)
 
     def lookahead(self, shadow_station: float, delta_d0: float) -> FramePoint:
@@ -304,13 +313,13 @@ class ReferenceLine:
         frame = self.point_at(bs)
         (fx, fy), (tx, ty), (nx, ny), _, _, _ = frame
         rx, ry = fx - px, fy - py
-        if abs(rx * tx + ry * ty) > _ORTHO_TOL * max(1.0, bd):
+        if abs(rx * tx + ry * ty) > _ORTHO_TOL * (bd if bd > 1.0 else 1.0):
             # foot clamped to the track end: the ray is no longer normal
             raise StationRangeError(
                 "closest point clamped to the line end; vehicle outside the "
                 "projection domain"
             )
-        return ShadowResult(frame, rx * nx + ry * ny)
+        return _tuple_new(ShadowResult, (frame, rx * nx + ry * ny))
 
     def parallel_offset(self, d: float) -> "ReferenceLine":
         """Parallel track at offset d along the +normal direction."""

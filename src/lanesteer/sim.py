@@ -28,6 +28,9 @@ _RATE_DEADBAND = 1e-3
 
 _STEADY_AGREE_TOL = 1e-2
 
+# builds a record without the NamedTuple constructor's Python-level __new__
+_tuple_new = tuple.__new__
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -153,10 +156,10 @@ def run(scenario: Scenario) -> RunRecord:
             (e, theta_n, theta_f, delta_theta, lateral, v, u_s, u_c, u, kn, beta,
              theta_v, kappa_e) = plan_step(target_at(t), geom, state, params)
             x, y, psi, delta = state
-            samples.append(Sample(
+            samples.append(_tuple_new(Sample, (
                 t, x, y, psi, delta, beta, theta_v, theta_n, theta_f, e, lateral,
                 -v * math.sin(delta_theta), u_s, u_c, u, v, kappa_e,
-            ))
+            )))
             kappa_n.append(kn)
             if i == n_periods:
                 break

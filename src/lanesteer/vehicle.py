@@ -41,6 +41,10 @@ class VehicleState(NamedTuple):
 
 _HALF_PI = math.pi / 2
 
+# builds a record without the NamedTuple constructor's Python-level __new__;
+# the caller supplies every field, in order
+_tuple_new = tuple.__new__
+
 
 def slip_and_gain(geom: VehicleGeometry, delta: float) -> tuple[float, float]:
     """Slip angle beta of the center of gravity for a front-wheel angle, and
@@ -89,27 +93,32 @@ def step(
     beta = atan(ratio * tan(d_mid))
     ap_mid = v_lr * sin(beta)
     heading = psi0 + 0.5 * h * ap1 + beta
-    ax2, ay2, ap2 = v * cos(heading), v * sin(heading), ap_mid
-    heading = psi0 + 0.5 * h * ap2 + beta
-    ax3, ay3, ap3 = v * cos(heading), v * sin(heading), ap_mid
+    ax2, ay2 = v * cos(heading), v * sin(heading)
+    heading = psi0 + 0.5 * h * ap_mid + beta
+    ax3, ay3 = v * cos(heading), v * sin(heading)
 
     d_end = d0 + h * u
     if not abs(d_end) < _HALF_PI:
         raise SteeringDomainError(f"front-wheel angle {d_end} outside (-pi/2, pi/2)")
     beta = atan(ratio * tan(d_end))
-    heading = psi0 + h * ap3 + beta
+    heading = psi0 + h * ap_mid + beta
     ax4, ay4, ap4 = v * cos(heading), v * sin(heading), v_lr * sin(beta)
 
     h6 = h / 6.0
     x = x0 + h6 * (ax1 + 2.0 * (ax2 + ax3) + ax4)
     y = y0 + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
-    psi = psi0 + h6 * (ap1 + 2.0 * (ap2 + ap3) + ap4)
+    psi = psi0 + h6 * (ap1 + 2.0 * (ap_mid + ap_mid) + ap4)
+    # the actuator clamp as two comparisons: min(max()) gives the same value,
+    # -0.0 and NaN for two builtin calls more per substep
     delta_max = geom.delta_max
-    delta = min(max(d_end, -delta_max), delta_max)
+    if d_end > delta_max:
+        d_end = delta_max
+    elif d_end < -delta_max:
+        d_end = -delta_max
     # wrap_angle, inline
     psi = remainder(psi, tau)
     if psi <= -pi:
         psi += tau
     if not (isfinite(x) and isfinite(y) and isfinite(psi)):
         raise NumericBlowupError("integration produced a non-finite state")
-    return VehicleState(x, y, psi, delta)
+    return _tuple_new(VehicleState, (x, y, psi, d_end))

@@ -5,6 +5,7 @@ One test per criterion; each prints a single PASS/FAIL line (visible with
 Shared long runs are computed once in module-scoped fixtures.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -384,6 +385,27 @@ def test_criterion_09_property_suite(lane_change_trio, corner_records):
         ok = False
     conclude(9, ok, "property suite: gain derivative, shadow orthogonality, "
                     "determinism, exact gamma bound", "; ".join(details))
+
+
+# the SHA-256 of each bundled scenario's CSV, as bench/lsbench.py pins them:
+# output must stay the same to the last bit of every float
+CSV_SHA256 = {
+    "corner_onepoint": "27f49b6068332be88a2b76703078b4cc12d84341f89e2bd52bc51bdbfc505b02",
+    "corner_twopoint": "a32d93f53219210fd395b8947943de31d46c795d54fdfe882a2c7d23bf0661ab",
+    "lane_change_k05": "f4524982776e1e7677d7800cc1dd35e9d5281f28e5c00e9880f0c5622adcf2ed",
+    "lane_change_k10": "ebe5f4a3f539b9e37ad188e6982125803cfb7780a890bb3858909d3a037246fb",
+    "lane_change_k15": "168dfb4e0e0f0edcc9476544dc3eabae6a8fba26672c058972f7fb738b60b02b",
+}
+
+
+def test_bundled_scenario_csv_digests(lane_change_trio, corner_records, tmp_path):
+    records = {stem: lane_change_trio[k][0] for k, stem in LANE_CHANGE_FILES.items()}
+    records["corner_twopoint"], records["corner_onepoint"] = corner_records
+    assert records.keys() == CSV_SHA256.keys()
+    for stem, record in records.items():
+        path = tmp_path / f"{stem}.csv"
+        sim.write_csv(path, record.samples)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[stem], stem
 
 
 def test_criterion_10_feasibility_fixture(capsys):

@@ -206,11 +206,15 @@ class TestSweep:
 
 class TestOutputDirectory:
     """An --out that cannot be created is an error message and exit 1, for
-    run and sweep alike, not a traceback, and before any simulation."""
+    run, sweep and figures alike, not a traceback, and before any
+    simulation."""
 
+    SCENARIO = ["--scenario", scenario_path("lane_change_k10.scenario"),
+                "--set", "sim.duration_s=0.5"]
     COMMANDS = {
-        "run": ["run"],
-        "sweep": ["sweep", "--grid", "planner.k_per_m=0.5"],
+        "run": ["run", *SCENARIO],
+        "sweep": ["sweep", "--grid", "planner.k_per_m=0.5", *SCENARIO],
+        "figures": ["figures"],
     }
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -228,11 +232,7 @@ class TestOutputDirectory:
             raise AssertionError("simulated before creating --out")
 
         monkeypatch.setattr(sim, "run", no_run)
-        code = run_cli([
-            *self.COMMANDS[command],
-            "--scenario", scenario_path("lane_change_k10.scenario"),
-            "--set", "sim.duration_s=0.5", "--out", out,
-        ])
+        code = run_cli([*self.COMMANDS[command], "--out", out])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
@@ -384,6 +384,18 @@ class TestFigures:
             b = open(os.path.join(out_b, name), "rb").read()
             assert a == b
             assert a.startswith(b"<svg")
+
+    def test_unwritable_figure_is_usage_error(self, tmp_path, capsys):
+        # --out exists, but a directory takes the place of one figure
+        (tmp_path / "corner_path.svg").mkdir()
+        assert run_cli(["figures", "--out", str(tmp_path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_bundled_scenario_is_run_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "SCENARIOS_DIR", str(tmp_path / "none"))
+        code = run_cli(["figures", "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_RUN_FAILURE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_series_labels_present(self, tmp_path):
         out = str(tmp_path / "o")

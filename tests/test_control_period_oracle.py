@@ -5,7 +5,9 @@ Here `ReferenceLine.project` and `control.plan_step` must return the
 oracle's `ShadowResult` and `ControlSample` bit for bit, or raise the same
 error class, on criterion 8's random G1 chains: poses on both sides of
 every junction and at both line ends, and on a U-turn that comes back
-near itself; alpha in {0, 0.5} and delta_d0 zero or positive.
+near itself; alpha in {0, 0.5} and delta_d0 zero or positive.  Saturated
+wheel-rate commands, and `point_at` at and just past either end of its
+station range, are compared the same way.
 """
 
 import itertools
@@ -132,3 +134,31 @@ def test_steering_domain_error_matches_the_oracle():
             got = _outcome(ctl.plan_step, line, GEOM, state, params)
             assert got is SteeringDomainError
             assert got is _outcome(oracle.plan_step, line, GEOM, state, params)
+
+
+def test_saturated_commands_match_the_oracle():
+    line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 30.0)])
+    # heading 1 rad left of the line asks for a wheel rate below -u_max,
+    # 1 rad right of it for one above +u_max
+    for heading, bound in ((1.0, -GEOM.u_max), (-1.0, GEOM.u_max)):
+        state = VehicleState(5.0, 0.0, heading, 0.0)
+        for params in PARAMS:
+            got = ctl.plan_step(line, GEOM, state, params)
+            assert got.u_applied == bound and abs(got.u_s + got.u_c) > GEOM.u_max
+            assert _bits(got) == _outcome(oracle.plan_step, line, GEOM, state, params)
+
+
+def test_point_at_matches_the_oracle_at_the_clamps():
+    rng = random.Random(11)
+    lines = [_random_chain(rng) for _ in range(8)] + [
+        ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 30.0)]),
+        ReferenceLine.from_pieces(0.0, -100.0, 0.0, [("arc", 40.0, 0.01)]),
+    ]
+    for line in lines:
+        total = line.total_length
+        junctions = itertools.accumulate(seg.length for seg in line.segments[:-1])
+        # inside the 1e-12 tolerance the station is clamped; past it, rejected
+        for s in (-2e-12, -1e-13, -0.0, 0.0, *junctions, total, total + 1e-13,
+                  total + 2e-12):
+            assert _outcome(line.point_at, s) == _outcome(oracle.point_at, line, s), (
+                line, s)

@@ -6,10 +6,11 @@ import os
 import pytest
 
 from lanesteer import cli, scenario_io, sim
+from lanesteer import control as ctl
 from lanesteer import vehicle as veh
-from lanesteer.control import PlannerParams
+from lanesteer.control import ControlSample, PlannerParams
 from lanesteer.errors import NumericBlowupError
-from lanesteer.refline import ReferenceLine
+from lanesteer.refline import FramePoint, ReferenceLine, ShadowResult
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
 GEOM = VehicleGeometry(l_f=1.5, l_r=1.5)
@@ -221,6 +222,46 @@ class TestRun:
         n_periods = round(sc.duration / (sc.control_divisor * sc.h))
         assert n_periods == 50
         assert calls == [sc.h] * (sc.control_divisor * n_periods)
+
+    @pytest.mark.parametrize("stem", ["lane_change_k10", "corner_twopoint"])
+    def test_records_are_whole_namedtuples(self, monkeypatch, stem):
+        # the loop builds its records with tuple.__new__, which checks no
+        # field count, and == cannot see a wrong one: a tuple equals a
+        # NamedTuple with the same values
+        returned = {}
+
+        def recording(name, fn):
+            def wrapper(*args):
+                result = fn(*args)
+                returned.setdefault(name, []).append(result)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(veh, "step", recording("step", veh.step))
+        monkeypatch.setattr(ctl, "plan_step", recording("plan_step", ctl.plan_step))
+        for name in ("project", "point_at", "lookahead"):
+            monkeypatch.setattr(
+                ReferenceLine, name, recording(name, getattr(ReferenceLine, name))
+            )
+        record = sim.run(sim.apply_override(bundled(stem), "sim.duration_s", 0.5))
+        assert record.completed
+        returned["sample"] = list(record.samples)
+        returned["shadow frame"] = [r.frame for r in returned["project"]]
+        expected = {
+            "step": VehicleState,
+            "plan_step": ControlSample,
+            "project": ShadowResult,
+            "shadow frame": FramePoint,
+            "point_at": FramePoint,
+            "lookahead": FramePoint,
+            "sample": sim.Sample,
+        }
+        if stem == "lane_change_k10":
+            del expected["lookahead"]  # delta_d0 = 0: no look-ahead
+        assert returned.keys() == expected.keys()
+        for name, results in returned.items():
+            cls = expected[name]
+            assert all(type(r) is cls and len(r) == len(cls._fields) for r in results), name
 
 
 class TestRunAbort:

@@ -220,6 +220,11 @@ class TestStepOracle:
     @example(VehicleState(0.0, 0.0, 3.13, 0.5), 20.0, 0.0, 0.05)
     # leaves the steering domain in the last stage only: 1.55 + 0.04 > pi/2
     @example(VehicleState(0.0, 0.0, 0.0, 1.55), 1.0, 1.0, 0.04)
+    # lands exactly on the clamp: 0.58 + 0.02 * 1.0 == delta_max, and mirrored
+    @example(VehicleState(0.0, 0.0, 0.0, 0.58), 1.0, 1.0, 0.02)
+    @example(VehicleState(0.0, 0.0, 0.0, -0.58), 1.0, -1.0, 0.02)
+    # -0.0 + 0.01 * -0.0 is -0.0, which the clamp must keep
+    @example(VehicleState(0.0, 0.0, 0.0, -0.0), 1.0, -0.0, 0.01)
     def test_step_matches_textbook_rk4_bit_for_bit(self, state, v, u, h):
         try:
             expected = textbook_rk4(GEOM, state, v, u, h)
@@ -227,4 +232,6 @@ class TestStepOracle:
             with pytest.raises(SteeringDomainError, match=re.escape(str(exc))):
                 veh.step(GEOM, state, v, u, h)
             return
-        assert veh.step(GEOM, state, v, u, h) == expected
+        got = veh.step(GEOM, state, v, u, h)
+        # float.hex, since == takes -0.0 for 0.0
+        assert [a.hex() for a in got] == [b.hex() for b in expected]

@@ -85,22 +85,6 @@ def predict_lane_change(e0: float, lam: float, lambda0: float) -> LinearizedPred
     )
 
 
-def _abort_terms(lam, lambda0, c1, c2, v, lane_width):
-    """Abort-safety peak (1/sqrt(lam)) exp(log lambda0 / (1 - lambda0)) and
-    its two limits c1 v / W and sqrt(c2 v / W)."""
-    lhs = (1.0 / math.sqrt(lam)) * math.exp(math.log(lambda0) / (1.0 - lambda0))
-    return lhs, c1 * v / lane_width, math.sqrt(c2 * v / lane_width)
-
-
-def _corner_k_bounds(gamma, kappa0, c3):
-    """Corner-cutting window k_lower < k < k_upper; k_upper is nan unless
-    0 < gamma < 1."""
-    ak0 = abs(kappa0)
-    k_lower = max(ak0 * math.sqrt(1.0 + gamma), math.sqrt(gamma * ak0 / c3))
-    k_upper = ak0 / math.sqrt(1.0 / gamma - 1.0) if 0 < gamma < 1 else math.nan
-    return k_lower, k_upper
-
-
 def check_oscillation(params: PlannerParams) -> CheckResult:
     """Fast/slow mode split: lambda0 = k v_s sqrt(lam) must lie in (0, 1)."""
     lambda0 = params.lambda0
@@ -117,9 +101,14 @@ def check_abort_safety(
     Uses |e0| = k * W.  The returned rows report both limit branches
     individually so the binding one is visible.
     """
-    if not 0 < params.lambda0 < 1:
+    lambda0 = params.lambda0
+    if not 0 < lambda0 < 1:
         raise ValueError("lambda0 must lie in (0, 1)")
-    lhs, rhs1, rhs2 = _abort_terms(params.lam, params.lambda0, c1, c2, v, lane_width)
+    # the peak (1/sqrt(lam)) exp(log lambda0 / (1 - lambda0)) against the
+    # limits c1 v / W and sqrt(c2 v / W)
+    lam = params.lam
+    lhs = (1.0 / math.sqrt(lam)) * math.exp(math.log(lambda0) / (1.0 - lambda0))
+    rhs1, rhs2 = c1 * v / lane_width, math.sqrt(c2 * v / lane_width)
     rows = (
         CheckRow("abort_peak_vs_c1", lhs, "<=", rhs1, lhs <= rhs1),
         CheckRow("abort_peak_vs_c2", lhs, "<=", rhs2, lhs <= rhs2),
@@ -138,14 +127,16 @@ def check_corner_cutting(
     if kappa0 == 0:
         return CheckResult("corner_cutting", (), applicable=False)
     gamma = params.gamma
-    k_lower, k_upper = _corner_k_bounds(gamma, kappa0, c3)
+    ak0 = abs(kappa0)
+    k_lower = max(ak0 * math.sqrt(1.0 + gamma), math.sqrt(gamma * ak0 / c3))
+    # k < nan is False: no upper edge unless 0 < gamma < 1
+    k_upper = ak0 / math.sqrt(1.0 / gamma - 1.0) if 0 < gamma < 1 else math.nan
     steady = abs(predict_steady_lateral(params, kappa0))
     rows = (
         CheckRow("gamma_range", gamma, "in", GAMMA_LOWER,
                  GAMMA_LOWER < gamma < 1.0),
         CheckRow("k_above_lower", k_lower, "<", params.k, k_lower < params.k),
-        CheckRow("k_below_upper", params.k, "<", k_upper,
-                 bool(params.k < k_upper) if not math.isnan(k_upper) else False),
+        CheckRow("k_below_upper", params.k, "<", k_upper, params.k < k_upper),
         CheckRow("steady_lateral_bound", steady, "<", c3, steady < c3),
     )
     return CheckResult("corner_cutting", rows)
@@ -195,15 +186,14 @@ def find_feasible(
     inputs, and grids whose derived lam or delta_d0 is not positive and
     finite, raise ValueError.
 
-    The oscillation and abort-safety rows depend on (lambda0, k) only and
-    the corner-cutting rows on (gamma, k) only, so they are evaluated first
-    on those planes, with the same floating-point expressions the checks
-    use.  A point is built only if it passes the lambda0-range, abort-safety,
-    gamma-range and k-window rows there; a skipped point fails one of those
-    rows in the checks too.  A point that gets through is built and checked
-    exactly as before: `PlannerParams`,
-    `check_oscillation`, `check_abort_safety`, `check_corner_cutting` and
-    `predict_curvature_ratio`.
+    Each check is evaluated once per point of the plane it depends on, and
+    the reports on that point share its result.  The oscillation and
+    abort-safety checks read (lambda0, k) only: they run on
+    `PlannerParams(k, lam, v_s=v)`, abort safety only where oscillation
+    passes.  The corner-cutting check and `predict_curvature_ratio` read
+    (gamma, k) only: they run on the first full parameter set of each
+    (gamma, k), and a failure there skips the pair's later points before
+    any parameters are built.
 
     Results are sorted by predicted curvature ratio, then by grid
     coordinates, so the ordering is deterministic regardless of evaluation
@@ -240,56 +230,43 @@ def find_feasible(
                 "lambda and delta_d0 must be positive and finite on the grid"
             )
 
-    abort_passing = []  # per lambda0: the (k, lam) pairs passing abort safety
+    # (lambda0, k) plane: (k, lam, oscillation, abort safety) where both pass
+    lam_passing = []
     for lambda0 in lambda0s:
-        passing = []
         for k in ks:
             lam = (lambda0 / (k * v)) ** 2
-            derived = k * v * math.sqrt(lam)  # PlannerParams.lambda0
-            if not 0 < derived < 1:
+            params = PlannerParams(k=k, lam=lam, v_s=v)
+            oscillation = check_oscillation(params)
+            if not oscillation.satisfied:
                 continue
-            lhs, rhs1, rhs2 = _abort_terms(lam, derived, c1, c2, v, lane_width)
-            if lhs <= rhs1 and lhs <= rhs2:
-                passing.append((k, lam))
-        abort_passing.append(passing)
+            abort = check_abort_safety(params, v, lane_width, c1, c2)
+            if abort.satisfied:
+                lam_passing.append((k, lam, oscillation, abort))
 
     reports = []
     for gamma in gammas:
-        corner = {}  # k -> delta_d0 for the k inside this gamma's window
-        for k in ks:
-            delta_d0 = gamma / (alpha * k)
-            if kappa0 != 0:
-                gamma_k = alpha * k * delta_d0
-                k_lower, k_upper = _corner_k_bounds(gamma_k, kappa0, c3)
-                if not (GAMMA_LOWER < gamma_k < 1.0 and k_lower < k < k_upper):
+        # (gamma, k) plane: k -> (corner cutting, ratio), None where it fails
+        corner = {}
+        for k, lam, oscillation, abort in lam_passing:
+            cached = corner.get(k, ())
+            if cached is None:
+                continue
+            params = PlannerParams(
+                k=k, lam=lam, alpha=alpha, delta_d0=gamma / (alpha * k), v_s=v
+            )
+            if not cached:
+                cutting = check_corner_cutting(params, kappa0, c3)
+                if not cutting.satisfied:
+                    corner[k] = None
                     continue
-            corner[k] = delta_d0
-        if not corner:
-            continue
-        for passing in abort_passing:
-            for k, lam in passing:
-                if k not in corner:
-                    continue
-                params = PlannerParams(
-                    k=k, lam=lam, alpha=alpha, delta_d0=corner[k], v_s=v
-                )
-                checks = (
-                    check_oscillation(params),
-                    check_abort_safety(params, v, lane_width, c1, c2),
-                    check_corner_cutting(params, kappa0, c3),
-                )
-                if not all(c.satisfied for c in checks):
-                    continue
-                reports.append(
-                    FeasibilityReport(
-                        params=params,
-                        checks=checks,
-                        feasible=True,
-                        predicted_curvature_ratio=predict_curvature_ratio(
-                            params, kappa0
-                        ),
-                    )
-                )
+                cached = corner[k] = (cutting, predict_curvature_ratio(params, kappa0))
+            cutting, ratio = cached
+            reports.append(FeasibilityReport(
+                params=params,
+                checks=(oscillation, abort, cutting),
+                feasible=True,
+                predicted_curvature_ratio=ratio,
+            ))
     reports.sort(
         key=lambda r: (
             r.predicted_curvature_ratio,

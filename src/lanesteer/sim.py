@@ -54,6 +54,11 @@ class Scenario:
             raise ValueError("integration step must be positive and finite")
         if not isinstance(self.control_divisor, int) or self.control_divisor < 1:
             raise ValueError("control divisor must be an integer of at least 1")
+        # run takes round(duration / period) periods: none for a longer one
+        if not self.control_divisor * self.h <= self.duration:
+            raise ValueError(
+                "control period control_divisor * h must not exceed the duration"
+            )
         if not all(map(math.isfinite, self.initial_state)):
             raise ValueError("initial state must be finite")
         if self.lane_change_offset is not None and not math.isfinite(

@@ -26,6 +26,9 @@ class VehicleGeometry:
     def __post_init__(self):
         if not (0 < self.l_f < math.inf and 0 < self.l_r < math.inf):
             raise ValueError("axle distances must be positive and finite")
+        # a ratio that underflows to 0 zeroes the steering gain
+        if not self.l_r / (self.l_f + self.l_r) > 0:
+            raise ValueError("axle ratio l_r / (l_f + l_r) must be positive")
         if not (0 < self.delta_max < math.pi / 2):
             raise ValueError("delta_max must be in (0, pi/2)")
         if not 0 < self.u_max < math.inf:
@@ -81,33 +84,43 @@ def step(
 
     # slip_and_gain's domain check, written out per stage: a call costs
     # about as much as the stage's arithmetic
+    d_mid = d0 + 0.5 * h * u
+    d_end = d0 + h * u
     if not abs(d0) < _HALF_PI:
         raise SteeringDomainError(f"front-wheel angle {d0} outside (-pi/2, pi/2)")
-    beta = atan(ratio * tan(d0))
-    heading = psi0 + beta
-    ax1, ay1, ap1 = v * cos(heading), v * sin(heading), v_lr * sin(beta)
-
-    d_mid = d0 + 0.5 * h * u
     if not abs(d_mid) < _HALF_PI:
         raise SteeringDomainError(f"front-wheel angle {d_mid} outside (-pi/2, pi/2)")
-    beta = atan(ratio * tan(d_mid))
-    ap_mid = v_lr * sin(beta)
-    heading = psi0 + 0.5 * h * ap1 + beta
-    ax2, ay2 = v * cos(heading), v * sin(heading)
-    heading = psi0 + 0.5 * h * ap_mid + beta
-    ax3, ay3 = v * cos(heading), v * sin(heading)
-
-    d_end = d0 + h * u
     if not abs(d_end) < _HALF_PI:
         raise SteeringDomainError(f"front-wheel angle {d_end} outside (-pi/2, pi/2)")
-    beta = atan(ratio * tan(d_end))
-    heading = psi0 + h * ap_mid + beta
-    ax4, ay4, ap4 = v * cos(heading), v * sin(heading), v_lr * sin(beta)
 
-    h6 = h / 6.0
-    x = x0 + h6 * (ax1 + 2.0 * (ax2 + ax3) + ax4)
-    y = y0 + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
-    psi = psi0 + h6 * (ap1 + 2.0 * (ap_mid + ap_mid) + ap4)
+    # cos, sin and remainder raise ValueError on a heading that overflowed to
+    # inf; the try block costs nothing until it raises
+    try:
+        beta = atan(ratio * tan(d0))
+        heading = psi0 + beta
+        ax1, ay1, ap1 = v * cos(heading), v * sin(heading), v_lr * sin(beta)
+
+        beta = atan(ratio * tan(d_mid))
+        ap_mid = v_lr * sin(beta)
+        heading = psi0 + 0.5 * h * ap1 + beta
+        ax2, ay2 = v * cos(heading), v * sin(heading)
+        heading = psi0 + 0.5 * h * ap_mid + beta
+        ax3, ay3 = v * cos(heading), v * sin(heading)
+
+        beta = atan(ratio * tan(d_end))
+        heading = psi0 + h * ap_mid + beta
+        ax4, ay4, ap4 = v * cos(heading), v * sin(heading), v_lr * sin(beta)
+
+        h6 = h / 6.0
+        x = x0 + h6 * (ax1 + 2.0 * (ax2 + ax3) + ax4)
+        y = y0 + h6 * (ay1 + 2.0 * (ay2 + ay3) + ay4)
+        psi = psi0 + h6 * (ap1 + 2.0 * (ap_mid + ap_mid) + ap4)
+        # wrap_angle, inline
+        psi = remainder(psi, tau)
+        if psi <= -pi:
+            psi += tau
+    except ValueError:
+        raise NumericBlowupError("integration produced a non-finite state") from None
     # the actuator clamp as two comparisons: min(max()) gives the same value,
     # -0.0 and NaN for two builtin calls more per substep
     delta_max = geom.delta_max
@@ -115,10 +128,6 @@ def step(
         d_end = delta_max
     elif d_end < -delta_max:
         d_end = -delta_max
-    # wrap_angle, inline
-    psi = remainder(psi, tau)
-    if psi <= -pi:
-        psi += tau
     if not (isfinite(x) and isfinite(y) and isfinite(psi)):
         raise NumericBlowupError("integration produced a non-finite state")
     return _tuple_new(VehicleState, (x, y, psi, d_end))

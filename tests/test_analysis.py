@@ -386,6 +386,34 @@ class TestFindFeasible:
             return
         assert repr(analysis.find_feasible(**inputs)) == repr(want)
 
+    @pytest.mark.parametrize("inputs", [
+        FIXTURE_DATA["inputs"],
+        # straight lane and infinite limits: all 27 points are feasible
+        dict(v=1.0, lane_width=3.5, kappa0=0.0, c1=math.inf, c2=math.inf,
+             c3=math.inf, gamma_grid=[0.7, 0.9, 0.995],
+             lambda0_grid=[0.3, 0.5, 0.7], k_grid=[0.05, 0.12, 0.2]),
+    ], ids=["fixture", "straight"])
+    def test_each_check_once_per_plane_point(self, monkeypatch, inputs):
+        # a check reads one plane, (lambda0, k) or (gamma, k), so the search
+        # needs it at most once per point of that plane, however many
+        # reports share the point
+        calls = dict.fromkeys(("check_oscillation", "check_abort_safety",
+                               "check_corner_cutting", "predict_curvature_ratio"), 0)
+        for name in calls:
+            def counting(*args, _real=getattr(analysis, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(analysis, name, counting)
+        reports = analysis.find_feasible(**inputs)
+        assert reports
+        n_gamma, n_lambda0, n_k = (
+            len(inputs[f"{axis}_grid"]) for axis in ("gamma", "lambda0", "k")
+        )
+        assert calls["check_oscillation"] <= n_lambda0 * n_k
+        assert calls["check_abort_safety"] <= n_lambda0 * n_k
+        assert calls["check_corner_cutting"] <= n_gamma * n_k
+        assert calls["predict_curvature_ratio"] <= n_gamma * n_k
+
     def test_boundary_ks_skip_subnormal_lambda0(self):
         # the abort edge's peak underflows to 0 here, so its k is infinite
         inputs = dict(v=0.1, lane_width=3.5, kappa0=0.0, c1=math.inf,

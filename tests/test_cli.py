@@ -90,6 +90,24 @@ class TestRun:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("how", ["file", "set", "grid"])
+    def test_control_period_longer_than_run_is_validation_error(
+        self, tmp_path, capsys, how
+    ):
+        src = scenario_path("lane_change_k10.scenario")
+        if how == "file":
+            bad = tmp_path / "long_period.scenario"
+            bad.write_text(open(src).read().replace("h_s = 0.001\n", "h_s = 1.5\n"))
+            args = ["run", "--scenario", str(bad)]
+        elif how == "set":
+            args = ["run", "--scenario", src, "--set", "sim.h_s=20"]
+        else:
+            args = ["sweep", "--scenario", src, "--grid", "sim.h_s=0.001,1.5"]
+        out = tmp_path / "o"
+        assert run_cli([*args, "--out", str(out)]) == 2
+        assert "control period" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_override_k_oscillates(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code = run_cli([

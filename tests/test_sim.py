@@ -75,6 +75,13 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="control divisor"):
             lane_change_scenario(control_divisor=divisor)
 
+    def test_control_period_longer_than_run_rejected(self):
+        # round(10 / 200) is no period at all; a 15 s period overruns 10 s
+        for h in (20.0, 1.5):
+            with pytest.raises(ValueError, match="control period"):
+                lane_change_scenario(h=h)
+        assert lane_change_scenario(h=1.0).h == 1.0  # one period, the duration
+
     def test_target_swaps_at_abort(self):
         sc = lane_change_scenario(abort_time=2.0)
         before = sc.target_at(1.9).point_at(0.0).position
@@ -169,6 +176,20 @@ class TestRun:
         # the sample taken at the start of the failed period is kept
         period = sc.control_divisor * sc.h
         assert [s.t for s in record.samples] == [0.0, period]
+
+    def test_overflowed_heading_recorded_as_numeric_blowup(self, tmp_path):
+        # v_s / l_r overflows and vehicle.step takes cos of an infinite stage
+        # heading
+        path = os.path.join(cli.SCENARIOS_DIR, "lane_change_k10.scenario")
+        overrides = ["planner.v_s_m_per_s=1e307", "vehicle.l_r_m=0.01",
+                     "sim.initial_delta_rad=0.1"]
+        scenario, _ = scenario_io.load(path, overrides)
+        record = sim.run(scenario)
+        assert record.failure_reason.startswith("NumericBlowupError")
+        args = ["run", "--scenario", path, "--out", str(tmp_path)]
+        for item in overrides:
+            args += ["--set", item]
+        assert cli.main(args) == 3
 
     def test_one_projection_per_sample_plus_final_lateral(self, monkeypatch):
         sc = bundled("lane_change_k10")

@@ -152,6 +152,16 @@ class TestStep:
             state = veh.step(GEOM, state, 2.0, 0.0, 0.01)
             assert -math.pi < state.psi <= math.pi
 
+    @pytest.mark.parametrize("v, delta", [
+        (1e307, 0.1),  # cos of an infinite stage heading
+        (1.7e306, 0.59),  # remainder of an infinite psi
+    ])
+    def test_overflowed_heading_is_numeric_blowup(self, v, delta):
+        # v / l_r overflows: math-domain errors become the typed failure
+        geom = VehicleGeometry(l_f=0.01, l_r=0.01)
+        with pytest.raises(NumericBlowupError, match="non-finite state"):
+            veh.step(geom, VehicleState(0.0, 0.0, 0.0, delta), v, 0.0, 1e-3)
+
     def test_bad_step_size(self):
         with pytest.raises(ValueError):
             veh.step(GEOM, VehicleState(0, 0, 0, 0), 1.0, 0.0, 0.0)
@@ -161,6 +171,9 @@ class TestGeometryValidation:
     def test_positive_axles_required(self):
         with pytest.raises(ValueError):
             VehicleGeometry(l_f=0.0, l_r=1.0)
+        # l_r / (l_f + l_r) underflows to 0, and with it the steering gain
+        with pytest.raises(ValueError, match="ratio"):
+            VehicleGeometry(l_f=1e10, l_r=5e-324)
 
     def test_delta_max_range(self):
         with pytest.raises(ValueError):

@@ -9,11 +9,15 @@ and a grid search combining all of it.
 from __future__ import annotations
 
 import math
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .control import PlannerParams
 
 GAMMA_LOWER = (math.sqrt(5.0) - 1.0) / 2.0
+
+# builds a record without the NamedTuple constructor's Python-level __new__
+_tuple_new = tuple.__new__
 
 
 class CheckRow(NamedTuple):
@@ -31,7 +35,7 @@ class CheckResult(NamedTuple):
 
     @property
     def satisfied(self) -> bool:
-        return all(r.satisfied for r in self.rows)
+        return all(map(attrgetter("satisfied"), self.rows))
 
 
 class LinearizedPrediction(NamedTuple):
@@ -88,8 +92,10 @@ def predict_lane_change(e0: float, lam: float, lambda0: float) -> LinearizedPred
 def check_oscillation(params: PlannerParams) -> CheckResult:
     """Fast/slow mode split: lambda0 = k v_s sqrt(lam) must lie in (0, 1)."""
     lambda0 = params.lambda0
-    row = CheckRow("lambda0_range", lambda0, "in (0, 1)", 1.0, 0.0 < lambda0 < 1.0)
-    return CheckResult("oscillation", (row,))
+    row = _tuple_new(
+        CheckRow, ("lambda0_range", lambda0, "in (0, 1)", 1.0, 0.0 < lambda0 < 1.0)
+    )
+    return _tuple_new(CheckResult, ("oscillation", (row,), True))
 
 
 def check_abort_safety(
@@ -110,10 +116,10 @@ def check_abort_safety(
     lhs = (1.0 / math.sqrt(lam)) * math.exp(math.log(lambda0) / (1.0 - lambda0))
     rhs1, rhs2 = c1 * v / lane_width, math.sqrt(c2 * v / lane_width)
     rows = (
-        CheckRow("abort_peak_vs_c1", lhs, "<=", rhs1, lhs <= rhs1),
-        CheckRow("abort_peak_vs_c2", lhs, "<=", rhs2, lhs <= rhs2),
+        _tuple_new(CheckRow, ("abort_peak_vs_c1", lhs, "<=", rhs1, lhs <= rhs1)),
+        _tuple_new(CheckRow, ("abort_peak_vs_c2", lhs, "<=", rhs2, lhs <= rhs2)),
     )
-    return CheckResult("abort_safety", rows)
+    return _tuple_new(CheckResult, ("abort_safety", rows, True))
 
 
 def check_corner_cutting(
@@ -125,21 +131,22 @@ def check_corner_cutting(
     Not applicable (vacuously satisfied) on a straight lane.
     """
     if kappa0 == 0:
-        return CheckResult("corner_cutting", (), applicable=False)
+        return _tuple_new(CheckResult, ("corner_cutting", (), False))
     gamma = params.gamma
     ak0 = abs(kappa0)
     k_lower = max(ak0 * math.sqrt(1.0 + gamma), math.sqrt(gamma * ak0 / c3))
     # k < nan is False: no upper edge unless 0 < gamma < 1
     k_upper = ak0 / math.sqrt(1.0 / gamma - 1.0) if 0 < gamma < 1 else math.nan
     steady = abs(predict_steady_lateral(params, kappa0))
+    k = params.k
     rows = (
-        CheckRow("gamma_range", gamma, "in", GAMMA_LOWER,
-                 GAMMA_LOWER < gamma < 1.0),
-        CheckRow("k_above_lower", k_lower, "<", params.k, k_lower < params.k),
-        CheckRow("k_below_upper", params.k, "<", k_upper, params.k < k_upper),
-        CheckRow("steady_lateral_bound", steady, "<", c3, steady < c3),
+        _tuple_new(CheckRow, ("gamma_range", gamma, "in", GAMMA_LOWER,
+                              GAMMA_LOWER < gamma < 1.0)),
+        _tuple_new(CheckRow, ("k_above_lower", k_lower, "<", k, k_lower < k)),
+        _tuple_new(CheckRow, ("k_below_upper", k, "<", k_upper, k < k_upper)),
+        _tuple_new(CheckRow, ("steady_lateral_bound", steady, "<", c3, steady < c3)),
     )
-    return CheckResult("corner_cutting", rows)
+    return _tuple_new(CheckResult, ("corner_cutting", rows, True))
 
 
 def predict_curvature_ratio(params: PlannerParams, kappa0: float) -> float:
@@ -190,14 +197,15 @@ def find_feasible(
     the reports on that point share its result.  The oscillation and
     abort-safety checks read (lambda0, k) only: they run on
     `PlannerParams(k, lam, v_s=v)`, abort safety only where oscillation
-    passes.  The corner-cutting check and `predict_curvature_ratio` read
-    (gamma, k) only: they run on the first full parameter set of each
-    (gamma, k), and a failure there skips the pair's later points before
-    any parameters are built.
+    passes, and the passing points are grouped by k.  The reports are then
+    built k-major, per gamma and then per k.  The corner-cutting check and
+    `predict_curvature_ratio` read (gamma, k) only: they run on the pair's
+    first parameter set, and a failure there skips the pair's later points
+    before any more parameters are built.
 
-    Results are sorted by predicted curvature ratio, then by grid
-    coordinates, so the ordering is deterministic regardless of evaluation
-    order.
+    Results are sorted by predicted curvature ratio, then by the derived
+    gamma, lambda0 and k of their parameters, so the ordering does not
+    depend on the evaluation order.
     """
     if not (0 < v < math.inf and 0 < lane_width < math.inf):
         raise ValueError("v and lane width must be positive and finite")
@@ -230,8 +238,9 @@ def find_feasible(
                 "lambda and delta_d0 must be positive and finite on the grid"
             )
 
-    # (lambda0, k) plane: (k, lam, oscillation, abort safety) where both pass
-    lam_passing = []
+    # (lambda0, k) plane, grouped by k: (lam, lambda0, oscillation, abort
+    # safety) where both pass, lambda0 being the parameters' own k v_s sqrt(lam)
+    passing_by_k = {}
     for lambda0 in lambda0s:
         for k in ks:
             lam = (lambda0 / (k * v)) ** 2
@@ -241,38 +250,29 @@ def find_feasible(
                 continue
             abort = check_abort_safety(params, v, lane_width, c1, c2)
             if abort.satisfied:
-                lam_passing.append((k, lam, oscillation, abort))
+                passing_by_k.setdefault(k, []).append(
+                    (lam, params.lambda0, oscillation, abort)
+                )
 
-    reports = []
+    # (sort key, report); the key is (ratio, params.gamma, params.lambda0, k)
+    keyed = []
     for gamma in gammas:
-        # (gamma, k) plane: k -> (corner cutting, ratio), None where it fails
-        corner = {}
-        for k, lam, oscillation, abort in lam_passing:
-            cached = corner.get(k, ())
-            if cached is None:
-                continue
-            params = PlannerParams(
-                k=k, lam=lam, alpha=alpha, delta_d0=gamma / (alpha * k), v_s=v
-            )
-            if not cached:
-                cutting = check_corner_cutting(params, kappa0, c3)
-                if not cutting.satisfied:
-                    corner[k] = None
-                    continue
-                cached = corner[k] = (cutting, predict_curvature_ratio(params, kappa0))
-            cutting, ratio = cached
-            reports.append(FeasibilityReport(
-                params=params,
-                checks=(oscillation, abort, cutting),
-                feasible=True,
-                predicted_curvature_ratio=ratio,
-            ))
-    reports.sort(
-        key=lambda r: (
-            r.predicted_curvature_ratio,
-            r.params.gamma,
-            r.params.lambda0,
-            r.params.k,
-        )
-    )
-    return reports
+        for k, passing in passing_by_k.items():
+            delta_d0 = gamma / (alpha * k)
+            params_gamma = alpha * k * delta_d0
+            cutting = None
+            for lam, lambda0, oscillation, abort in passing:
+                params = PlannerParams(k, lam, alpha, delta_d0, v)
+                if cutting is None:
+                    # the (gamma, k) plane: neither reads lam, so the pair's
+                    # first parameters stand for all of them
+                    cutting = check_corner_cutting(params, kappa0, c3)
+                    if not cutting.satisfied:
+                        break
+                    ratio = predict_curvature_ratio(params, kappa0)
+                report = _tuple_new(FeasibilityReport, (
+                    params, (oscillation, abort, cutting), True, ratio,
+                ))
+                keyed.append(((ratio, params_gamma, lambda0, k), report))
+    keyed.sort(key=itemgetter(0))
+    return [report for _, report in keyed]

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import NamedTuple
 
 from . import vehicle as veh
-from .errors import GeometryDegenerateError, ShadowRegularityError
+from .errors import (
+    GeometryDegenerateError, NumericBlowupError, ShadowRegularityError,
+)
 from .refline import ReferenceLine, wrap_angle
 from .vehicle import VehicleGeometry, VehicleState
 
@@ -28,7 +31,7 @@ EPS_ALIGN = 0.1
 _tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlannerParams:
     """Planner gains and speed plan.  The safety limits and the lane width
     only constrain their choice, so the analysis checks take those."""
@@ -152,15 +155,26 @@ def plan_step(
     # deviation evolves with the shadow-point orientation regardless of the
     # look-ahead blend, and using the blended difference here would leave a
     # residual in the error dynamics on curved lanes
-    u_s = (-yaw_rate + theta_dot_ref - k * v * math.sin(delta_theta)) / g
-    u_c = -e / (g * math.sqrt(params.lam))
-    u_max = geom.u_max
-    u_applied = u_s + u_c
-    if u_applied > u_max:
-        u_applied = u_max
-    elif u_applied < -u_max:
-        u_applied = -u_max
+    try:
+        u_s = (-yaw_rate + theta_dot_ref - k * v * math.sin(delta_theta)) / g
+        u_c = -e / (g * math.sqrt(params.lam))
+        u_applied = u_s + u_c
+        # before the clamp, which would hide an infinite command
+        if not isfinite(u_applied):
+            raise NumericBlowupError("control law produced a non-finite command")
+        u_max = geom.u_max
+        if u_applied > u_max:
+            u_applied = u_max
+        elif u_applied < -u_max:
+            u_applied = -u_max
+        kappa_e = (yaw_rate + g * u_applied) / v
+    except ZeroDivisionError:
+        # the steering gain, its product with sqrt(lam), or the speed
+        # underflowed to zero
+        raise NumericBlowupError("control law divided by zero") from None
+    if not isfinite(kappa_e):
+        raise NumericBlowupError("control law produced a non-finite path curvature")
     return _tuple_new(ControlSample, (
         e, theta_n, theta_f, delta_theta, lateral, v, u_s, u_c,
-        u_applied, kappa_n, beta, theta_v, (yaw_rate + g * u_applied) / v,
+        u_applied, kappa_n, beta, theta_v, kappa_e,
     ))

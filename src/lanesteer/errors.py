@@ -30,7 +30,7 @@ class ShadowRegularityError(PlannerError):
 
 
 class NumericBlowupError(PlannerError):
-    """Integration produced a non-finite state."""
+    """Integration or the control law produced a non-finite value."""
 
 
 class ScenarioFormatError(PlannerError, ValueError):

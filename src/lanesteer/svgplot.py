@@ -31,15 +31,28 @@ def _nice_step(span: float, target_ticks: int = 8) -> float:
     return mag * 10.0
 
 
+# more ticks than a 1-2-5 step gives on any span; bounds the loop should the
+# step come near the spacing of the floats at the axis
+_MAX_TICKS = 12
+
+
 def _ticks(lo: float, hi: float) -> list[float]:
     step = _nice_step(hi - lo)
-    first = math.ceil(lo / step - 1e-9) * step
+    first = math.ceil(lo / step - 1e-9)
+    end = hi + 1e-9 * max(1.0, abs(hi))
     out = []
-    t = first
-    while t <= hi + 1e-9 * max(1.0, abs(hi)):
+    for i in range(first, first + _MAX_TICKS):
+        t = i * step
+        if t > end:
+            break
         out.append(0.0 if abs(t) < step * 1e-9 else t)
-        t += step
     return out
+
+
+def _flat(lo: float, hi: float) -> bool:
+    """Whether [lo, hi] is below a few ulps of its magnitude: too narrow to
+    scale an axis to."""
+    return hi - lo <= 16 * math.ulp(max(abs(lo), abs(hi)))
 
 
 def line_chart(
@@ -55,10 +68,12 @@ def line_chart(
     ys = [p[1] for _, pts in series for p in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    # a flat axis spans 1, or a millionth of its magnitude where that is more
+    if _flat(x_lo, x_hi):
+        x_hi = x_lo + max(1.0, 1e-6 * abs(x_lo))
+    if _flat(y_lo, y_hi):
+        half = max(1.0, 1e-6 * abs(y_lo))
+        y_lo, y_hi = y_lo - half, y_hi + half
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

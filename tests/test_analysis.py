@@ -414,6 +414,23 @@ class TestFindFeasible:
         assert calls["check_corner_cutting"] <= n_gamma * n_k
         assert calls["predict_curvature_ratio"] <= n_gamma * n_k
 
+    @pytest.mark.parametrize("kappa0", [FIXTURE_DATA["inputs"]["kappa0"], 0.0],
+                             ids=["fixture", "straight"])
+    def test_reports_are_whole_namedtuples(self, kappa0):
+        # the search builds its records with tuple.__new__, which checks no
+        # field count, and == cannot see a wrong one: a tuple equals a
+        # NamedTuple with the same values
+        reports = analysis.find_feasible(**{**FIXTURE_DATA["inputs"], "kappa0": kappa0})
+        assert reports
+        for report in reports:
+            assert type(report) is analysis.FeasibilityReport and len(report) == 4
+            assert type(report.params) is PlannerParams
+            assert len(report.checks) == 3
+            for check in report.checks:
+                assert type(check) is analysis.CheckResult and len(check) == 3
+                assert all(type(row) is analysis.CheckRow and len(row) == 5
+                           for row in check.rows)
+
     def test_boundary_ks_skip_subnormal_lambda0(self):
         # the abort edge's peak underflows to 0 here, so its k is infinite
         inputs = dict(v=0.1, lane_width=3.5, kappa0=0.0, c1=math.inf,

@@ -7,10 +7,12 @@ import json
 import math
 import os
 import shutil
+import subprocess
 import sys
 
 import pytest
 
+import lanesteer
 from lanesteer import cli, sim
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "feasibility_fixture.json")
@@ -131,6 +133,31 @@ class TestRun:
         ])
         assert code == 3
 
+
+    @pytest.mark.parametrize("overrides, error", [
+        (["sim.lane_change_offset_m=5.8e117"], "GeometryDegenerateError"),
+        (["planner.k_per_m=1.4e235", "sim.lane_change_offset_m=5.8e117"],
+         "NumericBlowupError"),
+    ], ids=["huge_offset", "infinite_command"])
+    def test_huge_offset_fails_typed_without_hanging(self, tmp_path, overrides, error):
+        # the chart of a lateral deviation flat to a few ulps at 5.8e117 once
+        # looped forever on its ticks: a subprocess with a timeout turns such
+        # a hang into a failure
+        src = os.path.dirname(os.path.dirname(lanesteer.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        args = [
+            sys.executable, "-c",
+            "import sys; from lanesteer.cli import main; sys.exit(main(sys.argv[1:]))",
+            "run", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--out", str(tmp_path),
+        ]
+        for item in overrides:
+            args += ["--set", item]
+        proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert f"run failed: {error}" in proc.stderr
 
 class TestSweep:
     def test_k_sweep_writes_rows(self, tmp_path):

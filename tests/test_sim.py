@@ -191,6 +191,25 @@ class TestRun:
             args += ["--set", item]
         assert cli.main(args) == 3
 
+    @pytest.mark.parametrize("overrides", [
+        # g * sqrt(lam) underflows to 0 although the axle ratio is positive
+        ["vehicle.l_f_m=1e10", "vehicle.l_r_m=1e-300", "planner.lambda_s2=1e-300"],
+        # kappa_e = (...) / v overflows on a subnormal speed plan
+        ["planner.v_s_m_per_s=5e-324"],
+        # k * lateral overflows, and the clamp would hide the infinite command
+        ["planner.k_per_m=1.4e235", "sim.lane_change_offset_m=5.8e117"],
+    ], ids=["zero_divisor", "subnormal_speed", "infinite_command"])
+    def test_non_finite_command_recorded_as_numeric_blowup(self, tmp_path, overrides):
+        path = os.path.join(cli.SCENARIOS_DIR, "lane_change_k10.scenario")
+        scenario, _ = scenario_io.load(path, overrides)
+        record = sim.run(scenario)
+        assert record.failure_reason.startswith("NumericBlowupError")
+        assert all(map(math.isfinite, (v for s in record.samples for v in s)))
+        args = ["run", "--scenario", path, "--out", str(tmp_path)]
+        for item in overrides:
+            args += ["--set", item]
+        assert cli.main(args) == 3
+
     def test_one_projection_per_sample_plus_final_lateral(self, monkeypatch):
         sc = bundled("lane_change_k10")
         real_project = ReferenceLine.project

@@ -18,6 +18,7 @@ GAMMA_LOWER = (math.sqrt(5.0) - 1.0) / 2.0
 
 # builds a record without the NamedTuple constructor's Python-level __new__
 _tuple_new = tuple.__new__
+_row_satisfied = attrgetter("satisfied")
 
 
 class CheckRow(NamedTuple):
@@ -35,7 +36,7 @@ class CheckResult(NamedTuple):
 
     @property
     def satisfied(self) -> bool:
-        return all(map(attrgetter("satisfied"), self.rows))
+        return all(map(_row_satisfied, self.rows))
 
 
 class LinearizedPrediction(NamedTuple):
@@ -244,7 +245,7 @@ def find_feasible(
     for lambda0 in lambda0s:
         for k in ks:
             lam = (lambda0 / (k * v)) ** 2
-            params = PlannerParams(k=k, lam=lam, v_s=v)
+            params = PlannerParams(k, lam, 0.0, 0.0, v)
             oscillation = check_oscillation(params)
             if not oscillation.satisfied:
                 continue

@@ -13,7 +13,6 @@ gain times u_c, and u_c is the scalar LQR feedback -e/sqrt(lambda).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import isfinite
 from typing import NamedTuple
 
@@ -31,29 +30,44 @@ EPS_ALIGN = 0.1
 _tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class PlannerParams:
-    """Planner gains and speed plan.  The safety limits and the lane width
-    only constrain their choice, so the analysis checks take those."""
-
+# the fields of PlannerParams: a NamedTuple body may not define __new__ or
+# _make, so PlannerParams subclasses this one
+class _PlannerFields(NamedTuple):
     k: float  # 1/m, manifold gain
     lam: float  # s^2, LQR balance
     alpha: float = 0.0  # two-point blend weight
     delta_d0: float = 0.0  # m, look-ahead distance
     v_s: float = 1.0  # m/s, constant speed plan along the line
 
-    def __post_init__(self):
+
+class PlannerParams(_PlannerFields):
+    """Planner gains and speed plan.  The safety limits and the lane width
+    only constrain their choice, so the analysis checks take those.
+
+    A 5-tuple whose one constructor checks every field, so that `_make`,
+    `_replace`, copies and unpickling validate too.
+    """
+
+    __slots__ = ()
+
+    # repeats the defaults of _PlannerFields, whose __new__ this replaces
+    def __new__(cls, k, lam, alpha=0.0, delta_d0=0.0, v_s=1.0):
         # comparisons are written so that NaN fails them
-        if not 0 < self.k < math.inf:
+        if not 0 < k < math.inf:
             raise ValueError("k must be positive and finite")
-        if not 0 < self.lam < math.inf:
+        if not 0 < lam < math.inf:
             raise ValueError("lambda must be positive and finite")
-        if not 0 <= self.alpha < 1:
+        if not 0 <= alpha < 1:
             raise ValueError("alpha must lie in [0, 1)")
-        if not 0 <= self.delta_d0 < math.inf:
+        if not 0 <= delta_d0 < math.inf:
             raise ValueError("delta_d0 must be nonnegative and finite")
-        if not 0 < self.v_s < math.inf:
+        if not 0 < v_s < math.inf:
             raise ValueError("v_s must be positive and finite")
+        return _tuple_new(cls, (k, lam, alpha, delta_d0, v_s))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def gamma(self) -> float:
@@ -134,7 +148,7 @@ def plan_step(
     u_c = -e / (g * sqrt(lam)) with g = d(beta)/d(delta).
     """
     x, y, psi, delta = state
-    k, alpha, delta_d0, v_s = params.k, params.alpha, params.delta_d0, params.v_s
+    k, lam, alpha, delta_d0, v_s = params
     beta, g = veh.slip_and_gain(geom, delta)
     theta_v = wrap_angle(psi + beta)
     near, lateral = line.project((x, y))
@@ -157,7 +171,7 @@ def plan_step(
     # residual in the error dynamics on curved lanes
     try:
         u_s = (-yaw_rate + theta_dot_ref - k * v * math.sin(delta_theta)) / g
-        u_c = -e / (g * math.sqrt(params.lam))
+        u_c = -e / (g * math.sqrt(lam))
         u_applied = u_s + u_c
         # before the clamp, which would hide an infinite command
         if not isfinite(u_applied):

@@ -8,7 +8,7 @@ stages so overrides can be applied in between.
 
 from __future__ import annotations
 
-import dataclasses
+import inspect
 from dataclasses import dataclass
 
 from . import sim
@@ -29,14 +29,15 @@ _INITIAL_KEYS = ("initial_x_m", "initial_y_m", "initial_psi_rad")
 
 
 def _required(table: dict, cls) -> list[str]:
-    """The keys of one of sim's key tables whose field has no default."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    """The keys of one of sim's key tables whose constructor argument has no
+    default."""
+    parameters = inspect.signature(cls).parameters
     return [key for key, name in table.items()
-            if fields[name].default is dataclasses.MISSING]
+            if parameters[name].default is inspect.Parameter.empty]
 
 
 # section -> (accepted keys, required keys).  The [vehicle], [planner] and
-# [sim] keys that map to dataclass fields are sim's override keys.
+# [sim] keys that map to constructor fields are sim's override keys.
 _SECTIONS = {
     "track": (_TRACK_KEYS, _TRACK_KEYS),
     "vehicle": (

@@ -172,7 +172,17 @@ def run(scenario: Scenario) -> RunRecord:
                 state = step(geom, state, v, u, h)
     except PlannerError as exc:
         reason = f"{type(exc).__name__}: {exc}"
-    metrics = metrics_from_samples(scenario, samples, kappa_n)
+    # the offset from the original track, which no sample holds; a run that
+    # had not failed fails here if the last sample cannot be projected
+    final_lateral = math.nan
+    if samples:
+        last = samples[-1]
+        try:
+            final_lateral = -scenario.track.project((last.x, last.y)).signed_lateral
+        except PlannerError as exc:
+            if reason is None:
+                reason = f"{type(exc).__name__}: {exc}"
+    metrics = metrics_from_samples(scenario, samples, kappa_n, final_lateral)
     return RunRecord(
         scenario=scenario,
         samples=tuple(samples),
@@ -207,13 +217,16 @@ def _count_sign_changes(rates: list[float]) -> int:
 
 
 def metrics_from_samples(
-    scenario: Scenario, samples: list[Sample], kappa_n: list[float]
+    scenario: Scenario,
+    samples: list[Sample],
+    kappa_n: list[float],
+    final_lateral: float,
 ) -> RunMetrics:
     """Summary metrics of a run.
 
     kappa_n[i] is the lane curvature at the shadow point of samples[i], as
-    plan_step found it.  The offset from the original track, which no sample
-    holds, comes from projecting the last sample onto scenario.track.
+    plan_step found it.  final_lateral is the last sample's offset from
+    scenario.track, which run projects, since no sample holds it.
     """
     if not samples:
         return RunMetrics(
@@ -227,21 +240,18 @@ def metrics_from_samples(
             steady_converged=False,
             saturation_fraction=math.nan,
         )
-    params = scenario.params
+    v_s = scenario.params.v_s
     dthetas, dtheta_dots, laterals, rates = [], [], [], []
     saturated = 0
     for row, kn in zip(samples, kappa_n, strict=True):
         dtheta = wrap_angle(row.theta_v - row.theta_n)
         dthetas.append(dtheta)
         # theta_dot_n = v_s * kappa_n since the shadow advances at v_s
-        dtheta_dots.append(row.kappa_e_inst * row.v - params.v_s * kn)
+        dtheta_dots.append(row.kappa_e_inst * row.v - v_s * kn)
         laterals.append(row.d_lateral)
         rates.append(row.d_lateral_rate)
         if abs((row.u_s + row.u_c) - row.u_applied) > 1e-12:
             saturated += 1
-    last = samples[-1]
-    origin_shadow = scenario.track.project((last.x, last.y))
-    final_lateral = -origin_shadow.signed_lateral
 
     steady_lat, conv_lat = _steady_window_mean(laterals)
     steady_kap, conv_kap = _steady_window_mean([r.kappa_e_inst for r in samples])
@@ -269,7 +279,7 @@ def metrics_from_samples(
     )
 
 
-# scenario-file key names (units encoded) -> dataclass field names
+# scenario-file key names (units encoded) -> constructor field names
 _PLANNER_KEYS = {
     "k_per_m": "k",
     "lambda_s2": "lam",
@@ -296,7 +306,7 @@ _TABLES = {"planner": _PLANNER_KEYS, "vehicle": _VEHICLE_KEYS, "sim": _SIM_KEYS}
 
 
 def field_values(section: str, values: dict[str, float]) -> dict:
-    """Dataclass keyword arguments for one section's scenario-file keys.
+    """Constructor keyword arguments for one section's scenario-file keys.
 
     Besides the renaming, the one conversion is of an integral control
     divisor such as 2.0 to the int that Scenario requires; every range is
@@ -328,7 +338,7 @@ def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
     kwargs = field_values(section, {name: value})
     if section == "planner":
         return dataclasses.replace(
-            scenario, params=dataclasses.replace(scenario.params, **kwargs)
+            scenario, params=scenario.params._replace(**kwargs)
         )
     if section == "vehicle":
         return dataclasses.replace(

@@ -8,22 +8,28 @@ No plotting dependency: each chart is a fixed 800x500 viewbox with axes,
 from __future__ import annotations
 
 import math
+import sys
 
 WIDTH, HEIGHT = 800, 500
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 20, 40, 55
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
+_FLOAT_MAX = sys.float_info.max
+
 
 def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-def _nice_step(span: float, target_ticks: int = 8) -> float:
-    """Tick spacing from the 1-2-5 ladder closest to span/target from above."""
-    if span <= 0:
+def _nice_step(lo: float, hi: float, target_ticks: int = 8) -> float:
+    """Tick spacing from the 1-2-5 ladder closest to (hi - lo)/target from
+    above."""
+    # from halves, so that the span of two finite values cannot overflow
+    half_span = hi / 2 - lo / 2
+    if half_span <= 0:
         return 1.0
-    raw = span / target_ticks
+    raw = half_span / (target_ticks / 2)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if mag * mult >= raw:
@@ -37,14 +43,13 @@ _MAX_TICKS = 12
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    step = _nice_step(hi - lo)
+    step = _nice_step(lo, hi)
+    # both ends forgive a billionth of a step
     first = math.ceil(lo / step - 1e-9)
-    end = hi + 1e-9 * max(1.0, abs(hi))
+    last = min(math.floor(hi / step + 1e-9), first + _MAX_TICKS - 1)
     out = []
-    for i in range(first, first + _MAX_TICKS):
+    for i in range(first, last + 1):
         t = i * step
-        if t > end:
-            break
         out.append(0.0 if abs(t) < step * 1e-9 else t)
     return out
 
@@ -74,17 +79,23 @@ def line_chart(
     if _flat(y_lo, y_hi):
         half = max(1.0, 1e-6 * abs(y_lo))
         y_lo, y_hi = y_lo - half, y_hi + half
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    # spans are taken from halves, which scale exactly, so that the span of
+    # two finite values cannot overflow; padding past the largest float is
+    # cut back to it
+    pad = 0.1 * (y_hi / 2 - y_lo / 2)
+    y_lo, y_hi = max(y_lo - pad, -_FLOAT_MAX), min(y_hi + pad, _FLOAT_MAX)
+    x_lo2, x_half_span = x_lo / 2, x_hi / 2 - x_lo / 2
+    y_lo2, y_half_span = y_lo / 2, y_hi / 2 - y_lo / 2
 
     pw = WIDTH - MARGIN_L - MARGIN_R
     ph = HEIGHT - MARGIN_T - MARGIN_B
 
+    # the fraction of the span first, which cannot overflow
     def sx(x: float) -> float:
-        return MARGIN_L + pw * (x - x_lo) / (x_hi - x_lo)
+        return MARGIN_L + pw * ((x / 2 - x_lo2) / x_half_span)
 
     def sy(y: float) -> float:
-        return MARGIN_T + ph * (1.0 - (y - y_lo) / (y_hi - y_lo))
+        return MARGIN_T + ph * (1.0 - (y / 2 - y_lo2) / y_half_span)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '

@@ -1,8 +1,13 @@
+import copy
+import inspect
 import math
+import os
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
+from lanesteer import cli, scenario_io, sim
 from lanesteer import control as ctl
 from lanesteer import vehicle as veh
 from lanesteer.control import PlannerParams
@@ -46,6 +51,59 @@ class TestPlannerParams:
             base_params(k=0.0)
         with pytest.raises(ValueError):
             base_params(lam=-1.0)
+
+    def test_a_validating_5_tuple(self):
+        p = PlannerParams(0.5, 1.0, 0.5, 2.0, 3.0)
+        assert type(p) is PlannerParams and tuple(p) == (0.5, 1.0, 0.5, 2.0, 3.0)
+        assert repr(p) == "PlannerParams(k=0.5, lam=1.0, alpha=0.5, delta_d0=2.0, v_s=3.0)"
+        assert hash(p) == hash((0.5, 1.0, 0.5, 2.0, 3.0))
+        assert not hasattr(p, "__dict__")
+        for q in (copy.copy(p), pickle.loads(pickle.dumps(p)), p._make(p),
+                  p._replace()):
+            assert type(q) is PlannerParams and q == p
+        # the constructor's signature carries the fields' defaults
+        parameters = inspect.signature(PlannerParams).parameters
+        assert list(parameters) == list(PlannerParams._fields)
+        assert {name: par.default for name, par in parameters.items()
+                if par.default is not inspect.Parameter.empty
+                } == PlannerParams._field_defaults
+
+    @pytest.mark.parametrize("name, value", [
+        *[(name, bad) for name in ("k", "lam", "v_s")
+          for bad in (0.0, -1.0, math.nan, math.inf, -math.inf)],
+        *[("alpha", bad) for bad in (-0.1, 1.0, math.nan, math.inf, -math.inf)],
+        *[("delta_d0", bad) for bad in (-1.0, math.nan, math.inf, -math.inf)],
+    ])
+    def test_every_way_of_building_checks_every_field(self, name, value):
+        good = PlannerParams(0.5, 1.0, 0.5, 2.0, 3.0)
+        values = good._asdict()
+        values[name] = value
+        message = {"lam": "lambda"}.get(name, name)
+        key = {v: k for k, v in sim._PLANNER_KEYS.items()}[name]
+        scenario, _ = scenario_io.load(
+            os.path.join(cli.SCENARIOS_DIR, "lane_change_k10.scenario")
+        )
+        # an instance that skipped the checks, as only tuple.__new__ builds one
+        forged = tuple.__new__(PlannerParams, values.values())
+        ways = {
+            "positional": lambda: PlannerParams(*values.values()),
+            "keyword": lambda: PlannerParams(**values),
+            "_replace": lambda: good._replace(**{name: value}),
+            "_make": lambda: PlannerParams._make(values.values()),
+            "apply_override": lambda: sim.apply_override(
+                scenario, f"planner.{key}", value
+            ),
+            "copy": lambda: copy.copy(forged),
+            "pickle": lambda: pickle.loads(pickle.dumps(forged)),
+        }
+        raised = {}
+        for way, build in ways.items():
+            try:
+                build()
+            except ValueError as exc:
+                raised[way] = str(exc)
+        assert raised.keys() == ways.keys()
+        assert all(text.startswith(f"{message} must") for text in raised.values()), raised
 
 
 class TestErrorStates:

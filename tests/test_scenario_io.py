@@ -53,6 +53,21 @@ class TestValidate:
             assert getattr(scenario, name) == default, name
         assert output == OutputConfig()
 
+    @pytest.mark.parametrize("section, key", [
+        ("vehicle", "l_f_m"), ("vehicle", "l_r_m"),
+        ("planner", "k_per_m"), ("planner", "lambda_s2"),
+        ("sim", "duration_s"), ("sim", "initial_x_m"), ("sim", "initial_y_m"),
+        ("sim", "initial_psi_rad"),
+    ])
+    def test_every_key_of_the_minimal_file_is_required(self, tmp_path, section, key):
+        # the minimal file loads, so these keys are exactly the required ones
+        # of their sections
+        path = tmp_path / "minimal.scenario"
+        path.write_text(re.sub(rf"^{key} = .*\n", "", MINIMAL, count=1, flags=re.M))
+        with pytest.raises(ScenarioValidationError,
+                           match=rf"missing required key '{key}' in \[{section}\]"):
+            scenario_io.load(str(path))
+
     def test_every_optional_key_reaches_its_field(self):
         scenario, output = scenario_io.load(LANE_CHANGE, [
             "vehicle.delta_max_rad=0.5",

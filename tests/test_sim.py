@@ -91,13 +91,11 @@ class TestScenarioValidation:
 
 
 class TestRun:
-    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PlannerParams)])
+    @pytest.mark.parametrize("name", PlannerParams._fields)
     def test_every_planner_field_reaches_the_run(self, name):
         base = dataclasses.replace(bundled("corner_twopoint"), duration=20.0)
         params = base.params
-        changed = dataclasses.replace(
-            params, **{name: 1.1 * getattr(params, name)}
-        )
+        changed = params._replace(**{name: 1.1 * getattr(params, name)})
         samples = sim.run(base).samples
         assert sim.run(dataclasses.replace(base, params=changed)).samples != samples
 
@@ -157,6 +155,28 @@ class TestRun:
         assert "StationRangeError" in record.failure_reason
         assert record.samples  # partial record preserved
 
+
+    def test_final_projection_failure_recorded_not_raised(self, tmp_path):
+        # k * lateral stays small at a 1e12 m offset, and the target's
+        # projection tolerance grows with the distance, so the loop runs past
+        # the 10 m track's end; only the last sample's projection onto the
+        # track fails
+        path = os.path.join(cli.SCENARIOS_DIR, "lane_change_k10.scenario")
+        overrides = ["planner.k_per_m=1e-15", "sim.lane_change_offset_m=1e12",
+                     "sim.duration_s=20", "track.segment=line 10"]
+        scenario, _ = scenario_io.load(path, overrides)
+        record = sim.run(scenario)
+        assert not record.completed
+        assert record.failure_reason.startswith("StationRangeError")
+        assert len(record.samples) == 2001  # every period ran
+        assert math.isnan(record.metrics.final_lateral)
+        args = ["run", "--scenario", path, "--out", str(tmp_path)]
+        for item in overrides:
+            args += ["--set", item]
+        assert cli.main(args) == 3
+        metrics = (tmp_path / "lane_change_k10_metrics.txt").read_text()
+        assert "completed = False" in metrics
+        assert "failure_reason = StationRangeError" in metrics
 
     def test_integration_failure_recorded_not_raised(self, monkeypatch):
         sc = lane_change_scenario(duration=1.0)
@@ -460,7 +480,8 @@ class TestCsv:
             kappa_n = [
                 sc.target_at(r.t).project((r.x, r.y)).frame.curvature for r in rows
             ]
-            again = sim.metrics_from_samples(sc, rows, kappa_n)
+            final_lateral = -sc.track.project((rows[-1].x, rows[-1].y)).signed_lateral
+            again = sim.metrics_from_samples(sc, rows, kappa_n, final_lateral)
             for field in dataclasses.fields(sim.RunMetrics):
                 a = getattr(record.metrics, field.name)
                 b = getattr(again, field.name)

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import pytest
 
@@ -25,3 +26,41 @@ def test_ticks_bounded_by_index():
         ticks = svgplot._ticks(lo, hi)
         assert 1 <= len(ticks) <= svgplot._MAX_TICKS
         assert all(map(math.isfinite, ticks))
+
+
+def _tick_positions(svg):
+    """(x positions of the x ticks, y positions of the y ticks)."""
+    bottom = svgplot.HEIGHT - svgplot.MARGIN_B
+    xs = re.findall(rf'<line x1="([^"]+)" y1="{bottom}" x2="\1" y2="{bottom + 5}"', svg)
+    left = svgplot.MARGIN_L
+    ys = re.findall(rf'<line x1="{left - 5}" y1="([^"]+)" x2="{left}" y2="\1"', svg)
+    return [float(x) for x in xs], [float(y) for y in ys]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    # below magnitude 1 a tolerance of 1e-9 is many steps wide
+    (1.0e-8, 1.2e-8),
+    (-3e-13, 2e-13),
+    (0.0, 1.0),
+    (-3.2, 7.9),
+    (1e6, 1e6 + 3e-4),
+    # the span overflows a float
+    (-1e308, 1e308),
+    (-sys.float_info.max, sys.float_info.max),
+], ids=["1e-8", "1e-13", "unit", "signed", "1e6", "1e308", "float_max"])
+def test_every_tick_inside_the_box(lo, hi):
+    points = [(lo, lo), (0.5 * lo + 0.5 * hi, 0.5 * lo + 0.5 * hi), (hi, hi)]
+    svg = svgplot.line_chart([("a", points)], "t", "x", "y")
+    assert not re.search(r"\b(nan|inf)\b", svg)
+    xs, ys = _tick_positions(svg)
+    assert len(xs) >= 2 and len(ys) >= 2
+    left, top = svgplot.MARGIN_L, svgplot.MARGIN_T
+    right = svgplot.WIDTH - svgplot.MARGIN_R
+    bottom = svgplot.HEIGHT - svgplot.MARGIN_B
+    assert all(left <= x <= right for x in xs), xs
+    assert all(top <= y <= bottom for y in ys), ys
+    # and so is the data
+    coords = re.search(r'<polyline points="([^"]+)"', svg).group(1)
+    for pair in coords.split():
+        x, y = map(float, pair.split(","))
+        assert left <= x <= right and top <= y <= bottom, pair

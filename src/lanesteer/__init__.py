@@ -5,26 +5,4 @@ piecewise line/arc reference line, with closed-form safety analysis and a
 deterministic simulator.
 """
 
-from .control import ControlSample, PlannerParams, plan_step
-from .refline import FramePoint, ReferenceLine, ShadowResult, wrap_angle
-from .sim import RunMetrics, RunRecord, Sample, Scenario, run
-from .vehicle import VehicleGeometry, VehicleState
-
-__all__ = [
-    "ControlSample",
-    "FramePoint",
-    "PlannerParams",
-    "ReferenceLine",
-    "RunMetrics",
-    "RunRecord",
-    "Sample",
-    "Scenario",
-    "ShadowResult",
-    "VehicleGeometry",
-    "VehicleState",
-    "plan_step",
-    "run",
-    "wrap_angle",
-]
-
 __version__ = "0.1.0"

@@ -4,8 +4,13 @@ Subcommands: run (one scenario to CSV/metrics/SVG), sweep (metrics per
 grid point), feasibility (parameter search report), figures (bundled
 lane-change and corner demonstration plots).
 
-Exit codes: 0 success, 1 usage or parse error, 2 validation error,
-3 run failure, 4 empty feasible set.
+Exit codes, each mapped once in `main` from the failure's type: 0 success;
+1 usage or parse error (`ScenarioFormatError`), an unusable file or
+directory (`OSError`) or a closed stdout; 2 validation error
+(`ScenarioValidationError`); 3 run failure (any other `PlannerError`, or a
+run that ended failed); 4 empty feasible set.  A subcommand maps a failure
+itself only where it differs: `sweep`'s grid values (2), `feasibility`'s
+inputs (1), and a bundled file that `figures` cannot load (3).
 """
 
 from __future__ import annotations
@@ -55,30 +60,18 @@ def _scenario_stem(path: str) -> str:
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario, output = scenario_io.load(args.scenario, args.set or [])
-    except (OSError, ScenarioFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScenarioValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    scenario, output = scenario_io.load(args.scenario, args.set or [])
     stem = _scenario_stem(args.scenario)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        record = sim.run(scenario)
-        sim.write_csv(os.path.join(args.out, f"{stem}.csv"), record.samples)
-        with open(os.path.join(args.out, f"{stem}_metrics.txt"), "w") as fh:
-            fh.write("\n".join(_metrics_lines(record)) + "\n")
-        if output.emit_svg and record.samples:
-            series = [(stem, [(s.t, s.d_lateral) for s in record.samples])]
-            svg = svgplot.line_chart(series, stem, "t [s]", "lateral deviation [m]")
-            with open(os.path.join(args.out, f"{stem}.svg"), "w") as fh:
-                fh.write(svg)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    os.makedirs(args.out, exist_ok=True)
+    record = sim.run(scenario)
+    sim.write_csv(os.path.join(args.out, f"{stem}.csv"), record.samples)
+    with open(os.path.join(args.out, f"{stem}_metrics.txt"), "w") as fh:
+        fh.write("\n".join(_metrics_lines(record)) + "\n")
+    if output.emit_svg and record.samples:
+        series = [(stem, [(s.t, s.d_lateral) for s in record.samples])]
+        svg = svgplot.line_chart(series, stem, "t [s]", "lateral deviation [m]")
+        with open(os.path.join(args.out, f"{stem}.svg"), "w") as fh:
+            fh.write(svg)
 
     for line in _metrics_lines(record):
         print(line)
@@ -92,35 +85,25 @@ def _parse_grid(items: list[str]) -> dict[str, list[float]]:
     axes: dict[str, list[float]] = {}
     for item in items:
         if "=" not in item:
-            raise ValueError(f"grid axis {item!r} is not of the form key=v1,v2,...")
+            raise ScenarioFormatError(
+                f"grid axis {item!r} is not of the form key=v1,v2,..."
+            )
         key, _, rest = item.partition("=")
         key = key.strip()
         if not key or key in axes:
-            raise ValueError(f"bad or duplicate grid axis {item!r}")
+            raise ScenarioFormatError(f"bad or duplicate grid axis {item!r}")
         try:
             axes[key] = [float(v) for v in rest.split(",") if v.strip()]
         except ValueError:
-            raise ValueError(f"grid axis {item!r} has a non-numeric value")
+            raise ScenarioFormatError(f"grid axis {item!r} has a non-numeric value")
         if not axes[key]:
-            raise ValueError(f"grid axis {item!r} has no values")
+            raise ScenarioFormatError(f"grid axis {item!r} has no values")
     return axes
 
 
 def cmd_sweep(args) -> int:
-    try:
-        axes = _parse_grid(args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        scenario, _ = scenario_io.load(args.scenario, args.set or [])
-    except (OSError, ScenarioFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScenarioValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    axes = _parse_grid(args.grid)
+    scenario, _ = scenario_io.load(args.scenario, args.set or [])
     try:
         results = sim.sweep(scenario, axes)
     except (ValueError, KeyError) as exc:
@@ -132,19 +115,15 @@ def cmd_sweep(args) -> int:
     metric_names = [f.name for f in dataclasses.fields(sim.RunMetrics)]
     path = os.path.join(args.out, f"{_scenario_stem(args.scenario)}_sweep.csv")
     completed = []
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(",".join(keys + metric_names + ["completed"]) + "\n")
-            for overrides, record in results:
-                row = [str(overrides[k]) for k in keys]
-                row += [str(getattr(record.metrics, n)) for n in metric_names]
-                row.append(str(record.completed))
-                fh.write(",".join(row) + "\n")
-                completed.append(record.completed)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    os.makedirs(args.out, exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(",".join(keys + metric_names + ["completed"]) + "\n")
+        for overrides, record in results:
+            row = [str(overrides[k]) for k in keys]
+            row += [str(getattr(record.metrics, n)) for n in metric_names]
+            row.append(str(record.completed))
+            fh.write(",".join(row) + "\n")
+            completed.append(record.completed)
     print(f"wrote {len(completed)} rows to {path}")
     if not all(completed):
         return EXIT_RUN_FAILURE
@@ -206,76 +185,72 @@ def cmd_feasibility(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        records = []
-        for stem in (
-            "lane_change_k05",
-            "lane_change_k10",
-            "lane_change_k15",
-            "corner_twopoint",
-        ):
-            try:
-                scenario, _ = scenario_io.load(
-                    os.path.join(SCENARIOS_DIR, f"{stem}.scenario")
-                )
-            except OSError as exc:
-                # a bundled file is missing: the checkout, not the arguments
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_RUN_FAILURE
-            record = sim.run(scenario)
-            if not record.completed:
-                print(f"run failed: {record.failure_reason}", file=sys.stderr)
-                return EXIT_RUN_FAILURE
-            records.append(record)
-        *lane_changes, two_point = records
-        lateral_series, rate_series = [], []
-        for record in lane_changes:
-            label = f"k={record.scenario.params.k:g}"
-            # plot the offset from the original lane, matching a lane at y=0
-            lateral_series.append((label, [(s.t, s.y) for s in record.samples]))
-            rate_series.append(
-                (label, [(s.t, s.d_lateral_rate) for s in record.samples])
+    os.makedirs(args.out, exist_ok=True)
+    records = []
+    for stem in (
+        "lane_change_k05",
+        "lane_change_k10",
+        "lane_change_k15",
+        "corner_twopoint",
+    ):
+        # a bundled file that cannot be loaded is the checkout's fault, not
+        # the arguments': a run failure, whatever the error
+        try:
+            scenario, _ = scenario_io.load(
+                os.path.join(SCENARIOS_DIR, f"{stem}.scenario")
             )
-        arc_pts = []
-        track = two_point.scenario.track
-        last_station = two_point.samples[-1].t * two_point.scenario.params.v_s
-        n = 400
-        for i in range(n + 1):
-            f = track.point_at(last_station * i / n)
-            arc_pts.append(f.position)
-        path_pts = [(s.x, s.y) for s in two_point.samples]
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RUN_FAILURE
+        except PlannerError as exc:
+            print(f"run failed: {exc}", file=sys.stderr)
+            return EXIT_RUN_FAILURE
+        record = sim.run(scenario)
+        if not record.completed:
+            print(f"run failed: {record.failure_reason}", file=sys.stderr)
+            return EXIT_RUN_FAILURE
+        records.append(record)
+    *lane_changes, two_point = records
+    lateral_series, rate_series = [], []
+    for record in lane_changes:
+        label = f"k={record.scenario.params.k:g}"
+        # plot the offset from the original lane, matching a lane at y=0
+        lateral_series.append((label, [(s.t, s.y) for s in record.samples]))
+        rate_series.append(
+            (label, [(s.t, s.d_lateral_rate) for s in record.samples])
+        )
+    arc_pts = []
+    track = two_point.scenario.track
+    last_station = two_point.samples[-1].t * two_point.scenario.params.v_s
+    n = 400
+    for i in range(n + 1):
+        f = track.point_at(last_station * i / n)
+        arc_pts.append(f.position)
+    path_pts = [(s.x, s.y) for s in two_point.samples]
 
-        outputs = {
-            "lane_change_lateral.svg": svgplot.line_chart(
-                lateral_series,
-                "Lane change: lateral position",
-                "t [s]",
-                "y [m]",
-            ),
-            "lane_change_lateral_rate.svg": svgplot.line_chart(
-                rate_series,
-                "Lane change: lateral deviation rate",
-                "t [s]",
-                "dy/dt [m/s]",
-            ),
-            "corner_path.svg": svgplot.line_chart(
-                [("lane center", arc_pts), ("vehicle path", path_pts)],
-                "Corner tracking: vehicle path vs lane",
-                "x [m]",
-                "y [m]",
-            ),
-        }
-        for name, svg in outputs.items():
-            with open(os.path.join(args.out, name), "w") as fh:
-                fh.write(svg)
-    except OSError as exc:
-        # --out could not be created or written
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PlannerError as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return EXIT_RUN_FAILURE
+    outputs = {
+        "lane_change_lateral.svg": svgplot.line_chart(
+            lateral_series,
+            "Lane change: lateral position",
+            "t [s]",
+            "y [m]",
+        ),
+        "lane_change_lateral_rate.svg": svgplot.line_chart(
+            rate_series,
+            "Lane change: lateral deviation rate",
+            "t [s]",
+            "dy/dt [m/s]",
+        ),
+        "corner_path.svg": svgplot.line_chart(
+            [("lane center", arc_pts), ("vehicle path", path_pts)],
+            "Corner tracking: vehicle path vs lane",
+            "x [m]",
+            "y [m]",
+        ),
+    }
+    for name, svg in outputs.items():
+        with open(os.path.join(args.out, name), "w") as fh:
+            fh.write(svg)
     print(f"wrote {len(outputs)} figures to {args.out}")
     return EXIT_OK
 
@@ -318,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         # inside the guard: piped output is buffered, so a closed pipe may
@@ -334,6 +308,15 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
+    except ScenarioValidationError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (OSError, ScenarioFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except PlannerError as exc:
+        print(f"run failed: {exc}", file=sys.stderr)
+        return EXIT_RUN_FAILURE
 
 
 if __name__ == "__main__":

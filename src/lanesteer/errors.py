@@ -34,7 +34,7 @@ class NumericBlowupError(PlannerError):
 
 
 class ScenarioFormatError(PlannerError, ValueError):
-    """Scenario file could not be parsed."""
+    """Scenario file, `--set` override or `--grid` axis text could not be parsed."""
 
 
 class ScenarioValidationError(PlannerError, ValueError):

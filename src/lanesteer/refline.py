@@ -36,10 +36,9 @@ _G1_ANG_TOL = 1e-9
 # make the projection ambiguous
 _AMBIGUITY_TOL = 1e-6
 
-_ORTHO_TOL = 1e-8
-
 # arc positions c + R cos(phi) carry about R * 2e-16 m of rounding, which
-# passes _ORTHO_TOL from R of about 5e7 m on
+# swamps a small lateral: at curvature 1e-8 the lateral of (1, 0) reads
+# -4.6e-19 m instead of about 5e-9 m
 _MAX_ARC_RADIUS = 1e6
 
 # builds a record without the NamedTuple constructor's Python-level __new__
@@ -284,42 +283,43 @@ class ReferenceLine:
         # the neighbour's candidate is at least as close; so the junction is
         # a candidate only where both sides are clamped to it (the position
         # lies between the two end normals), and a clamped end only at either
-        # end of the whole line
-        candidates = []  # (distance, global_station, fx, fy)
+        # end of the whole line, where it marks the position as outside
+        candidates = []  # (distance, global_station, fx, fy, outside)
         prev_clamped = True  # the line start counts as a clamped neighbour
         for seg, s0 in zip(self.segments, self._starts):
             end = None
             for local, dist, fx, fy, clamp in seg.closest(px, py):
                 if clamp > 0:
-                    end = (dist, s0 + local, fx, fy)
-                elif clamp == 0 or prev_clamped:
-                    candidates.append((dist, s0 + local, fx, fy))
+                    end = (dist, s0 + local, fx, fy, True)
+                elif clamp == 0:
+                    candidates.append((dist, s0 + local, fx, fy, False))
+                elif prev_clamped:
+                    # the line start (s0 == 0), or a junction
+                    candidates.append((dist, s0 + local, fx, fy, s0 == 0.0))
             prev_clamped = end is not None
         if end is not None:
             candidates.append(end)
         if len(candidates) == 1:
-            bd, bs, _, _ = candidates[0]
+            _, bs, _, _, outside = candidates[0]
         else:
-            bd, bs, bx, by = min(candidates)
-            for dist, s, fx, fy in candidates:
+            bd, bs, bx, by, outside = min(candidates)
+            for dist, s, fx, fy, _ in candidates:
                 if s == bs:
                     continue
                 if dist - bd < _AMBIGUITY_TOL and math.hypot(fx - bx, fy - by) > _AMBIGUITY_TOL:
                     raise ProjectionAmbiguityError(
                         f"two closest points at stations {bs:.6f} and {s:.6f}"
                     )
-        # the frame at the global station, not the candidate's foot: at a
-        # junction the station decides which segment owns the point
-        frame = self.point_at(bs)
-        (fx, fy), (tx, ty), (nx, ny), _, _, _ = frame
-        rx, ry = fx - px, fy - py
-        if abs(rx * tx + ry * ty) > _ORTHO_TOL * (bd if bd > 1.0 else 1.0):
-            # foot clamped to the track end: the ray is no longer normal
+        if outside:
             raise StationRangeError(
                 "closest point clamped to the line end; vehicle outside the "
                 "projection domain"
             )
-        return _tuple_new(ShadowResult, (frame, rx * nx + ry * ny))
+        # the frame at the global station, not the candidate's foot: at a
+        # junction the station decides which segment owns the point
+        frame = self.point_at(bs)
+        (fx, fy), _, (nx, ny), _, _, _ = frame
+        return _tuple_new(ShadowResult, (frame, (fx - px) * nx + (fy - py) * ny))
 
     def parallel_offset(self, d: float) -> "ReferenceLine":
         """Parallel track at offset d along the +normal direction."""

@@ -22,14 +22,18 @@ def _fmt(x: float) -> str:
     return "%.6g" % x
 
 
-def _nice_step(lo: float, hi: float, target_ticks: int = 8) -> float:
-    """Tick spacing from the 1-2-5 ladder closest to (hi - lo)/target from
-    above."""
+# the tick count a 1-2-5 step aims at
+_TARGET_TICKS = 8
+
+
+def _nice_step(lo: float, hi: float) -> float:
+    """Tick spacing from the 1-2-5 ladder closest to (hi - lo)/_TARGET_TICKS
+    from above."""
     # from halves, so that the span of two finite values cannot overflow
     half_span = hi / 2 - lo / 2
     if half_span <= 0:
         return 1.0
-    raw = half_span / (target_ticks / 2)
+    raw = half_span / (_TARGET_TICKS / 2)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if mag * mult >= raw:
@@ -54,10 +58,19 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return out
 
 
-def _flat(lo: float, hi: float) -> bool:
-    """Whether [lo, hi] is below a few ulps of its magnitude: too narrow to
-    scale an axis to."""
-    return hi - lo <= 16 * math.ulp(max(abs(lo), abs(hi)))
+def _axis(values: list[float], pad: float) -> tuple[float, float]:
+    """The (lo, hi) of an axis over values: a flat span widened by 1, or a
+    millionth of its magnitude where that is more, on both sides; each end
+    cut back at the largest float; then padded by `pad` of the span."""
+    lo, hi = min(values), max(values)
+    # below a few ulps of its magnitude a span is too narrow to scale to
+    if hi - lo <= 16 * math.ulp(max(abs(lo), abs(hi))):
+        half = max(1.0, 1e-6 * abs(lo))
+        lo, hi = lo - half, hi + half
+    lo, hi = max(lo, -_FLOAT_MAX), min(hi, _FLOAT_MAX)
+    # from halves, which scale exactly, so that the span cannot overflow
+    margin = pad * (hi / 2 - lo / 2)
+    return max(lo - margin, -_FLOAT_MAX), min(hi + margin, _FLOAT_MAX)
 
 
 def line_chart(
@@ -69,21 +82,10 @@ def line_chart(
     """Render labeled (x, y) series as one SVG document string."""
     if not series or not any(pts for _, pts in series):
         raise ValueError("chart needs at least one non-empty series")
-    xs = [p[0] for _, pts in series for p in pts]
-    ys = [p[1] for _, pts in series for p in pts]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    # a flat axis spans 1, or a millionth of its magnitude where that is more
-    if _flat(x_lo, x_hi):
-        x_hi = x_lo + max(1.0, 1e-6 * abs(x_lo))
-    if _flat(y_lo, y_hi):
-        half = max(1.0, 1e-6 * abs(y_lo))
-        y_lo, y_hi = y_lo - half, y_hi + half
+    x_lo, x_hi = _axis([p[0] for _, pts in series for p in pts], 0.0)
+    y_lo, y_hi = _axis([p[1] for _, pts in series for p in pts], 0.1)
     # spans are taken from halves, which scale exactly, so that the span of
-    # two finite values cannot overflow; padding past the largest float is
-    # cut back to it
-    pad = 0.1 * (y_hi / 2 - y_lo / 2)
-    y_lo, y_hi = max(y_lo - pad, -_FLOAT_MAX), min(y_hi + pad, _FLOAT_MAX)
+    # two finite values cannot overflow
     x_lo2, x_half_span = x_lo / 2, x_hi / 2 - x_lo / 2
     y_lo2, y_half_span = y_lo / 2, y_hi / 2 - y_lo / 2
 

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,7 +60,7 @@ class TestRun:
     def test_missing_key_is_validation_error(self, tmp_path, capsys):
         src = scenario_path("lane_change_k10.scenario")
         broken = tmp_path / "broken.scenario"
-        text = open(src).read().replace("duration_s = 10.0\n", "")
+        text = Path(src).read_text().replace("duration_s = 10.0\n", "")
         broken.write_text(text)
         out = tmp_path / "o"
         code = run_cli(["run", "--scenario", str(broken), "--out", str(out)])
@@ -72,7 +73,7 @@ class TestRun:
         # a 3.5 m offset toward the center of a 2 m-radius arc has no parallel
         src = scenario_path("lane_change_k10.scenario")
         bad = tmp_path / "collapse.scenario"
-        text = open(src).read().replace(
+        text = Path(src).read_text().replace(
             "segment = line 200.0\n", "segment = line 5.0\nsegment = arc 20.0 0.5\n"
         )
         bad.write_text(text)
@@ -99,7 +100,7 @@ class TestRun:
         src = scenario_path("lane_change_k10.scenario")
         if how == "file":
             bad = tmp_path / "long_period.scenario"
-            bad.write_text(open(src).read().replace("h_s = 0.001\n", "h_s = 1.5\n"))
+            bad.write_text(Path(src).read_text().replace("h_s = 0.001\n", "h_s = 1.5\n"))
             args = ["run", "--scenario", str(bad)]
         elif how == "set":
             args = ["run", "--scenario", src, "--set", "sim.h_s=20"]
@@ -168,7 +169,7 @@ class TestSweep:
         ])
         assert code == 0
         path = os.path.join(out, "lane_change_k10_sweep.csv")
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         assert len(lines) == 4
         header = lines[0].split(",")
         sign_idx = header.index("lateral_rate_sign_changes")
@@ -425,8 +426,8 @@ class TestFigures:
             "corner_path.svg",
         ]
         for name in names:
-            a = open(os.path.join(out_a, name), "rb").read()
-            b = open(os.path.join(out_b, name), "rb").read()
+            a = Path(out_a, name).read_bytes()
+            b = Path(out_b, name).read_bytes()
             assert a == b
             assert a.startswith(b"<svg")
 
@@ -442,13 +443,37 @@ class TestFigures:
         assert code == cli.EXIT_RUN_FAILURE
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("old, new, message", [
+        # the file parses, but the scenario is invalid
+        ("duration_s = 12.0\n", "duration_s = -1\n",
+         "run failed: [sim]: duration must be positive and finite\n"),
+        # the file does not parse
+        ("duration_s = 12.0\n", "duration_s 12.0\n", "run failed: "),
+    ], ids=["invalid", "unparsable"])
+    def test_unusable_bundled_scenario_is_run_failure(
+        self, tmp_path, monkeypatch, capsys, old, new, message
+    ):
+        # the checkout's fault, not the arguments': exit 3, not 1 or 2
+        bundled = tmp_path / "scenarios"
+        shutil.copytree(cli.SCENARIOS_DIR, bundled)
+        path = bundled / "lane_change_k05.scenario"
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new))
+        monkeypatch.setattr(cli, "SCENARIOS_DIR", str(bundled))
+        code = run_cli(["figures", "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_RUN_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert not (tmp_path / "o" / "lane_change_lateral.svg").exists()
+
     def test_series_labels_present(self, tmp_path):
         out = str(tmp_path / "o")
         assert run_cli(["figures", "--out", out]) == 0
-        rate_svg = open(os.path.join(out, "lane_change_lateral_rate.svg")).read()
+        rate_svg = Path(out, "lane_change_lateral_rate.svg").read_text()
         for label in ("k=0.5", "k=1", "k=1.5"):
             assert label in rate_svg
-        corner = open(os.path.join(out, "corner_path.svg")).read()
+        corner = Path(out, "corner_path.svg").read_text()
         assert "lane center" in corner and "vehicle path" in corner
 
 

@@ -9,7 +9,7 @@ from lanesteer import cli, scenario_io, sim
 from lanesteer import control as ctl
 from lanesteer import vehicle as veh
 from lanesteer.control import ControlSample, PlannerParams
-from lanesteer.errors import NumericBlowupError
+from lanesteer.errors import NumericBlowupError, StationRangeError
 from lanesteer.refline import FramePoint, ReferenceLine, ShadowResult
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
@@ -156,11 +156,27 @@ class TestRun:
         assert record.samples  # partial record preserved
 
 
-    def test_final_projection_failure_recorded_not_raised(self, tmp_path):
-        # k * lateral stays small at a 1e12 m offset, and the target's
-        # projection tolerance grows with the distance, so the loop runs past
-        # the 10 m track's end; only the last sample's projection onto the
-        # track fails
+    def test_final_projection_failure_recorded_not_raised(self, monkeypatch):
+        # a lane change projects onto its target line, a different line from
+        # the track, so every period runs; only the last sample's projection
+        # onto the track, for final_lateral, fails
+        sc = lane_change_scenario(duration=1.0)
+        assert sc.target_at(0.0) is not sc.track
+
+        def outside(position):
+            raise StationRangeError("injected")
+
+        monkeypatch.setattr(sc.track, "project", outside)
+        record = sim.run(sc)
+        assert not record.completed
+        assert record.failure_reason == "StationRangeError: injected"
+        assert len(record.samples) == 101  # every period ran
+        assert math.isnan(record.metrics.final_lateral)
+
+    def test_far_target_ends_at_its_line_end(self, tmp_path):
+        # k * lateral stays small at a 1e12 m offset, so the vehicle drives
+        # straight on; the projection onto the target line fails once it
+        # passes the 10 m line's end, however far the line is
         path = os.path.join(cli.SCENARIOS_DIR, "lane_change_k10.scenario")
         overrides = ["planner.k_per_m=1e-15", "sim.lane_change_offset_m=1e12",
                      "sim.duration_s=20", "track.segment=line 10"]
@@ -168,8 +184,8 @@ class TestRun:
         record = sim.run(scenario)
         assert not record.completed
         assert record.failure_reason.startswith("StationRangeError")
-        assert len(record.samples) == 2001  # every period ran
-        assert math.isnan(record.metrics.final_lateral)
+        assert len(record.samples) == 1001
+        assert record.samples[-1].t == pytest.approx(10.0)
         args = ["run", "--scenario", path, "--out", str(tmp_path)]
         for item in overrides:
             args += ["--set", item]
@@ -177,6 +193,21 @@ class TestRun:
         metrics = (tmp_path / "lane_change_k10_metrics.txt").read_text()
         assert "completed = False" in metrics
         assert "failure_reason = StationRangeError" in metrics
+
+    def test_far_target_stops_steering_at_its_line_end(self):
+        # the same on the bundled 200 m line: the run stops there, 50 s
+        # before its end, and does not steer on toward x = 250 m
+        scenario, _ = scenario_io.load(
+            os.path.join(cli.SCENARIOS_DIR, "lane_change_k10.scenario"),
+            ["planner.k_per_m=1e-15", "sim.lane_change_offset_m=1e12",
+             "sim.duration_s=250"],
+        )
+        record = sim.run(scenario)
+        assert record.failure_reason.startswith("StationRangeError")
+        assert len(record.samples) == 20001
+        last = record.samples[-1]
+        assert last.t == pytest.approx(200.0)
+        assert last.x == pytest.approx(200.0, abs=1e-6)
 
     def test_integration_failure_recorded_not_raised(self, monkeypatch):
         sc = lane_change_scenario(duration=1.0)

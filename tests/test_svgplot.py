@@ -50,7 +50,30 @@ def _tick_positions(svg):
 ], ids=["1e-8", "1e-13", "unit", "signed", "1e6", "1e308", "float_max"])
 def test_every_tick_inside_the_box(lo, hi):
     points = [(lo, lo), (0.5 * lo + 0.5 * hi, 0.5 * lo + 0.5 * hi), (hi, hi)]
-    svg = svgplot.line_chart([("a", points)], "t", "x", "y")
+    _assert_inside_the_box(svgplot.line_chart([("a", points)], "t", "x", "y"))
+
+
+@pytest.mark.parametrize("x", [sys.float_info.max, -sys.float_info.max],
+                         ids=["float_max", "minus_float_max"])
+def test_flat_x_axis_at_the_largest_floats(x):
+    # widened by a millionth of its magnitude, the axis is cut back at the
+    # largest float rather than overflowing
+    _assert_inside_the_box(
+        svgplot.line_chart([("a", [(x, 0.0), (x, 1.0)])], "t", "x", "y")
+    )
+
+
+def test_flat_x_axis_widens_on_both_sides():
+    # a one-sample run spans x - 1 .. x + 1, so its sample is centered
+    svg = svgplot.line_chart([("a", [(3.0, 0.5)])], "t", "x", "y")
+    _assert_inside_the_box(svg)
+    coords = re.search(r'<polyline points="([^"]+)"', svg).group(1)
+    plot_width = svgplot.WIDTH - svgplot.MARGIN_L - svgplot.MARGIN_R
+    assert float(coords.split(",")[0]) == svgplot.MARGIN_L + plot_width / 2
+
+
+def _assert_inside_the_box(svg):
+    """No nan or inf, and every tick and data point inside the plot box."""
     assert not re.search(r"\b(nan|inf)\b", svg)
     xs, ys = _tick_positions(svg)
     assert len(xs) >= 2 and len(ys) >= 2

@@ -3,7 +3,8 @@
 Everything here is algebra on the planner parameters: linearized
 lane-change transients with their peak bounds, the oscillation-avoidance
 range of lambda0 = k v_s sqrt(lambda), the corner-cutting parameter window,
-and a grid search combining all of it.
+whose steady-offset row alone states c3, and a grid search combining all
+of it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ class CheckRow(NamedTuple):
 
 class CheckResult(NamedTuple):
     name: str
+    # empty where the check does not apply
     rows: tuple[CheckRow, ...]
-    applicable: bool = True
 
     @property
     def satisfied(self) -> bool:
@@ -96,7 +97,7 @@ def check_oscillation(params: PlannerParams) -> CheckResult:
     row = _tuple_new(
         CheckRow, ("lambda0_range", lambda0, "in (0, 1)", 1.0, 0.0 < lambda0 < 1.0)
     )
-    return _tuple_new(CheckResult, ("oscillation", (row,), True))
+    return _tuple_new(CheckResult, ("oscillation", (row,)))
 
 
 def check_abort_safety(
@@ -120,7 +121,7 @@ def check_abort_safety(
         _tuple_new(CheckRow, ("abort_peak_vs_c1", lhs, "<=", rhs1, lhs <= rhs1)),
         _tuple_new(CheckRow, ("abort_peak_vs_c2", lhs, "<=", rhs2, lhs <= rhs2)),
     )
-    return _tuple_new(CheckResult, ("abort_safety", rows, True))
+    return _tuple_new(CheckResult, ("abort_safety", rows))
 
 
 def check_corner_cutting(
@@ -129,13 +130,17 @@ def check_corner_cutting(
     """Parameter window from the constant-curvature corner analysis, with
     c3 (m) the bound on the steady lateral deviation.
 
-    Not applicable (vacuously satisfied) on a straight lane.
+    k_above_lower reads |kappa0| sqrt(1 + gamma).  The paper's second lower
+    edge, sqrt(gamma |kappa0| / c3), is the steady row gamma |kappa0| / k^2
+    < c3 solved for k > 0, so only that row reads c3.
+
+    No rows (not applicable, vacuously satisfied) on a straight lane.
     """
     if kappa0 == 0:
-        return _tuple_new(CheckResult, ("corner_cutting", (), False))
+        return _tuple_new(CheckResult, ("corner_cutting", ()))
     gamma = params.gamma
     ak0 = abs(kappa0)
-    k_lower = max(ak0 * math.sqrt(1.0 + gamma), math.sqrt(gamma * ak0 / c3))
+    k_lower = ak0 * math.sqrt(1.0 + gamma)
     # k < nan is False: no upper edge unless 0 < gamma < 1
     k_upper = ak0 / math.sqrt(1.0 / gamma - 1.0) if 0 < gamma < 1 else math.nan
     steady = abs(predict_steady_lateral(params, kappa0))
@@ -147,7 +152,7 @@ def check_corner_cutting(
         _tuple_new(CheckRow, ("k_below_upper", k, "<", k_upper, k < k_upper)),
         _tuple_new(CheckRow, ("steady_lateral_bound", steady, "<", c3, steady < c3)),
     )
-    return _tuple_new(CheckResult, ("corner_cutting", rows, True))
+    return _tuple_new(CheckResult, ("corner_cutting", rows))
 
 
 def predict_curvature_ratio(params: PlannerParams, kappa0: float) -> float:

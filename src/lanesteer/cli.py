@@ -139,7 +139,7 @@ def _report_lines(report: analysis.FeasibilityReport) -> list[str]:
         f"ratio={report.predicted_curvature_ratio!r}"
     ]
     for check in report.checks:
-        if not check.applicable:
+        if not check.rows:
             lines.append(f"  {check.name}: not applicable")
             continue
         for row in check.rows:

@@ -54,10 +54,14 @@ class Scenario:
             raise ValueError("integration step must be positive and finite")
         if not isinstance(self.control_divisor, int) or self.control_divisor < 1:
             raise ValueError("control divisor must be an integer of at least 1")
-        # run takes round(duration / period) periods: none for a longer one
-        if not self.control_divisor * self.h <= self.duration:
+        # run takes round(duration / period) periods, which must be the
+        # duration itself: at least one, and whole to 1e-9 of the duration
+        periods = self.duration / (self.control_divisor * self.h)
+        if not (periods < math.inf and round(periods) >= 1
+                and abs(round(periods) - periods) <= 1e-9 * periods):
             raise ValueError(
-                "control period control_divisor * h must not exceed the duration"
+                "duration must be a whole number of control periods "
+                "control_divisor * h"
             )
         if not all(map(math.isfinite, self.initial_state)):
             raise ValueError("initial state must be finite")

@@ -24,6 +24,8 @@ from lanesteer.vehicle import VehicleGeometry, VehicleState
 
 HERE = os.path.dirname(__file__)
 FIXTURE = os.path.join(HERE, "data", "feasibility_fixture.json")
+with open(FIXTURE) as _fh:
+    FIXTURE_INPUTS = json.load(_fh)["inputs"]
 
 
 def bundled(stem: str) -> sim.Scenario:
@@ -109,6 +111,7 @@ def test_criterion_03_error_decay_rate():
         if not 0 < k * math.sqrt(lam) < 0.95:
             lam = (0.9 / k) ** 2 * rng.uniform(0.3, 0.9)
         params = PlannerParams(k=k, lam=lam)
+        h = 1e-3
         sc = sim.Scenario(
             track=track,
             geometry=geom,
@@ -116,8 +119,9 @@ def test_criterion_03_error_decay_rate():
             initial_state=VehicleState(
                 5.0, rng.uniform(-0.5, 0.5), rng.uniform(-0.1, 0.1), 0.0
             ),
-            duration=2.0 * math.sqrt(lam),
-            h=1e-3,
+            # a whole number of periods
+            duration=h * round(2.0 * math.sqrt(lam) / h),
+            h=h,
             control_divisor=1,
         )
         record = sim.run(sc)
@@ -434,3 +438,91 @@ def test_criterion_10_feasibility_fixture(capsys):
                     ok = False
     conclude(10, ok, "feasibility search reproduces the committed fixture "
                      "exactly", f"{len(sets)} sets vs {len(fx['feasible'])}")
+
+
+def _fixture_params(k, lambda0, gamma=None):
+    """Planner parameters of one feasibility grid point, built as
+    `find_feasible` builds them at the fixture's v and alpha; the one-point
+    planner without gamma."""
+    v, alpha = FIXTURE_INPUTS["v"], FIXTURE_INPUTS["alpha"]
+    lam = (lambda0 / (k * v)) ** 2
+    if gamma is None:
+        return PlannerParams(k, lam, v_s=v)
+    return PlannerParams(k, lam, alpha, gamma / (alpha * k), v)
+
+
+def _failing_rows(params, kappa0):
+    """The rows of the three checks that params fail, at the fixture's
+    limits and lane width, on a lane of curvature kappa0."""
+    inp = FIXTURE_INPUTS
+    checks = (
+        analysis.check_oscillation(params),
+        analysis.check_abort_safety(params, inp["v"], inp["lane_width"],
+                                    inp["c1"], inp["c2"]),
+        analysis.check_corner_cutting(params, kappa0, inp["c3"]),
+    )
+    return [f"{check.name}.{row.name}" for check in checks for row in check.rows
+            if not row.satisfied]
+
+
+@pytest.mark.parametrize("k, accepted", [(0.09, False), (0.0997, False),
+                                         (0.11, True)])
+def test_steady_row_predicts_the_corner_run(k, accepted):
+    """Both sides of the steady-offset row: a set it alone rejects settles
+    beyond c3 on the fixture's corner, and the accepted one inside."""
+    kappa0, c3 = FIXTURE_INPUTS["kappa0"], FIXTURE_INPUTS["c3"]
+    params = _fixture_params(k, 0.5, gamma=0.995)
+    assert _failing_rows(params, kappa0) == (
+        [] if accepted else ["corner_cutting.steady_lateral_bound"]
+    )
+    track = ReferenceLine.from_pieces(
+        0.0, 0.0, 0.0, [("arc", 2.0 * math.pi / kappa0, kappa0)]
+    )
+    record = sim.run(sim.Scenario(
+        track=track,
+        geometry=VehicleGeometry(l_f=1.5, l_r=1.5),
+        params=params,
+        initial_state=VehicleState(0.0, 0.0, 0.0, 0.0),
+        duration=150.0,
+        h=0.01,
+        control_divisor=10,
+    ))
+    m = record.metrics
+    assert record.completed and m.steady_converged
+    assert m.saturation_fraction == 0.0
+    assert m.steady_lateral == pytest.approx(
+        analysis.predict_steady_lateral(params, kappa0), rel=1e-4
+    )
+    if accepted:
+        assert abs(m.steady_lateral) < c3
+    else:
+        assert abs(m.steady_lateral) > c3
+
+
+@pytest.mark.parametrize("k, accepted", [(0.2, False), (0.17, True),
+                                         (0.15, True)])
+def test_abort_c1_row_predicts_the_lane_change(k, accepted):
+    """Both sides of the abort-safety c1 row: a set it alone rejects peaks
+    above c1 in an unsaturated lane change across the fixture's lane, and
+    the accepted ones at or below it."""
+    c1, lane_width = FIXTURE_INPUTS["c1"], FIXTURE_INPUTS["lane_width"]
+    params = _fixture_params(k, 0.5)
+    assert _failing_rows(params, 0.0) == (
+        [] if accepted else ["abort_safety.abort_peak_vs_c1"]
+    )
+    record = sim.run(sim.Scenario(
+        track=ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 500.0)]),
+        geometry=VehicleGeometry(l_f=1.5, l_r=1.5, u_max=10.0),
+        params=params,
+        initial_state=VehicleState(0.0, 0.0, 0.0, 0.0),
+        duration=120.0,
+        h=0.01,
+        control_divisor=10,
+        lane_change_offset=lane_width,
+    ))
+    m = record.metrics
+    assert record.completed and m.saturation_fraction == 0.0
+    if accepted:
+        assert m.peak_abs_dtheta <= c1
+    else:
+        assert m.peak_abs_dtheta > c1

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 
 import numpy as np
 import pytest
@@ -164,7 +165,7 @@ class TestCheckCornerCutting:
     def test_straight_lane_not_applicable(self):
         p = corner_params()
         res = analysis.check_corner_cutting(p, 0.0, math.inf)
-        assert not res.applicable
+        assert res.rows == ()
         assert res.satisfied
 
     def test_golden_ratio_bound_exact(self):
@@ -178,14 +179,20 @@ class TestCheckCornerCutting:
 
     def test_window_values(self):
         # gamma = 0.8, kappa0 = 0.01, C3 = 1: upper bound 0.01/sqrt(0.25) = 0.02,
-        # lower bound max{0.01 sqrt(1.8), sqrt(0.008)} = 0.0894: empty window
+        # lower bound 0.01 sqrt(1.8) = 0.0134; the steady row,
+        # 0.008 / k^2 < 1, needs k > sqrt(0.008) = 0.0894: no k is feasible
         p = corner_params(gamma=0.8, k=0.12)
         res = analysis.check_corner_cutting(p, 0.01, c3=1.0)
         upper = next(r for r in res.rows if r.name == "k_below_upper")
         lower = next(r for r in res.rows if r.name == "k_above_lower")
         assert upper.rhs == pytest.approx(0.02)
-        assert lower.lhs == pytest.approx(max(0.01 * math.sqrt(1.8), math.sqrt(0.008)))
-        assert lower.lhs > upper.rhs
+        assert lower.lhs == pytest.approx(0.01 * math.sqrt(1.8))
+        k = 0.015
+        assert lower.lhs < k < upper.rhs
+        rows = {r.name: r for r in analysis.check_corner_cutting(
+            corner_params(gamma=0.8, k=k), 0.01, c3=1.0).rows}
+        assert rows["k_above_lower"].satisfied and rows["k_below_upper"].satisfied
+        assert not rows["steady_lateral_bound"].satisfied
 
     def test_feasible_set_passes(self):
         p = corner_params(gamma=0.995, k=0.12)
@@ -427,7 +434,7 @@ class TestFindFeasible:
             assert type(report.params) is PlannerParams
             assert len(report.checks) == 3
             for check in report.checks:
-                assert type(check) is analysis.CheckResult and len(check) == 3
+                assert type(check) is analysis.CheckResult and len(check) == 2
                 assert all(type(row) is analysis.CheckRow and len(row) == 5
                            for row in check.rows)
 
@@ -476,6 +483,36 @@ def test_fixture_matches_its_oracle():
     spec.loader.exec_module(oracle)
     assert oracle.INPUTS == FIXTURE_DATA["inputs"]
     assert oracle.feasible_points(oracle.INPUTS) == FIXTURE_DATA["feasible"]
+
+
+def jittered(rng, grid, n):
+    """n sorted values, the i-th drawn uniformly inside cell i mod m of the
+    m cells between consecutive grid values."""
+    cells = list(zip(grid, grid[1:]))
+    return sorted(rng.uniform(*cells[i % len(cells)]) for i in range(n))
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_search_matches_oracle_on_jittered_grids(seed):
+    """The search states the steady-offset bound c3 in one row; the oracle
+    keeps the paper's two-term lower edge on k.  Both give the same sets."""
+    spec = importlib.util.spec_from_file_location("gen_feasibility_fixture", ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    rng = random.Random(seed)
+    inputs = {**oracle.INPUTS, **{
+        f"{axis}_grid": jittered(rng, oracle.INPUTS[f"{axis}_grid"], 20)
+        for axis in ("gamma", "lambda0", "k")
+    }}
+    want = oracle.feasible_points(inputs)
+    got = analysis.find_feasible(**inputs)
+    assert want and len(got) == len(want)
+    for report, row in zip(got, want):
+        p = report.params
+        for value, key in ((p.gamma, "gamma"), (p.lambda0, "lambda0"),
+                           (p.k, "k"), (p.lam, "lam"), (p.delta_d0, "delta_d0"),
+                           (report.predicted_curvature_ratio, "predicted_ratio")):
+            assert abs(value - row[key]) <= 1e-12, (key, value, row[key])
 
 
 class TestEigenvalues:

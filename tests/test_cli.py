@@ -111,6 +111,33 @@ class TestRun:
         assert "control period" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("h", ["0.4", "0.6", "5e-324"])
+    def test_duration_not_whole_periods_is_validation_error(
+        self, tmp_path, capsys, h
+    ):
+        # a 4 s period stopped the 10 s run at t = 8 s and a 6 s one ran it
+        # to t = 12 s; at 5e-324 the period count overflowed in the run
+        out = tmp_path / "o"
+        code = run_cli([
+            "run", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--set", "sim.lane_change_offset_m=0", "--set", f"sim.h_s={h}",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert "whole number of control periods" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_control_period_is_the_whole_run(self, tmp_path, read_samples):
+        out = tmp_path / "o"
+        code = run_cli([
+            "run", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--set", "sim.lane_change_offset_m=0", "--set", "sim.h_s=1.0",
+            "--out", str(out),
+        ])
+        assert code == 0
+        rows = read_samples(os.path.join(out, "lane_change_k10.csv"))
+        assert [row.t for row in rows] == [0.0, 10.0]
+
     def test_override_k_oscillates(self, tmp_path, capsys):
         out = str(tmp_path / "o")
         code = run_cli([

@@ -82,6 +82,13 @@ class TestScenarioValidation:
                 lane_change_scenario(h=h)
         assert lane_change_scenario(h=1.0).h == 1.0  # one period, the duration
 
+    @pytest.mark.parametrize("h", [0.4, 0.6, 0.0999, 5e-324])
+    def test_duration_not_whole_periods_rejected(self, h):
+        # 2.5, 1.67 and 10.01 periods of the 10 s run; at 5e-324 the
+        # period count overflows to inf
+        with pytest.raises(ValueError, match="whole number of control periods"):
+            lane_change_scenario(h=h)
+
     def test_target_swaps_at_abort(self):
         sc = lane_change_scenario(abort_time=2.0)
         before = sc.target_at(1.9).point_at(0.0).position

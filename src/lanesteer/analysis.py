@@ -10,6 +10,7 @@ of it.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -202,16 +203,21 @@ def find_feasible(
     Each check is evaluated once per point of the plane it depends on, and
     the reports on that point share its result.  The oscillation and
     abort-safety checks read (lambda0, k) only: they run on
-    `PlannerParams(k, lam, v_s=v)`, abort safety only where oscillation
-    passes, and the passing points are grouped by k.  The reports are then
-    built k-major, per gamma and then per k.  The corner-cutting check and
+    `PlannerParams(k, lam, v_s=v)`, which checks k, lam and v, abort safety
+    only where oscillation passes.  The passing points are grouped by k and
+    sorted by their derived lambda0.  The corner-cutting check and
     `predict_curvature_ratio` read (gamma, k) only: they run on the pair's
-    first parameter set, and a failure there skips the pair's later points
-    before any more parameters are built.
+    first parameter set, the pair's one checked construction, which checks
+    alpha and delta_d0.  A pair that passes is one block of reports in
+    lambda0 order, whose parameters are built unchecked: the plane and the
+    pair have checked every field.
 
     Results are sorted by predicted curvature ratio, then by the derived
-    gamma, lambda0 and k of their parameters, so the ordering does not
-    depend on the evaluation order.
+    gamma, lambda0 and k of their parameters, with ties in grid order
+    (gamma, then lambda0), so the ordering does not depend on the
+    evaluation order.  The blocks are sorted on (ratio, gamma); only blocks
+    tied on both, as every k of a gamma is on a straight lane, have their
+    reports merged by (lambda0, k).
     """
     if not (0 < v < math.inf and 0 < lane_width < math.inf):
         raise ValueError("v and lane width must be positive and finite")
@@ -259,26 +265,48 @@ def find_feasible(
                 passing_by_k.setdefault(k, []).append(
                     (lam, params.lambda0, oscillation, abort)
                 )
+    # stable, so equal derived lambda0s keep their grid order
+    for passing in passing_by_k.values():
+        passing.sort(key=itemgetter(1))
 
-    # (sort key, report); the key is (ratio, params.gamma, params.lambda0, k)
-    keyed = []
+    # one block per passing (gamma, k) pair: (ratio, derived gamma, k,
+    # passing points, reports in lambda0 order)
+    blocks = []
     for gamma in gammas:
         for k, passing in passing_by_k.items():
             delta_d0 = gamma / (alpha * k)
-            params_gamma = alpha * k * delta_d0
-            cutting = None
-            for lam, lambda0, oscillation, abort in passing:
-                params = PlannerParams(k, lam, alpha, delta_d0, v)
-                if cutting is None:
-                    # the (gamma, k) plane: neither reads lam, so the pair's
-                    # first parameters stand for all of them
-                    cutting = check_corner_cutting(params, kappa0, c3)
-                    if not cutting.satisfied:
-                        break
-                    ratio = predict_curvature_ratio(params, kappa0)
-                report = _tuple_new(FeasibilityReport, (
-                    params, (oscillation, abort, cutting), True, ratio,
+            # the (gamma, k) plane: neither reads lam, so the pair's first
+            # parameters stand for all of them.  Their constructor checks
+            # alpha and delta_d0; the plane's has checked k, lam and v
+            params = PlannerParams(k, passing[0][0], alpha, delta_d0, v)
+            cutting = check_corner_cutting(params, kappa0, c3)
+            if not cutting.satisfied:
+                continue
+            ratio = predict_curvature_ratio(params, kappa0)
+            reports = [
+                _tuple_new(FeasibilityReport, (
+                    _tuple_new(PlannerParams, (k, lam, alpha, delta_d0, v)),
+                    (oscillation, abort, cutting), True, ratio,
                 ))
-                keyed.append(((ratio, params_gamma, lambda0, k), report))
-    keyed.sort(key=itemgetter(0))
-    return [report for _, report in keyed]
+                for lam, _, oscillation, abort in passing
+            ]
+            blocks.append((ratio, alpha * k * delta_d0, k, passing, reports))
+
+    # stable, so blocks tied on (ratio, gamma) keep their build order
+    blocks.sort(key=itemgetter(0, 1))
+    result = []
+    for _, group in groupby(blocks, itemgetter(0, 1)):
+        tied = list(group)
+        if len(tied) == 1:
+            result += tied[0][4]
+            continue
+        # every k of a gamma ties on a straight lane, where the ratio is
+        # 1 - gamma: merge the blocks' reports by (lambda0, k)
+        merged = [
+            (lambda0, k, report)
+            for _, _, k, passing, reports in tied
+            for (_, lambda0, _, _), report in zip(passing, reports)
+        ]
+        merged.sort(key=itemgetter(0, 1))
+        result += map(itemgetter(2), merged)
+    return result

@@ -54,10 +54,10 @@ def wrap_angle(a: float) -> float:
 
 
 class FramePoint(NamedTuple):
-    """Curve frame at one station: position, unit tangent/normal, heading, curvature."""
+    """Curve frame at one station: position, unit normal, heading, curvature.
+    The unit tangent is the normal (nx, ny) rotated back, (ny, -nx)."""
 
     position: tuple[float, float]
-    tangent: tuple[float, float]
     normal: tuple[float, float]
     orientation: float
     curvature: float
@@ -99,8 +99,8 @@ class StraightSegment:
     def frame_at(self, s: float, station: float) -> FramePoint:
         c, sn = self.tangent
         return _tuple_new(FramePoint, (
-            (self.x0 + s * c, self.y0 + s * sn), self.tangent, self.normal,
-            self.orientation, 0.0, station,
+            (self.x0 + s * c, self.y0 + s * sn), self.normal, self.orientation,
+            0.0, station,
         ))
 
     def closest(self, px: float, py: float):
@@ -155,7 +155,7 @@ class ArcSegment:
         ct, st = math.cos(theta), math.sin(theta)
         return _tuple_new(FramePoint, (
             (self.cx + radius * math.cos(phi), self.cy + radius * math.sin(phi)),
-            (ct, st), (-st, ct), theta, self.curvature, station,
+            (-st, ct), theta, self.curvature, station,
         ))
 
     def closest(self, px: float, py: float):
@@ -318,7 +318,7 @@ class ReferenceLine:
         # the frame at the global station, not the candidate's foot: at a
         # junction the station decides which segment owns the point
         frame = self.point_at(bs)
-        (fx, fy), _, (nx, ny), _, _, _ = frame
+        (fx, fy), (nx, ny), _, _, _ = frame
         return _tuple_new(ShadowResult, (frame, (fx - px) * nx + (fy - py) * ny))
 
     def parallel_offset(self, d: float) -> "ReferenceLine":

@@ -55,13 +55,15 @@ class Scenario:
         if not isinstance(self.control_divisor, int) or self.control_divisor < 1:
             raise ValueError("control divisor must be an integer of at least 1")
         # run takes round(duration / period) periods, which must be the
-        # duration itself: at least one, and whole to 1e-9 of the duration
+        # duration itself: at least one, and whole to 1e-9 of the duration.
+        # Above 2**53 every float is whole and t = i * period is no longer
+        # exact, so no more periods than that
         periods = self.duration / (self.control_divisor * self.h)
-        if not (periods < math.inf and round(periods) >= 1
+        if not (periods <= 2 ** 53 and round(periods) >= 1
                 and abs(round(periods) - periods) <= 1e-9 * periods):
             raise ValueError(
                 "duration must be a whole number of control periods "
-                "control_divisor * h"
+                "control_divisor * h, at most 2**53 of them"
             )
         if not all(map(math.isfinite, self.initial_state)):
             raise ValueError("initial state must be finite")

@@ -38,7 +38,6 @@ def frame_at(seg, s, station):
         c, sn = seg.tangent
         return FramePoint(
             position=(seg.x0 + s * c, seg.y0 + s * sn),
-            tangent=seg.tangent,
             normal=seg.normal,
             orientation=seg.orientation,
             curvature=0.0,
@@ -50,7 +49,6 @@ def frame_at(seg, s, station):
     ct, st = math.cos(theta), math.sin(theta)
     return FramePoint(
         position=(seg.cx + seg.radius * cp, seg.cy + seg.radius * sp),
-        tangent=(ct, st),
         normal=(-st, ct),
         orientation=theta,
         curvature=seg.curvature,
@@ -109,7 +107,8 @@ def project(line, position):
             )
     frame = point_at(line, bs)
     rx, ry = frame.position[0] - px, frame.position[1] - py
-    tangential = rx * frame.tangent[0] + ry * frame.tangent[1]
+    # the tangent is the normal (nx, ny) rotated back, (ny, -nx)
+    tangential = rx * frame.normal[1] - ry * frame.normal[0]
     if abs(tangential) > _ORTHO_TOL * max(1.0, bd):
         raise StationRangeError(
             "closest point clamped to the line end; vehicle outside the "

@@ -373,7 +373,8 @@ def test_criterion_09_property_suite(lane_change_trio, corner_records):
             target = record.scenario.target_at(s.t)
             res = target.project((s.x, s.y))
             r = (res.frame.position[0] - s.x, res.frame.position[1] - s.y)
-            t = res.frame.tangent
+            nx, ny = res.frame.normal
+            t = (ny, -nx)
             worst_dot = max(worst_dot, abs(r[0] * t[0] + r[1] * t[1]))
     if worst_dot > 1e-6:
         ok = False

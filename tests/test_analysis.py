@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -381,6 +382,22 @@ class TestFindFeasible:
     @example(dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=math.inf,
                   c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[1.0],
                   lambda0_grid=[0.5], k_grid=[0.09]))
+    # a straight lane: the ratio is 1 - gamma at every k, so each gamma's
+    # blocks tie and are merged by (lambda0, k)
+    @example(dict(v=1.0, lane_width=3.5, kappa0=0.0, c1=math.inf,
+                  c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[0.995, 0.7],
+                  lambda0_grid=[0.5, 0.3], k_grid=[0.2, 0.05, 0.12]))
+    # lambda0s one ulp apart, the larger first: at k = 0.05 and 0.2 their
+    # derived lambda0s tie (with their lam), at k = 0.12 and 0.3 they swap
+    # and must be reordered; on a corner and on a straight lane
+    @example(dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=math.inf,
+                  c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[0.995],
+                  lambda0_grid=[math.nextafter(0.41, 1.0), 0.41],
+                  k_grid=[0.05, 0.12, 0.2, 0.3]))
+    @example(dict(v=1.0, lane_width=3.5, kappa0=0.0, c1=math.inf,
+                  c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[0.7, 0.995],
+                  lambda0_grid=[math.nextafter(0.41, 1.0), 0.41],
+                  k_grid=[0.05, 0.12, 0.2, 0.3]))
     def test_matches_per_point_search(self, inputs):
         # the point-by-point search raised OverflowError or
         # ZeroDivisionError where lam or delta_d0 overflowed; the windowed
@@ -403,7 +420,8 @@ class TestFindFeasible:
     def test_each_check_once_per_plane_point(self, monkeypatch, inputs):
         # a check reads one plane, (lambda0, k) or (gamma, k), so the search
         # needs it at most once per point of that plane, however many
-        # reports share the point
+        # reports share the point; so do the validating PlannerParams
+        # constructions, each of which checks the fields its plane adds
         calls = dict.fromkeys(("check_oscillation", "check_abort_safety",
                                "check_corner_cutting", "predict_curvature_ratio"), 0)
         for name in calls:
@@ -411,6 +429,14 @@ class TestFindFeasible:
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(analysis, name, counting)
+        real_new = PlannerParams.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            calls["PlannerParams"] += 1
+            return real_new(cls, *args, **kwargs)
+
+        calls["PlannerParams"] = 0
+        monkeypatch.setattr(PlannerParams, "__new__", staticmethod(counting_new))
         reports = analysis.find_feasible(**inputs)
         assert reports
         n_gamma, n_lambda0, n_k = (
@@ -420,6 +446,11 @@ class TestFindFeasible:
         assert calls["check_abort_safety"] <= n_lambda0 * n_k
         assert calls["check_corner_cutting"] <= n_gamma * n_k
         assert calls["predict_curvature_ratio"] <= n_gamma * n_k
+        assert calls["PlannerParams"] <= n_lambda0 * n_k + n_gamma * n_k
+        # the parameters built without the constructor pass it
+        for r in reports:
+            assert type(r.params) is PlannerParams
+            assert PlannerParams(*r.params) == r.params
 
     @pytest.mark.parametrize("kappa0", [FIXTURE_DATA["inputs"]["kappa0"], 0.0],
                              ids=["fixture", "straight"])
@@ -513,6 +544,32 @@ def test_search_matches_oracle_on_jittered_grids(seed):
                            (p.k, "k"), (p.lam, "lam"), (p.delta_d0, "delta_d0"),
                            (report.predicted_curvature_ratio, "predicted_ratio")):
             assert abs(value - row[key]) <= 1e-12, (key, value, row[key])
+
+
+# the SHA-256 of repr([(params, predicted_curvature_ratio), ...]) of two
+# searches: a faster search must give the same sets in the same order, to
+# the last bit of every float
+SEARCH_SHA256 = {
+    # seed 1's first grid of bench/lsbench.py: 40 jittered values per axis
+    "bench_seed1": "7cb0aa613bf82ab3092e237c2effa4c92098e8f993af4381602440d6594238b0",
+    "fixture_straight": "f038a96febefeec8ad968af4468db72a2bdd1e6e2fe611ce7acd827232a0775a",
+}
+
+
+@pytest.mark.parametrize("name", SEARCH_SHA256)
+def test_search_digest(name):
+    inputs = FIXTURE_DATA["inputs"]
+    if name == "bench_seed1":
+        rng = random.Random(1)
+        inputs = {**inputs, **{
+            f"{axis}_grid": jittered(rng, inputs[f"{axis}_grid"], 40)
+            for axis in ("gamma", "lambda0", "k")
+        }}
+    else:
+        inputs = {**inputs, "kappa0": 0.0}
+    reports = analysis.find_feasible(**inputs)
+    text = repr([(r.params, r.predicted_curvature_ratio) for r in reports])
+    assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_SHA256[name]
 
 
 class TestEigenvalues:

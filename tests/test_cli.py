@@ -111,12 +111,13 @@ class TestRun:
         assert "control period" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("h", ["0.4", "0.6", "5e-324"])
+    @pytest.mark.parametrize("h", ["0.4", "0.6", "5e-324", "1e-300"])
     def test_duration_not_whole_periods_is_validation_error(
         self, tmp_path, capsys, h
     ):
         # a 4 s period stopped the 10 s run at t = 8 s and a 6 s one ran it
-        # to t = 12 s; at 5e-324 the period count overflowed in the run
+        # to t = 12 s; at 5e-324 the period count overflowed in the run;
+        # 1e300 periods are whole, above 2**53, and ran until killed
         out = tmp_path / "o"
         code = run_cli([
             "run", "--scenario", scenario_path("lane_change_k10.scenario"),

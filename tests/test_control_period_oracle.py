@@ -56,7 +56,8 @@ def _pose(line, station, lateral, longitudinal, rng):
     the line), moved `longitudinal` along its tangent, heading within 0.6 rad
     of the line and with a random wheel angle."""
     f = line.point_at(min(max(station, 0.0), line.total_length))
-    (x, y), (tx, ty), (nx, ny) = f.position, f.tangent, f.normal
+    (x, y), (nx, ny) = f.position, f.normal
+    tx, ty = ny, -nx
     return VehicleState(
         x - lateral * nx + longitudinal * tx,
         y - lateral * ny + longitudinal * ty,

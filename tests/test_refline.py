@@ -105,9 +105,10 @@ class TestFrames:
         line = make_mixed_track()
         for s in (0.0, 10.0, 60.0, 95.0, 120.0):
             f = line.point_at(s)
-            tx, ty = f.tangent
+            # the tangent of the frame's heading, rotated +90 degrees
+            tx, ty = math.cos(f.orientation), math.sin(f.orientation)
             assert f.normal == pytest.approx((-ty, tx))
-            assert math.hypot(tx, ty) == pytest.approx(1.0)
+            assert math.hypot(*f.normal) == pytest.approx(1.0)
 
     def test_ccw_arc_normal_points_to_center(self):
         # left turn of radius 20 starting at station 50, center known
@@ -186,7 +187,8 @@ class TestProjection:
         for pos in ((20.0, 1.5), (55.0, 15.0), (60.0, 35.0), (100.0, 52.0)):
             res = line.project(pos)
             r = (res.frame.position[0] - pos[0], res.frame.position[1] - pos[1])
-            t = res.frame.tangent
+            nx, ny = res.frame.normal
+            t = (ny, -nx)
             assert abs(r[0] * t[0] + r[1] * t[1]) < 1e-7
 
     def test_equidistant_point_ambiguous(self):

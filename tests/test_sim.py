@@ -82,12 +82,19 @@ class TestScenarioValidation:
                 lane_change_scenario(h=h)
         assert lane_change_scenario(h=1.0).h == 1.0  # one period, the duration
 
-    @pytest.mark.parametrize("h", [0.4, 0.6, 0.0999, 5e-324])
+    @pytest.mark.parametrize("h", [0.4, 0.6, 0.0999, 5e-324,
+                                   1 / (2 ** 53 + 2), 1e-300])
     def test_duration_not_whole_periods_rejected(self, h):
         # 2.5, 1.67 and 10.01 periods of the 10 s run; at 5e-324 the
-        # period count overflows to inf
+        # period count overflows to inf; 2**53 + 2 and 1e300 periods are
+        # whole, as every float above 2**53 is, but i * period is no
+        # longer exact there
         with pytest.raises(ValueError, match="whole number of control periods"):
             lane_change_scenario(h=h)
+
+    def test_2_53_periods_accepted(self):
+        sc = lane_change_scenario(h=2.0 ** -53)
+        assert sc.duration / (sc.control_divisor * sc.h) == 2 ** 53
 
     def test_target_swaps_at_abort(self):
         sc = lane_change_scenario(abort_time=2.0)

@@ -16,7 +16,6 @@ inputs (1), and a bundled file that `figures` cannot load (3).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -50,8 +49,8 @@ def _metrics_lines(record: sim.RunRecord) -> list[str]:
     lines = [f"completed = {record.completed}"]
     if record.failure_reason:
         lines.append(f"failure_reason = {record.failure_reason}")
-    for field in dataclasses.fields(record.metrics):
-        lines.append(f"{field.name} = {getattr(record.metrics, field.name)}")
+    for name, value in zip(record.metrics._fields, record.metrics):
+        lines.append(f"{name} = {value}")
     return lines
 
 
@@ -112,15 +111,14 @@ def cmd_sweep(args) -> int:
         return EXIT_VALIDATION
 
     keys = sorted(axes)
-    metric_names = [f.name for f in dataclasses.fields(sim.RunMetrics)]
     path = os.path.join(args.out, f"{_scenario_stem(args.scenario)}_sweep.csv")
     completed = []
     os.makedirs(args.out, exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(",".join(keys + metric_names + ["completed"]) + "\n")
+        fh.write(",".join([*keys, *sim.RunMetrics._fields, "completed"]) + "\n")
         for overrides, record in results:
             row = [str(overrides[k]) for k in keys]
-            row += [str(getattr(record.metrics, n)) for n in metric_names]
+            row += map(str, record.metrics)
             row.append(str(record.completed))
             fh.write(",".join(row) + "\n")
             completed.append(record.completed)

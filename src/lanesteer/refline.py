@@ -73,6 +73,8 @@ class ShadowResult(NamedTuple):
 
 @dataclass(frozen=True)
 class StraightSegment:
+    """A straight piece: start point, heading and length."""
+
     x0: float
     y0: float
     heading: float
@@ -124,6 +126,9 @@ class StraightSegment:
 
 @dataclass(frozen=True)
 class ArcSegment:
+    """A circular-arc piece: center, radius, the angle of its start point
+    seen from the center, and the signed sweep."""
+
     cx: float
     cy: float
     radius: float

@@ -9,7 +9,7 @@ stages so overrides can be applied in between.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import sim
 from .control import PlannerParams
@@ -19,8 +19,7 @@ from .sim import Scenario
 from .vehicle import VehicleGeometry, VehicleState
 
 
-@dataclass(frozen=True)
-class OutputConfig:
+class OutputConfig(NamedTuple):
     emit_svg: bool = False
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from . import control as ctl
@@ -32,8 +31,9 @@ _STEADY_AGREE_TOL = 1e-2
 _tuple_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class Scenario:
+# the fields of Scenario: a NamedTuple body may not define __new__ or _make,
+# so Scenario subclasses this one
+class _ScenarioFields(NamedTuple):
     track: ReferenceLine
     geometry: VehicleGeometry
     params: PlannerParams
@@ -43,45 +43,57 @@ class Scenario:
     control_divisor: int = 10  # control period = control_divisor * h
     lane_change_offset: float | None = None  # m, +normal direction
     abort_time: float | None = None  # s, swap target back to track
-    # the target before abort_time (the offset line, or the track itself),
-    # built once; init=False so that dataclasses.replace rebuilds it
-    _target: ReferenceLine = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not 0 < self.duration < math.inf:
+
+class Scenario(_ScenarioFields):
+    """A track, a vehicle and planner parameters, and how long to run them.
+
+    A 9-tuple whose one constructor checks every field, so that `_make`,
+    `_replace`, copies and unpickling validate too.  It also builds the
+    target before abort_time (the offset line, or the track itself) once,
+    and keeps it in the instance's __dict__, outside ==, hash and repr.
+    """
+
+    # repeats the defaults of _ScenarioFields, whose __new__ this replaces
+    def __new__(cls, track, geometry, params, initial_state, duration, h=1e-3,
+                control_divisor=10, lane_change_offset=None, abort_time=None):
+        if not 0 < duration < math.inf:
             raise ValueError("duration must be positive and finite")
-        if not 0 < self.h < math.inf:
+        if not 0 < h < math.inf:
             raise ValueError("integration step must be positive and finite")
-        if not isinstance(self.control_divisor, int) or self.control_divisor < 1:
+        if not isinstance(control_divisor, int) or control_divisor < 1:
             raise ValueError("control divisor must be an integer of at least 1")
         # run takes round(duration / period) periods, which must be the
         # duration itself: at least one, and whole to 1e-9 of the duration.
         # Above 2**53 every float is whole and t = i * period is no longer
         # exact, so no more periods than that
-        periods = self.duration / (self.control_divisor * self.h)
+        periods = duration / (control_divisor * h)
         if not (periods <= 2 ** 53 and round(periods) >= 1
                 and abs(round(periods) - periods) <= 1e-9 * periods):
             raise ValueError(
                 "duration must be a whole number of control periods "
                 "control_divisor * h, at most 2**53 of them"
             )
-        if not all(map(math.isfinite, self.initial_state)):
+        if not all(map(math.isfinite, initial_state)):
             raise ValueError("initial state must be finite")
-        if self.lane_change_offset is not None and not math.isfinite(
-            self.lane_change_offset
-        ):
+        if lane_change_offset is not None and not math.isfinite(lane_change_offset):
             raise ValueError("lane-change offset must be finite")
-        if self.abort_time is not None:
-            if self.lane_change_offset is None:
+        if abort_time is not None:
+            if lane_change_offset is None:
                 raise ValueError("abort_time requires a lane-change offset")
-            if not 0 <= self.abort_time < self.duration:
+            if not 0 <= abort_time < duration:
                 raise ValueError("abort_time must lie in [0, duration)")
-        target = (
-            self.track
-            if self.lane_change_offset is None
-            else self.track.parallel_offset(self.lane_change_offset)
+        self = _tuple_new(cls, (track, geometry, params, initial_state, duration,
+                                h, control_divisor, lane_change_offset, abort_time))
+        self._target = (
+            track if lane_change_offset is None
+            else track.parallel_offset(lane_change_offset)
         )
-        object.__setattr__(self, "_target", target)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def target_at(self, t: float) -> ReferenceLine:
         """Track the controller follows at time t."""
@@ -116,8 +128,7 @@ class Sample(NamedTuple):
 CSV_COLUMNS = Sample._fields
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     peak_abs_dtheta: float
     peak_abs_dtheta_dot: float
     final_lateral: float  # m, displacement from the original track (+normal)
@@ -129,8 +140,7 @@ class RunMetrics:
     saturation_fraction: float
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(NamedTuple):
     scenario: Scenario
     samples: tuple[Sample, ...]
     metrics: RunMetrics
@@ -343,14 +353,12 @@ def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
         raise KeyError(f"unknown override section {section!r}")
     kwargs = field_values(section, {name: value})
     if section == "planner":
-        return dataclasses.replace(
-            scenario, params=scenario.params._replace(**kwargs)
-        )
+        return scenario._replace(params=scenario.params._replace(**kwargs))
     if section == "vehicle":
-        return dataclasses.replace(
-            scenario, geometry=dataclasses.replace(scenario.geometry, **kwargs)
+        return scenario._replace(
+            geometry=dataclasses.replace(scenario.geometry, **kwargs)
         )
-    return dataclasses.replace(scenario, **kwargs)
+    return scenario._replace(**kwargs)
 
 
 def sweep(

@@ -441,6 +441,50 @@ def test_criterion_10_feasibility_fixture(capsys):
                      "exactly", f"{len(sets)} sets vs {len(fx['feasible'])}")
 
 
+def test_criterion_11_path_independent_of_axle_geometry():
+    # the law steers theta_v = psi + beta, and the model enters only through
+    # beta(delta) and its gain: the path must not depend on where the axles
+    # sit, while the heading must
+    base = _small_lane_change()._replace(duration=20.0)
+    records = [
+        sim.run(base._replace(geometry=VehicleGeometry(l_f, l_r, u_max=10.0)))
+        for l_f, l_r in ((1.5, 1.5), (1.0, 2.0), (2.0, 1.0), (0.8, 2.6))
+    ]
+    assert all(r.completed and r.metrics.saturation_fraction == 0.0 for r in records)
+    rows = list(zip(*(r.samples for r in records)))
+    position_spread = max(
+        math.dist((a.x, a.y), (b.x, b.y)) for row in rows for a in row for b in row
+    )
+    psi_spread = max(max(s.psi for s in row) - min(s.psi for s in row) for row in rows)
+    ok = position_spread < 1e-3 and psi_spread > 0.01
+    conclude(11, ok, "four axle geometries drive one path (within 1 mm) with "
+                     "headings more than 0.01 rad apart",
+             f"position spread {position_spread:.2e} m, psi spread {psi_spread:.4f} rad")
+
+
+def test_criterion_12_lqr_optimality():
+    # u_c = -e/(g sqrt(lam)) minimizes J = int e^2 + lam (de/dt)^2 dt, at
+    # cost sqrt(lam) e0^2; a run with any other lam' costs more under the
+    # same weight lam (J(0.85)/J(1) - 1 = 3.3e-3 in closed form)
+    base = _small_lane_change()._replace(duration=20.0)
+    lam = base.params.lam
+    costs = {}
+    for lam_run in (0.7, 0.85, 1.0, 1.15, 1.3):
+        record = sim.run(base._replace(params=base.params._replace(lam=lam_run)))
+        assert record.completed and record.metrics.saturation_fraction == 0.0
+        t = np.array([s.t for s in record.samples])
+        e = np.array([s.e for s in record.samples])
+        costs[lam_run] = np.trapezoid(e ** 2 + lam * np.gradient(e, t) ** 2, t)
+    e0 = record.samples[0].e
+    optimum = math.sqrt(lam) * e0 ** 2
+    own = costs.pop(lam)
+    ok = abs(own / optimum - 1) < 1e-3 and all(c > own for c in costs.values())
+    conclude(12, ok, "J at the run's own lambda is sqrt(lambda) e0^2 within 0.1%, "
+                     "and every other lambda' costs more",
+             f"J/optimum {own / optimum:.6f}, others "
+             + ", ".join(f"{k}: {c / optimum:.6f}" for k, c in costs.items()))
+
+
 def _fixture_params(k, lambda0, gamma=None):
     """Planner parameters of one feasibility grid point, built as
     `find_feasible` builds them at the fixture's v and alpha; the one-point

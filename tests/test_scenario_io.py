@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import re
@@ -36,11 +35,6 @@ initial_psi_rad = 0.1
 """
 
 
-def _defaults(cls):
-    return {f.name: f.default for f in dataclasses.fields(cls)
-            if f.default is not dataclasses.MISSING}
-
-
 class TestValidate:
     def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "minimal.scenario"
@@ -49,7 +43,7 @@ class TestValidate:
         assert scenario.geometry == VehicleGeometry(l_f=1.4, l_r=1.6)
         assert scenario.params == PlannerParams(k=0.5, lam=1.0)
         assert scenario.initial_state == VehicleState(1.0, 2.0, 0.1, 0.0)
-        for name, default in _defaults(sim.Scenario).items():
+        for name, default in sim.Scenario._field_defaults.items():
             assert getattr(scenario, name) == default, name
         assert output == OutputConfig()
 

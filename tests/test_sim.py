@@ -1,11 +1,15 @@
+import copy
 import csv
-import dataclasses
+import inspect
+import itertools
 import math
 import os
+import pickle
+import random
 
 import pytest
 
-from lanesteer import cli, scenario_io, sim
+from lanesteer import cli, errors, scenario_io, sim
 from lanesteer import control as ctl
 from lanesteer import vehicle as veh
 from lanesteer.control import ControlSample, PlannerParams
@@ -103,15 +107,99 @@ class TestScenarioValidation:
         assert before == pytest.approx((0.0, 3.5))
         assert after == pytest.approx((0.0, 0.0))
 
+    def test_a_validating_9_tuple(self):
+        a = lane_change_scenario()
+        b = sim.Scenario(*a)
+        assert type(a) is sim.Scenario and len(a) == 9
+        # each builds its own target line, which no comparison sees
+        assert a.target_at(0.0) is not b.target_at(0.0)
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert a == tuple(a) and hash(a) == hash(tuple(a))
+        assert repr(a) == "Scenario(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(a._fields, a)) + ")"
+        for q in (copy.copy(a), a._make(a), a._replace()):
+            assert type(q) is sim.Scenario and q == a
+            assert q.target_at(0.0).point_at(0.0) == a.target_at(0.0).point_at(0.0)
+        # the track compares by identity, so an unpickled copy differs there
+        q = pickle.loads(pickle.dumps(a))
+        assert type(q) is sim.Scenario and q[1:] == a[1:]
+        assert q.target_at(0.0).point_at(5.0) == a.target_at(0.0).point_at(5.0)
+        # the constructor's signature carries the fields' defaults
+        parameters = inspect.signature(sim.Scenario).parameters
+        assert list(parameters) == list(sim.Scenario._fields)
+        assert {name: par.default for name, par in parameters.items()
+                if par.default is not inspect.Parameter.empty
+                } == sim.Scenario._field_defaults
+
+    def test_replace_rebuilds_the_target_line(self):
+        sc = lane_change_scenario()
+        moved = sc._replace(lane_change_offset=-2.0)
+        assert moved.target_at(0.0).point_at(0.0).position == (0.0, -2.0)
+        assert sc.target_at(0.0).point_at(0.0).position == (0.0, 3.5)
+        assert sc._replace(lane_change_offset=None).target_at(0.0) is sc.track
+        track = straight_track(50.0)
+        assert sc._replace(track=track).target_at(0.0).total_length == 50.0
+
+    @pytest.mark.parametrize("changes, name, value, message", [
+        *[({}, "duration", bad, "duration must")
+          for bad in (0.0, -1.0, math.nan, math.inf)],
+        *[({}, "h", bad, "integration step must")
+          for bad in (0.0, -1e-3, math.nan, math.inf)],
+        *[({}, "control_divisor", bad, "control divisor must") for bad in (0, -10)],
+        # 2.5 and 1.67 periods, and more than 2**53 of them
+        *[({}, "h", bad, "duration must be a whole number")
+          for bad in (0.4, 0.6, 1 / (2 ** 53 + 2), 1e-300, 5e-324)],
+        *[({}, "initial_state", bad, "initial state must")
+          for bad in (VehicleState(math.nan, 0.0, 0.0, 0.0),
+                      VehicleState(0.0, 0.0, math.inf, 0.0))],
+        *[({}, "lane_change_offset", bad, "lane-change offset must")
+          for bad in (math.nan, math.inf, -math.inf)],
+        ({"lane_change_offset": None}, "abort_time", 2.0, "abort_time requires"),
+        *[({}, "abort_time", bad, "abort_time must")
+          for bad in (-1.0, 10.0, math.nan, math.inf)],
+        # 3.5 m toward the center of a 2 m-radius arc
+        ({"lane_change_offset": None,
+          "track": ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("arc", 20.0, 0.5)])},
+         "lane_change_offset", 3.5, "parallel offset collapses"),
+    ])
+    def test_every_way_of_building_checks_every_rule(self, changes, name, value,
+                                                     message):
+        good = lane_change_scenario()._replace(**changes)
+        values = good._asdict()
+        values[name] = value
+        keys = {field: key for key, field in sim._SIM_KEYS.items()}
+        # an instance that skipped the checks, as only tuple.__new__ builds one
+        forged = tuple.__new__(sim.Scenario, values.values())
+        ways = {
+            "positional": lambda: sim.Scenario(*values.values()),
+            "keyword": lambda: sim.Scenario(**values),
+            "_replace": lambda: good._replace(**{name: value}),
+            "_make": lambda: sim.Scenario._make(values.values()),
+            "copy": lambda: copy.copy(forged),
+            "pickle": lambda: pickle.loads(pickle.dumps(forged)),
+        }
+        if name in keys:  # the initial state has no override key
+            ways["apply_override"] = lambda: sim.apply_override(
+                good, f"sim.{keys[name]}", value
+            )
+        raised = {}
+        for way, build in ways.items():
+            try:
+                build()
+            except ValueError as exc:
+                raised[way] = str(exc)
+        assert raised.keys() == ways.keys()
+        assert all(text.startswith(message) for text in raised.values()), raised
+
 
 class TestRun:
     @pytest.mark.parametrize("name", PlannerParams._fields)
     def test_every_planner_field_reaches_the_run(self, name):
-        base = dataclasses.replace(bundled("corner_twopoint"), duration=20.0)
+        base = bundled("corner_twopoint")._replace(duration=20.0)
         params = base.params
         changed = params._replace(**{name: 1.1 * getattr(params, name)})
         samples = sim.run(base).samples
-        assert sim.run(dataclasses.replace(base, params=changed)).samples != samples
+        assert sim.run(base._replace(params=changed)).samples != samples
 
     def test_equilibrium_stays_on_line(self):
         sc = lane_change_scenario(offset=None)
@@ -410,7 +498,7 @@ class TestRunCorner:
         track = ReferenceLine.from_pieces(
             0.0, 0.0, 0.0, [("line", 50.0), ("arc", 60.0, 0.02), ("line", 100.0)]
         )
-        sc = dataclasses.replace(bundled("corner_twopoint"), track=track, duration=150.0)
+        sc = bundled("corner_twopoint")._replace(track=track, duration=150.0)
         record = sim.run(sc)
         assert record.completed, record.failure_reason
         assert record.samples[-1].t == pytest.approx(150.0)
@@ -484,6 +572,56 @@ class TestSweep:
         assert sc.control_divisor == 4 and isinstance(sc.control_divisor, int)
 
 
+# a drawn scenario that asks for more RK4 steps than this is not run: a
+# 1e-11 s step on the 0.5 s lane change asks for 5e10 of them, which is a
+# long run, not a failure
+FUZZ_STEP_BUDGET = 5000
+
+
+def fuzz_value(rng):
+    """Log-uniform over 1e-300..1e300, with the smallest subnormal and
+    negatives mixed in."""
+    value = 5e-324 if rng.random() < 0.1 else 10.0 ** rng.uniform(-300, 300)
+    return -value if rng.random() < 0.25 else value
+
+
+class TestRunFuzz:
+    def test_every_run_ends_finite_or_typed(self):
+        # each draw sets 1-3 override keys of a bundled run cut to 50
+        # periods: the scenario is rejected with a ValueError, or its run
+        # returns a record that is finite where completed and typed where not
+        keys = [f"{section}.{key}" for section, table in sim._TABLES.items()
+                for key in table]
+        bases = [sc._replace(duration=50 * sc.control_divisor * sc.h)
+                 for sc in (bundled("lane_change_k10"), bundled("corner_twopoint"))]
+        rng = random.Random(2021)
+        outcomes = {"rejected": 0, "too long": 0, "completed": 0, "failed": 0}
+        for i in range(1000):
+            sc = bases[i % 2]
+            draws = [(rng.choice(keys), fuzz_value(rng))
+                     for _ in range(rng.randint(1, 3))]
+            try:
+                for key, value in draws:
+                    sc = sim.apply_override(sc, key, value)
+            except ValueError:
+                outcomes["rejected"] += 1
+                continue
+            if sc.duration / sc.h > FUZZ_STEP_BUDGET:
+                outcomes["too long"] += 1
+                continue
+            record = sim.run(sc)
+            if record.completed:
+                outcomes["completed"] += 1
+                assert all(map(math.isfinite, itertools.chain(*record.samples))), draws
+                assert all(map(math.isfinite, record.metrics)), draws
+            else:
+                outcomes["failed"] += 1
+                name = record.failure_reason.partition(":")[0]
+                assert issubclass(getattr(errors, name), errors.PlannerError), draws
+        assert outcomes["too long"] <= 5
+        assert outcomes["completed"] >= 200 and outcomes["failed"] >= 30, outcomes
+
+
 def csv_module_bytes(path, rows):
     """The run CSV as the csv module's default writer emits it."""
     with open(path, "w", newline="") as fh:
@@ -505,7 +643,7 @@ class TestCsv:
         assert written.count(b"\r\n") == len(rows) + 1 and b'"' not in written
 
     def test_bytes_match_csv_module_on_a_corner(self, tmp_path):
-        record = sim.run(dataclasses.replace(bundled("corner_twopoint"), duration=20.0))
+        record = sim.run(bundled("corner_twopoint")._replace(duration=20.0))
         assert record.completed and len(record.samples) == 401
         sim.write_csv(tmp_path / "run.csv", record.samples)
         written = (tmp_path / "run.csv").read_bytes()
@@ -513,7 +651,7 @@ class TestCsv:
 
     def test_round_trip_metrics(self, tmp_path, read_samples):
         # on the corner the shadow-point curvature is not zero
-        corner = dataclasses.replace(bundled("corner_twopoint"), duration=20.0)
+        corner = bundled("corner_twopoint")._replace(duration=20.0)
         for sc in (lane_change_scenario(duration=5.0), corner):
             record = sim.run(sc)
             path = tmp_path / "run.csv"
@@ -527,9 +665,9 @@ class TestCsv:
             ]
             final_lateral = -sc.track.project((rows[-1].x, rows[-1].y)).signed_lateral
             again = sim.metrics_from_samples(sc, rows, kappa_n, final_lateral)
-            for field in dataclasses.fields(sim.RunMetrics):
-                a = getattr(record.metrics, field.name)
-                b = getattr(again, field.name)
+            for name in sim.RunMetrics._fields:
+                a = getattr(record.metrics, name)
+                b = getattr(again, name)
                 if isinstance(a, float):
                     assert b == pytest.approx(a, abs=1e-9)
                 else:

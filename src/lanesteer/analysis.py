@@ -1,10 +1,10 @@
 """Closed-form predictions and parameter feasibility checks.
 
-Everything here is algebra on the planner parameters: linearized
-lane-change transients with their peak bounds, the oscillation-avoidance
-range of lambda0 = k v_s sqrt(lambda), the corner-cutting parameter window,
-whose steady-offset row alone states c3, and a grid search combining all
-of it.
+Everything here is algebra on the planner parameters: the
+oscillation-avoidance range of lambda0 = k v_s sqrt(lambda), the
+lane-change peak bound of abort safety, the corner-cutting parameter
+window, whose steady-offset row alone states c3, and a grid search
+combining all of it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ GAMMA_LOWER = (math.sqrt(5.0) - 1.0) / 2.0
 
 # builds a record without the NamedTuple constructor's Python-level __new__
 _tuple_new = tuple.__new__
-_row_satisfied = attrgetter("satisfied")
+_satisfied = attrgetter("satisfied")
 
 
 class CheckRow(NamedTuple):
@@ -38,58 +38,17 @@ class CheckResult(NamedTuple):
 
     @property
     def satisfied(self) -> bool:
-        return all(map(_row_satisfied, self.rows))
-
-
-class LinearizedPrediction(NamedTuple):
-    """Peak magnitudes of the linearized lane-change transient and their times."""
-
-    peak_dtheta: float
-    peak_dtheta_dot: float
-    peak_time_dtheta: float
-    peak_time_dtheta_dot: float
+        return all(map(_satisfied, self.rows))
 
 
 class FeasibilityReport(NamedTuple):
     params: PlannerParams
     checks: tuple[CheckResult, ...]
-    feasible: bool
     predicted_curvature_ratio: float
 
-
-def dtheta_solution(t: float, e0: float, lam: float, lambda0: float) -> float:
-    """Orientation-difference transient for a lane change started aligned."""
-    a = 1.0 / math.sqrt(lam)
-    return (e0 / (1.0 - lambda0)) * (math.exp(-a * t) - math.exp(-lambda0 * a * t))
-
-
-def dtheta_dot_solution(t: float, e0: float, lam: float, lambda0: float) -> float:
-    """Time derivative of the orientation-difference transient."""
-    a = 1.0 / math.sqrt(lam)
-    return (
-        -(e0 / (math.sqrt(lam) * (1.0 - lambda0)))
-        * (math.exp(-a * t) - lambda0 * math.exp(-lambda0 * a * t))
-    )
-
-
-def predict_lane_change(e0: float, lam: float, lambda0: float) -> LinearizedPrediction:
-    """Interior extrema of the closed-form lane-change transient: dtheta
-    peaks at t* = sqrt(lam) log(lambda0) / (lambda0 - 1) and its rate at 2 t*.
-
-    The rate magnitude at t = 0, |e0|/sqrt(lam), exceeds the interior
-    extremum for every lambda0 in (0, 1).
-    """
-    if not 0 < lambda0 < 1:
-        raise ValueError("lambda0 must lie in (0, 1)")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    t_peak = math.sqrt(lam) * math.log(lambda0) / (lambda0 - 1.0)
-    return LinearizedPrediction(
-        peak_dtheta=abs(dtheta_solution(t_peak, e0, lam, lambda0)),
-        peak_dtheta_dot=abs(dtheta_dot_solution(2.0 * t_peak, e0, lam, lambda0)),
-        peak_time_dtheta=t_peak,
-        peak_time_dtheta_dot=2.0 * t_peak,
-    )
+    @property
+    def feasible(self) -> bool:
+        return all(map(_satisfied, self.checks))
 
 
 def check_oscillation(params: PlannerParams) -> CheckResult:
@@ -286,7 +245,7 @@ def find_feasible(
             reports = [
                 _tuple_new(FeasibilityReport, (
                     _tuple_new(PlannerParams, (k, lam, alpha, delta_d0, v)),
-                    (oscillation, abort, cutting), True, ratio,
+                    (oscillation, abort, cutting), ratio,
                 ))
                 for lam, _, oscillation, abort in passing
             ]

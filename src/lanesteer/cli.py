@@ -59,14 +59,14 @@ def _scenario_stem(path: str) -> str:
 
 
 def cmd_run(args) -> int:
-    scenario, output = scenario_io.load(args.scenario, args.set or [])
+    scenario, emit_svg = scenario_io.load(args.scenario, args.set or [])
     stem = _scenario_stem(args.scenario)
     os.makedirs(args.out, exist_ok=True)
     record = sim.run(scenario)
     sim.write_csv(os.path.join(args.out, f"{stem}.csv"), record.samples)
     with open(os.path.join(args.out, f"{stem}_metrics.txt"), "w") as fh:
         fh.write("\n".join(_metrics_lines(record)) + "\n")
-    if output.emit_svg and record.samples:
+    if emit_svg and record.samples:
         series = [(stem, [(s.t, s.d_lateral) for s in record.samples])]
         svg = svgplot.line_chart(series, stem, "t [s]", "lateral deviation [m]")
         with open(os.path.join(args.out, f"{stem}.svg"), "w") as fh:

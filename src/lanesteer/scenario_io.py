@@ -9,7 +9,6 @@ stages so overrides can be applied in between.
 from __future__ import annotations
 
 import inspect
-from typing import NamedTuple
 
 from . import sim
 from .control import PlannerParams
@@ -18,25 +17,21 @@ from .refline import ReferenceLine
 from .sim import Scenario
 from .vehicle import VehicleGeometry, VehicleState
 
-
-class OutputConfig(NamedTuple):
-    emit_svg: bool = False
-
-
 _TRACK_KEYS = ("start_x_m", "start_y_m", "start_heading_rad", "segment")
-_INITIAL_KEYS = ("initial_x_m", "initial_y_m", "initial_psi_rad")
 
 
-def _required(table: dict, cls) -> list[str]:
-    """The keys of one of sim's key tables whose constructor argument has no
-    default."""
-    parameters = inspect.signature(cls).parameters
+def _required(table: dict, *classes) -> list[str]:
+    """The keys of one of sim's key tables whose field has no default in
+    the constructors of `classes`."""
+    parameters = {}
+    for cls in classes:
+        parameters.update(inspect.signature(cls).parameters)
     return [key for key, name in table.items()
             if parameters[name].default is inspect.Parameter.empty]
 
 
 # section -> (accepted keys, required keys).  The [vehicle], [planner] and
-# [sim] keys that map to constructor fields are sim's override keys.
+# [sim] keys are sim's override keys; [sim] holds the initial state's too.
 _SECTIONS = {
     "track": (_TRACK_KEYS, _TRACK_KEYS),
     "vehicle": (
@@ -46,8 +41,7 @@ _SECTIONS = {
         tuple(sim._PLANNER_KEYS), _required(sim._PLANNER_KEYS, PlannerParams)
     ),
     "sim": (
-        (*sim._SIM_KEYS, *_INITIAL_KEYS, "initial_delta_rad"),
-        (*_required(sim._SIM_KEYS, Scenario), *_INITIAL_KEYS),
+        tuple(sim._SIM_KEYS), _required(sim._SIM_KEYS, Scenario, VehicleState)
     ),
     "output": (("emit_svg",), ()),
 }
@@ -150,8 +144,9 @@ def _parse_segment(text: str):
     )
 
 
-def validate(sections: dict) -> tuple[Scenario, OutputConfig]:
-    """Enforce the schema and build the Scenario. Unknown keys are errors."""
+def validate(sections: dict) -> tuple[Scenario, bool]:
+    """Enforce the schema and build the Scenario, returned with the [output]
+    emit_svg flag. Unknown keys are errors."""
     for section in sections:
         if section not in _SECTIONS:
             raise ScenarioValidationError(f"unknown section [{section}]")
@@ -199,29 +194,27 @@ def validate(sections: dict) -> tuple[Scenario, OutputConfig]:
     except ValueError as exc:
         raise ScenarioValidationError(f"[planner]: {exc}") from None
 
-    smc = dict(values["sim"])
-    initial = VehicleState(
-        x=smc.pop("initial_x_m"),
-        y=smc.pop("initial_y_m"),
-        psi=smc.pop("initial_psi_rad"),
-        delta=smc.pop("initial_delta_rad", 0.0),
-    )
     try:
+        kwargs = sim.field_values("sim", values["sim"])
+        initial = VehicleState(**{
+            name: kwargs.pop(name) for name in VehicleState._fields if name in kwargs
+        })
         scenario = Scenario(
             track=track,
             geometry=geometry,
             params=params,
             initial_state=initial,
-            **sim.field_values("sim", smc),
+            **kwargs,
         )
     except ValueError as exc:
         raise ScenarioValidationError(f"[sim]: {exc}") from None
 
-    config = OutputConfig(**values.get("output", {}))
-    return scenario, config
+    return scenario, values.get("output", {}).get("emit_svg", False)
 
 
-def load(path: str, overrides: list[str] | None = None) -> tuple[Scenario, OutputConfig]:
+def load(path: str, overrides: list[str] | None = None) -> tuple[Scenario, bool]:
+    """The scenario of a file, with overrides applied, and whether its run
+    draws an SVG ([output] emit_svg, false by default)."""
     sections = parse_file(path)
     if overrides:
         sections = apply_overrides(sections, overrides)

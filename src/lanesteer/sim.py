@@ -315,6 +315,11 @@ _SIM_KEYS = {
     "control_divisor": "control_divisor",
     "abort_time_s": "abort_time",
     "lane_change_offset_m": "lane_change_offset",
+    # the fields of Scenario.initial_state
+    "initial_x_m": "x",
+    "initial_y_m": "y",
+    "initial_psi_rad": "psi",
+    "initial_delta_rad": "delta",
 }
 
 
@@ -322,7 +327,8 @@ _TABLES = {"planner": _PLANNER_KEYS, "vehicle": _VEHICLE_KEYS, "sim": _SIM_KEYS}
 
 
 def field_values(section: str, values: dict[str, float]) -> dict:
-    """Constructor keyword arguments for one section's scenario-file keys.
+    """Constructor keyword arguments for one section's scenario-file keys;
+    [sim]'s initial-state keys give fields of Scenario.initial_state.
 
     Besides the renaming, the one conversion is of an integral control
     divisor such as 2.0 to the int that Scenario requires; every range is
@@ -346,7 +352,7 @@ def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
     """New scenario with one dotted-key parameter replaced.
 
     Keys use the scenario-file vocabulary (units in the name), e.g.
-    planner.k_per_m, vehicle.l_f_m, sim.duration_s.
+    planner.k_per_m, vehicle.l_f_m, sim.duration_s, sim.initial_y_m.
     """
     section, _, name = key.partition(".")
     if section not in _TABLES:
@@ -357,6 +363,10 @@ def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
     if section == "vehicle":
         return scenario._replace(
             geometry=dataclasses.replace(scenario.geometry, **kwargs)
+        )
+    if _SIM_KEYS[name] in VehicleState._fields:
+        return scenario._replace(
+            initial_state=scenario.initial_state._replace(**kwargs)
         )
     return scenario._replace(**kwargs)
 

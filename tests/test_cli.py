@@ -209,6 +209,43 @@ class TestSweep:
         assert by_k[0.5] == 0
         assert by_k[1.5] >= 1
 
+    def test_initial_state_grid_matches_run(self, tmp_path):
+        # the starting pose is a grid key, as it is a file and --set key;
+        # each row reads as the metrics file of the same run
+        out = tmp_path / "sweep"
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--grid", "sim.initial_y_m=0,0.5", "--out", str(out),
+        ])
+        assert code == 0
+        lines = (out / "lane_change_k10_sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","), strict=True)) for line in lines[1:]]
+        assert [row["sim.initial_y_m"] for row in rows] == ["0.0", "0.5"]
+        for row in rows:
+            value = row.pop("sim.initial_y_m")
+            run_out = tmp_path / f"run_{value}"
+            code = run_cli([
+                "run", "--scenario", scenario_path("lane_change_k10.scenario"),
+                "--set", f"sim.initial_y_m={value}", "--out", str(run_out),
+            ])
+            assert code == 0
+            text = (run_out / "lane_change_k10_metrics.txt").read_text()
+            assert dict(line.split(" = ") for line in text.splitlines()) == row
+        assert rows[1]["peak_abs_dtheta"] == "0.7830025013171495"
+
+    def test_nan_initial_state_grid_is_validation_error(self, tmp_path, capsys):
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--grid", "sim.initial_x_m=nan",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "validation error: sim.initial_x_m = nan: initial state must be finite\n"
+        )
+
     def test_duplicate_axis_values_rejected(self, tmp_path):
         code = run_cli([
             "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
@@ -529,6 +566,33 @@ class TestUsage:
         assert scripts == {"lanesteer": "lanesteer.cli:main"}
         module, _, attr = scripts["lanesteer"].partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+    def test_every_public_name_is_used_in_the_package(self):
+        # a module-level public function or class that no other statement of
+        # the package names is called only from outside it, by tests at most
+        defined, used = [], {}
+        for path in glob.glob(os.path.join(os.path.dirname(cli.__file__), "*.py")):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for statement in tree.body:
+                if (isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+                        and not statement.name.startswith("_")):
+                    defined.append((statement.name, statement))
+                for node in ast.walk(statement):
+                    if isinstance(node, ast.Name):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    elif isinstance(node, ast.alias):
+                        name = node.name
+                    else:
+                        continue
+                    used.setdefault(name, []).append(statement)
+        unused = sorted(
+            name for name, statement in defined
+            if all(s is statement for s in used.get(name, ()))
+        )
+        assert unused == []
 
     def test_runtime_imports_only_the_standard_library(self):
         # pyproject.toml declares `dependencies = []`

@@ -7,7 +7,6 @@ import pytest
 from lanesteer import cli, scenario_io, sim
 from lanesteer.errors import ScenarioValidationError
 from lanesteer.control import PlannerParams
-from lanesteer.scenario_io import OutputConfig
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
 LANE_CHANGE = os.path.join(cli.SCENARIOS_DIR, "lane_change_k10.scenario")
@@ -39,13 +38,14 @@ class TestValidate:
     def test_absent_keys_take_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "minimal.scenario"
         path.write_text(MINIMAL)
-        scenario, output = scenario_io.load(str(path))
+        scenario, emit_svg = scenario_io.load(str(path))
         assert scenario.geometry == VehicleGeometry(l_f=1.4, l_r=1.6)
         assert scenario.params == PlannerParams(k=0.5, lam=1.0)
         assert scenario.initial_state == VehicleState(1.0, 2.0, 0.1, 0.0)
         for name, default in sim.Scenario._field_defaults.items():
             assert getattr(scenario, name) == default, name
-        assert output == OutputConfig()
+        # no [output] section
+        assert emit_svg is False
 
     @pytest.mark.parametrize("section, key", [
         ("vehicle", "l_f_m"), ("vehicle", "l_r_m"),
@@ -63,7 +63,7 @@ class TestValidate:
             scenario_io.load(str(path))
 
     def test_every_optional_key_reaches_its_field(self):
-        scenario, output = scenario_io.load(LANE_CHANGE, [
+        scenario, emit_svg = scenario_io.load(LANE_CHANGE, [
             "vehicle.delta_max_rad=0.5",
             "vehicle.u_max_rad_per_s=0.7",
             "planner.alpha=0.25",
@@ -83,7 +83,16 @@ class TestValidate:
         assert (scenario.h, scenario.control_divisor) == (0.002, 5)
         assert (scenario.abort_time, scenario.lane_change_offset) == (3.0, 3.0)
         assert scenario.initial_state.delta == 0.05
-        assert output == OutputConfig(False)
+        assert emit_svg is False
+
+    @pytest.mark.parametrize("stem", [
+        "lane_change_k05", "lane_change_k10", "lane_change_k15",
+    ])
+    def test_bundled_lane_changes_emit_svg(self, stem):
+        _, emit_svg = scenario_io.load(
+            os.path.join(cli.SCENARIOS_DIR, f"{stem}.scenario")
+        )
+        assert emit_svg is True
 
 
 OVERRIDE_KEYS = [

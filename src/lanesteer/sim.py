@@ -165,7 +165,14 @@ def run(scenario: Scenario) -> RunRecord:
     # looked up per run, not at import, so that a wrapped or patched
     # plan_step or vehicle.step still sees every call
     plan_step, step = ctl.plan_step, veh.step
-    target_at = scenario.target_at
+    # target_at(i * period) with its comparison made once per run: the target
+    # swaps back to the track at the first period i with i * period >=
+    # abort_time, if any
+    target = scenario._target
+    swap = n_periods + 1
+    abort = scenario.abort_time
+    if abort is not None:
+        swap = next((i for i in range(swap) if i * period >= abort), swap)
     substeps = range(scenario.control_divisor)
     samples: list[Sample] = []
     kappa_n: list[float] = []
@@ -173,9 +180,11 @@ def run(scenario: Scenario) -> RunRecord:
     try:
         for i in range(n_periods + 1):
             t = i * period
+            if i == swap:
+                target = scenario.track
             # ControlSample's fields, in order
             (e, theta_n, theta_f, delta_theta, lateral, v, u_s, u_c, u, kn, beta,
-             theta_v, kappa_e) = plan_step(target_at(t), geom, state, params)
+             theta_v, kappa_e) = plan_step(target, geom, state, params)
             x, y, psi, delta = state
             samples.append(_tuple_new(Sample, (
                 t, x, y, psi, delta, beta, theta_v, theta_n, theta_f, e, lateral,
@@ -257,20 +266,23 @@ def metrics_from_samples(
             saturation_fraction=math.nan,
         )
     v_s = scenario.params.v_s
-    dthetas, dtheta_dots, laterals, rates = [], [], [], []
+    dthetas, dtheta_dots, laterals, rates, kappas = [], [], [], [], []
     saturated = 0
     for row, kn in zip(samples, kappa_n, strict=True):
-        dtheta = wrap_angle(row.theta_v - row.theta_n)
-        dthetas.append(dtheta)
+        # Sample's fields, in order
+        (_, _, _, _, _, _, theta_v, theta_n, _, _, lateral, rate, u_s, u_c,
+         u_applied, v, kappa_e) = row
+        dthetas.append(wrap_angle(theta_v - theta_n))
         # theta_dot_n = v_s * kappa_n since the shadow advances at v_s
-        dtheta_dots.append(row.kappa_e_inst * row.v - v_s * kn)
-        laterals.append(row.d_lateral)
-        rates.append(row.d_lateral_rate)
-        if abs((row.u_s + row.u_c) - row.u_applied) > 1e-12:
+        dtheta_dots.append(kappa_e * v - v_s * kn)
+        laterals.append(lateral)
+        rates.append(rate)
+        kappas.append(kappa_e)
+        if abs((u_s + u_c) - u_applied) > 1e-12:
             saturated += 1
 
     steady_lat, conv_lat = _steady_window_mean(laterals)
-    steady_kap, conv_kap = _steady_window_mean([r.kappa_e_inst for r in samples])
+    steady_kap, conv_kap = _steady_window_mean(kappas)
 
     steady_val = laterals[-1]
     threshold = max(0.01 * abs(laterals[0]), 1e-9)
@@ -283,8 +295,8 @@ def metrics_from_samples(
     settle_time = samples[settle_idx].t
 
     return RunMetrics(
-        peak_abs_dtheta=max(abs(d) for d in dthetas),
-        peak_abs_dtheta_dot=max(abs(d) for d in dtheta_dots),
+        peak_abs_dtheta=max(map(abs, dthetas)),
+        peak_abs_dtheta_dot=max(map(abs, dtheta_dots)),
         final_lateral=final_lateral,
         settle_time=settle_time,
         lateral_rate_sign_changes=_count_sign_changes(rates),

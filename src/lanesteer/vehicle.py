@@ -7,7 +7,7 @@ slip angle beta is always derived from delta, never stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import atan, cos, isfinite, pi, remainder, sin, tan, tau
 from typing import NamedTuple
 
@@ -22,13 +22,18 @@ class VehicleGeometry:
     l_r: float
     delta_max: float = 0.6  # rad
     u_max: float = 1.0  # rad/s
+    # l_r / (l_f + l_r), derived once; init=False so that
+    # dataclasses.replace recomputes it
+    ratio: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.l_f < math.inf and 0 < self.l_r < math.inf):
             raise ValueError("axle distances must be positive and finite")
+        ratio = self.l_r / (self.l_f + self.l_r)
         # a ratio that underflows to 0 zeroes the steering gain
-        if not self.l_r / (self.l_f + self.l_r) > 0:
+        if not ratio > 0:
             raise ValueError("axle ratio l_r / (l_f + l_r) must be positive")
+        object.__setattr__(self, "ratio", ratio)
         if not (0 < self.delta_max < math.pi / 2):
             raise ValueError("delta_max must be in (0, pi/2)")
         if not 0 < self.u_max < math.inf:
@@ -61,7 +66,7 @@ def slip_and_gain(geom: VehicleGeometry, delta: float) -> tuple[float, float]:
     l_r = geom.l_r
     wheelbase = geom.l_f + l_r
     t = l_r * tan(delta) / wheelbase
-    return atan(t), (l_r / wheelbase) / ((1.0 + t * t) * cos(delta) ** 2)
+    return atan(t), geom.ratio / ((1.0 + t * t) * cos(delta) ** 2)
 
 
 def step(
@@ -78,13 +83,13 @@ def step(
     if h <= 0:
         raise ValueError("step size must be positive")
     x0, y0, psi0, d0 = state
-    l_r = geom.l_r
-    ratio = l_r / (geom.l_f + l_r)
-    v_lr = v / l_r
+    ratio = geom.ratio
+    v_lr = v / geom.l_r
+    hh = 0.5 * h
 
     # slip_and_gain's domain check, written out per stage: a call costs
     # about as much as the stage's arithmetic
-    d_mid = d0 + 0.5 * h * u
+    d_mid = d0 + hh * u
     d_end = d0 + h * u
     if not abs(d0) < _HALF_PI:
         raise SteeringDomainError(f"front-wheel angle {d0} outside (-pi/2, pi/2)")
@@ -102,9 +107,9 @@ def step(
 
         beta = atan(ratio * tan(d_mid))
         ap_mid = v_lr * sin(beta)
-        heading = psi0 + 0.5 * h * ap1 + beta
+        heading = psi0 + hh * ap1 + beta
         ax2, ay2 = v * cos(heading), v * sin(heading)
-        heading = psi0 + 0.5 * h * ap_mid + beta
+        heading = psi0 + hh * ap_mid + beta
         ax3, ay3 = v * cos(heading), v * sin(heading)
 
         beta = atan(ratio * tan(d_end))

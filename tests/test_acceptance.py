@@ -415,6 +415,26 @@ def test_bundled_scenario_csv_digests(lane_change_trio, corner_records, tmp_path
         assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_SHA256[stem], stem
 
 
+# the SHA-256 of repr(record.metrics) of each bundled scenario: the CSV
+# digests hold the samples, these what metrics_from_samples makes of them
+METRICS_SHA256 = {
+    "corner_onepoint": "fd7312b1a4198d9d95aa54ee2a47cf8e801a6770daa1d9f64b27e7cab7d0cfd4",
+    "corner_twopoint": "ba0ce2dc211207b67d41218ad0aa770f2ad24e7a2f5183b738c0634dc0b51a2c",
+    "lane_change_k05": "cd8403d78d4c1223c9a42d1413763cfd5e84c3662a802ba0267f395c4ca0196d",
+    "lane_change_k10": "978e1c4ffa0c4c9bb56234913a0a69e495ba19daf994693d7ab019bf38a6233c",
+    "lane_change_k15": "3a7e03a1c24a69a2db49bdb1a8782190402f518129d811798ad5aec87423b68f",
+}
+
+
+def test_bundled_scenario_metrics_digests(lane_change_trio, corner_records):
+    records = {stem: lane_change_trio[k][0] for k, stem in LANE_CHANGE_FILES.items()}
+    records["corner_twopoint"], records["corner_onepoint"] = corner_records
+    assert records.keys() == METRICS_SHA256.keys()
+    for stem, record in records.items():
+        digest = hashlib.sha256(repr(record.metrics).encode()).hexdigest()
+        assert digest == METRICS_SHA256[stem], stem
+
+
 def test_criterion_10_feasibility_fixture(capsys):
     with open(FIXTURE) as fh:
         fx = json.load(fh)

@@ -1,5 +1,6 @@
 import copy
 import csv
+import hashlib
 import inspect
 import itertools
 import math
@@ -474,6 +475,64 @@ class TestRunAbort:
         record = sim.run(lane_change_scenario(duration=15.0, abort_time=2.0))
         assert record.completed
         assert abs(record.metrics.final_lateral) < 0.05
+
+    # SHA-256 of repr(samples) and repr(metrics) of lane_change_k10 with
+    # sim.abort_time_s at 0, on a period boundary, between periods and past
+    # the peak: the bundled CSVs have no abort, so these hold the swap to
+    # the last bit
+    ABORT_SHA256 = {
+        0.0: ("9e042075e54e11650e51ec2d64525d45c464aba1ca66b174ba9ef391e62209ed",
+              "cd851d77b77550e76f9dfe7cdd916348d580acec7e5a612c392af06e3cb66ea0"),
+        2.0: ("9c25081ea1ec9c81fb0950a3ab525d95ca30da36bc2609149b802126d6ade1b5",
+              "ebb3e8873c294d92ae344f1bcc27055630e121e0380cdb2b9a37042985678b87"),
+        2.005: ("bf59815b5681e91fb69a57dd0be31e9afe58c5aa9b352d3a927a4bff59329d9a",
+                "3f088eeb26fad29ee3800ae6a592a0a5b4170cef51e154c6d312c22c44f00d96"),
+        3.3: ("e7a0b85b6923223c1bf4092aee4866051efbd29e14d00e0ab8ec726db0ed8e6f",
+              "4c93eb63521887a5a7148ad942514611ce3a87fc42e60501c37f0482e86c683b"),
+    }
+
+    @pytest.mark.parametrize("abort_time", sorted(ABORT_SHA256))
+    def test_abort_run_digest(self, abort_time):
+        sc = sim.apply_override(bundled("lane_change_k10"), "sim.abort_time_s", abort_time)
+        record = sim.run(sc)
+        digests = tuple(hashlib.sha256(repr(x).encode()).hexdigest()
+                        for x in (record.samples, record.metrics))
+        assert digests == self.ABORT_SHA256[abort_time]
+
+    # swap is the first period i with i * period >= abort_time, or the
+    # sample count where there is none; the abort times lie on a rounded
+    # product i * period, one ulp to either side of one, or between two
+    @pytest.mark.parametrize("duration, h, divisor, abort_time, swap", [
+        (10.0, 1e-3, 10, 0.0, 0),
+        (10.0, 1e-3, 10, 2.0, 200),
+        (10.0, 1e-3, 10, 2.005, 201),
+        (10.0, 1e-3, 10, 3.3, 330),
+        (10.0, 1e-3, 10, 0.07, 7),
+        (10.0, 1e-3, 10, 0.030000000000000002, 4),
+        (1.0, 0.1, 1, 0.30000000000000004, 3),
+        (1.0, 0.1, 1, 0.9000000000000001, 10),
+        (1.0, 0.1, 1, math.nextafter(1.0, 0.0), 10),
+        # 3 * period = 0.30000000000000004 lies below both
+        (0.30000000000000016, 0.1, 1, 0.3000000000000001, 4),
+    ])
+    def test_target_swaps_where_target_at_does(self, monkeypatch, duration, h,
+                                               divisor, abort_time, swap):
+        targets = []
+        plan_step = ctl.plan_step
+
+        def recording(target, *args):
+            targets.append(target)
+            return plan_step(target, *args)
+
+        monkeypatch.setattr(ctl, "plan_step", recording)
+        sc = lane_change_scenario(duration=duration, h=h, control_divisor=divisor,
+                                  abort_time=abort_time)
+        record = sim.run(sc)
+        assert record.completed
+        assert len(targets) == len(record.samples)
+        assert [t is sc.target_at(s.t) for t, s in zip(targets, record.samples)] == [
+            True] * len(targets)
+        assert [t is sc.track for t in targets] == [i >= swap for i in range(len(targets))]
 
 
 class TestRunCorner:

@@ -1,12 +1,16 @@
+import dataclasses
+import inspect
 import math
 import re
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from lanesteer import sim
 from lanesteer import vehicle as veh
+from lanesteer.control import PlannerParams
 from lanesteer.errors import NumericBlowupError, SteeringDomainError
-from lanesteer.refline import wrap_angle
+from lanesteer.refline import ReferenceLine, wrap_angle
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
 GEOM = VehicleGeometry(l_f=1.2, l_r=1.6)
@@ -178,6 +182,35 @@ class TestGeometryValidation:
     def test_delta_max_range(self):
         with pytest.raises(ValueError):
             VehicleGeometry(l_f=1.0, l_r=1.0, delta_max=2.0)
+
+    @pytest.mark.parametrize("l_f, l_r", [
+        (1.2, 1.6), (1.5, 1.5), (0.1, 3.0), (1e10, 1e-300), (1e-300, 1e10),
+        (5e-324, 5e-324), (1.7976931348623157e308, 1.0),
+    ])
+    def test_ratio_is_the_axle_ratio(self, l_f, l_r):
+        geom = VehicleGeometry(l_f=l_f, l_r=l_r)
+        assert geom.ratio.hex() == (l_r / (l_f + l_r)).hex()
+
+    def test_ratio_follows_replace_and_override(self):
+        moved = dataclasses.replace(GEOM, l_r=2.0)
+        assert moved.ratio.hex() == (2.0 / (1.2 + 2.0)).hex()
+        sc = sim.Scenario(
+            track=ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 50.0)]),
+            geometry=GEOM, params=PlannerParams(k=0.5, lam=1.0),
+            initial_state=VehicleState(0.0, 0.0, 0.0), duration=1.0,
+        )
+        sc = sim.apply_override(sc, "vehicle.l_r_m", 2.0)
+        assert sc.geometry.ratio.hex() == (2.0 / (1.2 + 2.0)).hex()
+
+    def test_ratio_outside_equality_hash_repr_and_signature(self):
+        other = VehicleGeometry(l_f=1.2, l_r=1.6)
+        object.__setattr__(other, "ratio", 0.25)
+        assert other == GEOM and hash(other) == hash(GEOM)
+        assert repr(other) == repr(GEOM) and "ratio" not in repr(GEOM)
+        # scenario_io derives the [vehicle] keys from this signature
+        assert list(inspect.signature(VehicleGeometry).parameters) == [
+            "l_f", "l_r", "delta_max", "u_max"
+        ]
 
 
 def textbook_rk4(geom, state, v, u, h):

@@ -9,8 +9,8 @@ Exit codes, each mapped once in `main` from the failure's type: 0 success;
 directory (`OSError`) or a closed stdout; 2 validation error
 (`ScenarioValidationError`); 3 run failure (any other `PlannerError`, or a
 run that ended failed); 4 empty feasible set.  A subcommand maps a failure
-itself only where it differs: `sweep`'s grid values (2), `feasibility`'s
-inputs (1), and a bundled file that `figures` cannot load (3).
+itself only where it differs: `feasibility`'s inputs (1), and a bundled
+file that `figures` cannot load (3).
 """
 
 from __future__ import annotations
@@ -103,13 +103,7 @@ def _parse_grid(items: list[str]) -> dict[str, list[float]]:
 def cmd_sweep(args) -> int:
     axes = _parse_grid(args.grid)
     scenario, _ = scenario_io.load(args.scenario, args.set or [])
-    try:
-        results = sim.sweep(scenario, axes)
-    except (ValueError, KeyError) as exc:
-        # the message itself: str() of a KeyError is its repr, in quotes
-        print(f"validation error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    results = sim.sweep(scenario, axes)
     keys = sorted(axes)
     path = os.path.join(args.out, f"{_scenario_stem(args.scenario)}_sweep.csv")
     completed = []

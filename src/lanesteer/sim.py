@@ -18,7 +18,7 @@ from typing import Iterator, NamedTuple
 from . import control as ctl
 from . import vehicle as veh
 from .control import PlannerParams
-from .errors import PlannerError
+from .errors import PlannerError, ScenarioValidationError
 from .refline import ReferenceLine, wrap_angle
 from .vehicle import VehicleGeometry, VehicleState
 
@@ -123,9 +123,6 @@ class Sample(NamedTuple):
     u_applied: float
     v: float
     kappa_e_inst: float
-
-
-CSV_COLUMNS = Sample._fields
 
 
 class RunMetrics(NamedTuple):
@@ -389,18 +386,19 @@ def sweep(
     """Independent runs over the cartesian product of the axis values.
 
     Results are keyed and ordered by the grid coordinates.  Every grid
-    point's scenario is built on the call, so an invalid value anywhere in
-    the grid raises before any simulation; its ValueError names the key and
-    value.  The returned iterator runs each point as it is reached; a failed
-    run is recorded in its RunRecord and the sweep continues.
+    point's scenario is built on the call, so any rejected grid raises
+    ScenarioValidationError before any simulation; an invalid value's
+    message names the key and value.  The returned iterator runs each point
+    as it is reached; a failed run is recorded in its RunRecord and the
+    sweep continues.
     """
     if not axes:
-        raise ValueError("sweep needs at least one axis")
+        raise ScenarioValidationError("sweep needs at least one axis")
     for key, values in axes.items():
         if not values:
-            raise ValueError(f"axis {key!r} has no values")
+            raise ScenarioValidationError(f"axis {key!r} has no values")
         if len(set(values)) != len(values):
-            raise ValueError(f"axis {key!r} has duplicate values")
+            raise ScenarioValidationError(f"axis {key!r} has duplicate values")
     keys = sorted(axes)
     points = []
     for combo in itertools.product(*(axes[k] for k in keys)):
@@ -409,8 +407,11 @@ def sweep(
         for key, value in overrides.items():
             try:
                 sc = apply_override(sc, key, value)
+            except KeyError as exc:
+                # the message itself: str() of a KeyError is its repr, in quotes
+                raise ScenarioValidationError(exc.args[0]) from None
             except ValueError as exc:
-                raise ValueError(f"{key} = {value!r}: {exc}") from None
+                raise ScenarioValidationError(f"{key} = {value!r}: {exc}") from None
         points.append((overrides, sc))
     return ((overrides, run(sc)) for overrides, sc in points)
 
@@ -423,5 +424,5 @@ def write_csv(path, samples) -> None:
     needs quoting, and every row ends in CRLF.
     """
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.write(",".join(Sample._fields) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in samples)

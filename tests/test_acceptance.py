@@ -507,6 +507,48 @@ def test_criterion_12_lqr_optimality():
              + ", ".join(f"{k}: {c / optimum:.6f}" for k, c in costs.items()))
 
 
+def test_criterion_13_lane_change_on_a_curve():
+    # An offset d (+ toward the center) on the R = 100 m corner targets the
+    # concentric circle of curvature kappa' = kappa0 / (1 - d kappa0).  The
+    # two-point runs take the file's 300 s: over 150 s their steady window
+    # matches the kappa' prediction only to 4e-6.  The one-point runs are
+    # held to their peak, at t = 5.8 s, so 60 s is enough.
+    # The peaks not bounded: the two-point run starts on the lane center, not
+    # where it settles, about 0.7 m inside its target, so its initial error is not
+    # -k d, and its peaks (0.2487 inward, 0.1715 outward) lie 18 % either side
+    # of the closed form's 0.2100.  At +-10 m the one-point peak nears 0.6 rad,
+    # beyond the linearized loop: 0.5589 (-6.8 %) and 0.5962 on the curve, and
+    # 0.5786 (-3.6 %) either way on a straight lane.
+    kappa0 = 0.01
+    two_point, one_point = bundled("corner_twopoint"), bundled("corner_onepoint")
+    ok, details = True, []
+    for d in (3.5, -3.5):
+        record = sim.run(two_point._replace(lane_change_offset=d))
+        m = record.metrics
+        assert record.completed and m.steady_converged
+        assert m.saturation_fraction == 0.0
+        p = two_point.params
+        curved = analysis.predict_steady_lateral(p, kappa0 / (1.0 - d * kappa0))
+        miss = abs(m.steady_lateral / curved - 1.0)
+        # the prediction on the lane's own curvature misses by about 3.5 %
+        flat = analysis.predict_steady_lateral(p, kappa0)
+        miss_kappa0 = abs(m.steady_lateral / flat - 1.0)
+
+        record = sim.run(one_point._replace(lane_change_offset=d, duration=60.0))
+        assert record.completed and record.metrics.saturation_fraction == 0.0
+        p = one_point.params
+        peak = record.metrics.peak_abs_dtheta
+        closed = oracle.predict_lane_change(-p.k * d, p.lam, p.lambda0).peak_dtheta
+        ok = ok and miss < 1e-6 < miss_kappa0 and abs(peak - closed) < 0.03 * closed
+        details.append(
+            f"d={d}: steady lateral {m.steady_lateral:.5f}, miss {miss:.1e} "
+            f"(kappa0: {miss_kappa0:.1e}); one-point peak {peak:.4f} vs {closed:.4f}"
+        )
+    conclude(13, ok, "a lane change either way on the corner settles at the "
+                     "target's steady offset and peaks as on a straight lane",
+             "; ".join(details))
+
+
 def _fixture_params(k, lambda0, gamma=None):
     """Planner parameters of one feasibility grid point, built as
     `find_feasible` builds them at the fixture's v and alpha; the one-point

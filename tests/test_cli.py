@@ -273,6 +273,18 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == "validation error: unknown planner parameter 'bogus'\n"
 
+    def test_track_key_is_not_a_grid_key(self, tmp_path, capsys):
+        # a file and --set take the [track] start pose; --grid does not
+        out = tmp_path / "o"
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--grid", "track.start_heading_rad=0,0.1", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "validation error: unknown override section 'track'\n"
+        assert not out.exists()
+
     def test_safety_limit_is_not_a_grid_key(self, tmp_path, capsys):
         code = run_cli([
             "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),

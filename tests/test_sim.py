@@ -580,6 +580,22 @@ FINITE_KEYS = [
 ]
 
 
+# every kind of grid that sim.sweep rejects, with its message
+SWEEP_REJECTIONS = [
+    ({}, "sweep needs at least one axis"),
+    ({"planner.k_per_m": []}, "axis 'planner.k_per_m' has no values"),
+    ({"planner.k_per_m": [0.5, 0.5]}, "axis 'planner.k_per_m' has duplicate values"),
+    ({"track.start_heading_rad": [0.0, 0.1]}, "unknown override section 'track'"),
+    ({"planner.bogus": [1.0]}, "unknown planner parameter 'bogus'"),
+    ({"planner.k_per_m": [0.5, -1.0]},
+     "planner.k_per_m = -1.0: k must be positive and finite"),
+    ({"sim.control_divisor": [2.5]},
+     "sim.control_divisor = 2.5: control divisor 2.5 is not an integer"),
+    ({"sim.lane_change_offset_m": [1e3]},
+     "sim.lane_change_offset_m = 1000.0: parallel offset collapses an arc segment"),
+]
+
+
 class TestSweep:
     def test_singleton_matches_run(self):
         sc = lane_change_scenario(duration=3.0)
@@ -603,6 +619,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             sim.sweep(lane_change_scenario(), {"planner.k_per_m": [0.5, 0.7, math.nan]})
         assert len(runs) == 0
+
+    @pytest.mark.parametrize("axes, message", SWEEP_REJECTIONS)
+    def test_rejected_grid_message(self, axes, message):
+        # on an arc, so that an offset can collapse it
+        arc = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("arc", 100.0, 0.01)])
+        with pytest.raises(errors.ScenarioValidationError) as info:
+            sim.sweep(lane_change_scenario()._replace(track=arc), axes)
+        assert type(info.value) is errors.ScenarioValidationError
+        assert info.value.args == (message,)
 
     def test_override_unknown_key(self):
         with pytest.raises(KeyError):
@@ -685,7 +710,7 @@ def csv_module_bytes(path, rows):
     """The run CSV as the csv module's default writer emits it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(sim.CSV_COLUMNS)
+        writer.writerow(sim.Sample._fields)
         writer.writerows(rows)
     return path.read_bytes()
 
@@ -693,7 +718,7 @@ def csv_module_bytes(path, rows):
 class TestCsv:
     def test_bytes_match_csv_module_on_special_floats(self, tmp_path):
         values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1]
-        n = len(sim.CSV_COLUMNS)
+        n = len(sim.Sample._fields)
         rows = [sim.Sample(*(values[(i + j) % len(values)] for j in range(n)))
                 for i in range(len(values))]
         sim.write_csv(tmp_path / "run.csv", rows)

@@ -64,16 +64,16 @@ def cmd_run(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     record = sim.run(scenario)
     sim.write_csv(os.path.join(args.out, f"{stem}.csv"), record.samples)
+    metrics = "\n".join(_metrics_lines(record)) + "\n"
     with open(os.path.join(args.out, f"{stem}_metrics.txt"), "w") as fh:
-        fh.write("\n".join(_metrics_lines(record)) + "\n")
+        fh.write(metrics)
     if emit_svg and record.samples:
         series = [(stem, [(s.t, s.d_lateral) for s in record.samples])]
         svg = svgplot.line_chart(series, stem, "t [s]", "lateral deviation [m]")
         with open(os.path.join(args.out, f"{stem}.svg"), "w") as fh:
             fh.write(svg)
 
-    for line in _metrics_lines(record):
-        print(line)
+    print(metrics, end="")
     if not record.completed:
         print(f"run failed: {record.failure_reason}", file=sys.stderr)
         return EXIT_RUN_FAILURE

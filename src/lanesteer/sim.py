@@ -49,10 +49,10 @@ class Scenario(_ScenarioFields):
     """A track, a vehicle and planner parameters, and how long to run them.
 
     A 9-tuple whose one constructor checks every field, so that `_make`,
-    `_replace`, copies and unpickling validate too.  It also builds the
-    target before abort_time (the offset line, or the track itself) once,
-    and keeps it in the instance's __dict__, outside ==, hash and repr.
+    `_replace`, copies and unpickling validate too.
     """
+
+    __slots__ = ()
 
     # repeats the defaults of _ScenarioFields, whose __new__ this replaces
     def __new__(cls, track, geometry, params, initial_state, duration, h=1e-3,
@@ -83,23 +83,15 @@ class Scenario(_ScenarioFields):
                 raise ValueError("abort_time requires a lane-change offset")
             if not 0 <= abort_time < duration:
                 raise ValueError("abort_time must lie in [0, duration)")
-        self = _tuple_new(cls, (track, geometry, params, initial_state, duration,
+        if lane_change_offset is not None:
+            # only to reject an offset that collapses an arc; run builds its own
+            track.parallel_offset(lane_change_offset)
+        return _tuple_new(cls, (track, geometry, params, initial_state, duration,
                                 h, control_divisor, lane_change_offset, abort_time))
-        self._target = (
-            track if lane_change_offset is None
-            else track.parallel_offset(lane_change_offset)
-        )
-        return self
 
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-    def target_at(self, t: float) -> ReferenceLine:
-        """Track the controller follows at time t."""
-        if self.abort_time is not None and t >= self.abort_time:
-            return self.track
-        return self._target
 
 
 class Sample(NamedTuple):
@@ -162,10 +154,10 @@ def run(scenario: Scenario) -> RunRecord:
     # looked up per run, not at import, so that a wrapped or patched
     # plan_step or vehicle.step still sees every call
     plan_step, step = ctl.plan_step, veh.step
-    # target_at(i * period) with its comparison made once per run: the target
-    # swaps back to the track at the first period i with i * period >=
-    # abort_time, if any
-    target = scenario._target
+    # a lane change follows the offset line until the first period i with
+    # i * period >= abort_time, if any, and the track from there on
+    track, offset = scenario.track, scenario.lane_change_offset
+    target = track if offset is None else track.parallel_offset(offset)
     swap = n_periods + 1
     abort = scenario.abort_time
     if abort is not None:
@@ -178,7 +170,7 @@ def run(scenario: Scenario) -> RunRecord:
         for i in range(n_periods + 1):
             t = i * period
             if i == swap:
-                target = scenario.track
+                target = track
             # ControlSample's fields, in order
             (e, theta_n, theta_f, delta_theta, lateral, v, u_s, u_c, u, kn, beta,
              theta_v, kappa_e) = plan_step(target, geom, state, params)
@@ -200,7 +192,7 @@ def run(scenario: Scenario) -> RunRecord:
     if samples:
         last = samples[-1]
         try:
-            final_lateral = -scenario.track.project((last.x, last.y)).signed_lateral
+            final_lateral = -track.project((last.x, last.y)).signed_lateral
         except PlannerError as exc:
             if reason is None:
                 reason = f"{type(exc).__name__}: {exc}"
@@ -215,8 +207,9 @@ def run(scenario: Scenario) -> RunRecord:
 
 def _steady_window_mean(values: list[float]) -> tuple[float, bool]:
     """Mean over the last 25% of samples, with a convergence certificate:
-    the last-25% and last-10% means must agree within 1% (relative to the
-    larger magnitude, absolute below 1e-9)."""
+    the last-25% and last-10% means must agree within 1% of the larger
+    magnitude, or within 1e-6 of the series' largest magnitude (and never
+    less than 1e-9) where the means are near zero."""
     n = len(values)
     if n < 8:
         return math.nan, False
@@ -225,7 +218,8 @@ def _steady_window_mean(values: list[float]) -> tuple[float, bool]:
     m25 = sum(w25) / len(w25)
     m10 = sum(w10) / len(w10)
     scale = max(abs(m25), abs(m10))
-    converged = abs(m25 - m10) <= max(_STEADY_AGREE_TOL * scale, 1e-9)
+    floor = max(1e-6 * max(map(abs, values)), 1e-9)
+    converged = abs(m25 - m10) <= max(_STEADY_AGREE_TOL * scale, floor)
     return m25, converged
 
 

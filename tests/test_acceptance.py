@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import transient as oracle
+from oracles.target import target_at
 
 from lanesteer import analysis, cli, scenario_io, sim
 from lanesteer import vehicle as veh
@@ -372,7 +373,7 @@ def test_criterion_09_property_suite(lane_change_trio, corner_records):
     records = [r for r, _ in lane_change_trio.values()] + list(corner_records)
     for record in records:
         for s in record.samples:
-            target = record.scenario.target_at(s.t)
+            target = target_at(record.scenario, s.t)
             res = target.project((s.x, s.y))
             r = (res.frame.position[0] - s.x, res.frame.position[1] - s.y)
             nx, ny = res.frame.normal

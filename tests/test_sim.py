@@ -7,6 +7,7 @@ import math
 import os
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from lanesteer.control import ControlSample, PlannerParams
 from lanesteer.errors import NumericBlowupError, StationRangeError
 from lanesteer.refline import FramePoint, ReferenceLine, ShadowResult
 from lanesteer.vehicle import VehicleGeometry, VehicleState
+from oracles.target import target_at
 
 GEOM = VehicleGeometry(l_f=1.5, l_r=1.5)
 
@@ -103,8 +105,8 @@ class TestScenarioValidation:
 
     def test_target_swaps_at_abort(self):
         sc = lane_change_scenario(abort_time=2.0)
-        before = sc.target_at(1.9).point_at(0.0).position
-        after = sc.target_at(2.0).point_at(0.0).position
+        before = target_at(sc, 1.9).point_at(0.0).position
+        after = target_at(sc, 2.0).point_at(0.0).position
         assert before == pytest.approx((0.0, 3.5))
         assert after == pytest.approx((0.0, 0.0))
 
@@ -112,19 +114,17 @@ class TestScenarioValidation:
         a = lane_change_scenario()
         b = sim.Scenario(*a)
         assert type(a) is sim.Scenario and len(a) == 9
-        # each builds its own target line, which no comparison sees
-        assert a.target_at(0.0) is not b.target_at(0.0)
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert a == tuple(a) and hash(a) == hash(tuple(a))
         assert repr(a) == "Scenario(" + ", ".join(
             f"{name}={value!r}" for name, value in zip(a._fields, a)) + ")"
         for q in (copy.copy(a), a._make(a), a._replace()):
             assert type(q) is sim.Scenario and q == a
-            assert q.target_at(0.0).point_at(0.0) == a.target_at(0.0).point_at(0.0)
+            assert target_at(q, 0.0).point_at(0.0) == target_at(a, 0.0).point_at(0.0)
         # the track compares by identity, so an unpickled copy differs there
         q = pickle.loads(pickle.dumps(a))
         assert type(q) is sim.Scenario and q[1:] == a[1:]
-        assert q.target_at(0.0).point_at(5.0) == a.target_at(0.0).point_at(5.0)
+        assert target_at(q, 0.0).point_at(5.0) == target_at(a, 0.0).point_at(5.0)
         # the constructor's signature carries the fields' defaults
         parameters = inspect.signature(sim.Scenario).parameters
         assert list(parameters) == list(sim.Scenario._fields)
@@ -135,11 +135,32 @@ class TestScenarioValidation:
     def test_replace_rebuilds_the_target_line(self):
         sc = lane_change_scenario()
         moved = sc._replace(lane_change_offset=-2.0)
-        assert moved.target_at(0.0).point_at(0.0).position == (0.0, -2.0)
-        assert sc.target_at(0.0).point_at(0.0).position == (0.0, 3.5)
-        assert sc._replace(lane_change_offset=None).target_at(0.0) is sc.track
+        assert target_at(moved, 0.0).point_at(0.0).position == (0.0, -2.0)
+        assert target_at(sc, 0.0).point_at(0.0).position == (0.0, 3.5)
+        assert target_at(sc._replace(lane_change_offset=None), 0.0) is sc.track
         track = straight_track(50.0)
-        assert sc._replace(track=track).target_at(0.0).total_length == 50.0
+        assert target_at(sc._replace(track=track), 0.0).total_length == 50.0
+
+    @pytest.mark.parametrize("stem", ["lane_change_k10", "corner_twopoint"])
+    def test_holds_no_per_instance_state(self, stem):
+        # the nine fields and nothing else: no __dict__ beside the tuple
+        sc = bundled(stem)
+        assert not hasattr(sc, "__dict__")
+        assert sys.getsizeof(sc) == sys.getsizeof(tuple(sc))
+
+    def test_replaced_offset_is_the_line_the_run_steers_to(self, monkeypatch):
+        lines = []
+        plan_step = ctl.plan_step
+
+        def recording(target, *args):
+            lines.append(target)
+            return plan_step(target, *args)
+
+        monkeypatch.setattr(ctl, "plan_step", recording)
+        sc = lane_change_scenario(duration=1.0)
+        assert sim.run(sc._replace(lane_change_offset=-2.0)).completed
+        assert len(lines) == 101
+        assert {line.point_at(0.0).position for line in lines} == {(0.0, -2.0)}
 
     @pytest.mark.parametrize("changes, name, value, message", [
         *[({}, "duration", bad, "duration must")
@@ -264,7 +285,7 @@ class TestRun:
         # the track, so every period runs; only the last sample's projection
         # onto the track, for final_lateral, fails
         sc = lane_change_scenario(duration=1.0)
-        assert sc.target_at(0.0) is not sc.track
+        assert target_at(sc, 0.0) is not sc.track
 
         def outside(position):
             raise StationRangeError("injected")
@@ -530,7 +551,10 @@ class TestRunAbort:
         record = sim.run(sc)
         assert record.completed
         assert len(targets) == len(record.samples)
-        assert [t is sc.target_at(s.t) for t, s in zip(targets, record.samples)] == [
+        # the oracle builds a new offset line on each call, equal to the run's
+        expected = [target_at(sc, s.t) for s in record.samples]
+        assert [t is sc.track for t in targets] == [t is sc.track for t in expected]
+        assert [t.segments == e.segments for t, e in zip(targets, expected)] == [
             True] * len(targets)
         assert [t is sc.track for t in targets] == [i >= swap for i in range(len(targets))]
 
@@ -550,6 +574,15 @@ class TestRunCorner:
         assert record.metrics.steady_converged
         assert record.metrics.steady_lateral == pytest.approx(expected, rel=0.05)
 
+    def test_lane_change_settled_near_zero_is_converged(self):
+        # the one-point run's steady lateral is 0; after 150 s it reads 2e-6 m,
+        # its window means differing by far less than 1e-6 of the 3.5 m peak
+        record = sim.run(
+            bundled("corner_onepoint")._replace(lane_change_offset=3.5, duration=150.0)
+        )
+        assert record.completed and record.metrics.steady_converged
+        assert abs(record.metrics.steady_lateral) < 1e-5
+
 
     def test_two_point_drives_from_line_into_arc(self):
         # the two-point planner tracks inside the lane, so it meets the arc
@@ -562,6 +595,22 @@ class TestRunCorner:
         assert record.completed, record.failure_reason
         assert record.samples[-1].t == pytest.approx(150.0)
         assert abs(record.metrics.final_lateral) < 0.05
+
+
+class TestSteadyWindowMean:
+    def test_decay_to_near_zero_is_converged(self):
+        # ends at 7e-9; the window means, 2e-7 and 2e-8, disagree by far more
+        # than 1 % but less than 1e-6 of the 3.5 peak
+        values = [3.5 * math.exp(-i / 50) for i in range(1000)]
+        mean, converged = sim._steady_window_mean(values)
+        assert converged
+        assert mean == pytest.approx(sum(values[750:]) / 250)
+
+    def test_still_moving_is_not_converged(self):
+        # a drift of 1e-4 of the peak across the window: the means differ by
+        # 7.5e-6, above 1 % of themselves and 1e-6 of the peak
+        values = [1.0] + [1e-4 * i / 1000 for i in range(1000)]
+        assert sim._steady_window_mean(values)[1] is False
 
 
 # override keys whose values must be finite: NaN and +inf are both rejected
@@ -745,7 +794,7 @@ class TestCsv:
             # re-projecting each row is the oracle for the curvature the run
             # hands over from plan_step
             kappa_n = [
-                sc.target_at(r.t).project((r.x, r.y)).frame.curvature for r in rows
+                target_at(sc, r.t).project((r.x, r.y)).frame.curvature for r in rows
             ]
             final_lateral = -sc.track.project((rows[-1].x, rows[-1].y)).signed_lateral
             again = sim.metrics_from_samples(sc, rows, kappa_n, final_lateral)

@@ -10,6 +10,7 @@ combining all of it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -84,6 +85,23 @@ def check_abort_safety(
     return _tuple_new(CheckResult, ("abort_safety", rows))
 
 
+def _corner_window(params: PlannerParams, kappa0: float, c3: float):
+    """The corner-cutting window at the parameters' own gamma: (gamma,
+    k_lower, k_upper, |steady lateral|, the four rows' verdicts in row
+    order).  `check_corner_cutting` and the gate of `find_feasible` both
+    read it, so each edge and comparison is written here alone."""
+    gamma = params.gamma
+    ak0 = abs(kappa0)
+    k_lower = ak0 * math.sqrt(1.0 + gamma)
+    # k < nan is False: no upper edge unless 0 < gamma < 1
+    k_upper = ak0 / math.sqrt(1.0 / gamma - 1.0) if 0 < gamma < 1 else math.nan
+    steady = abs(predict_steady_lateral(params, kappa0))
+    k = params.k
+    return gamma, k_lower, k_upper, steady, (
+        GAMMA_LOWER < gamma < 1.0, k_lower < k, k < k_upper, steady < c3,
+    )
+
+
 def check_corner_cutting(
     params: PlannerParams, kappa0: float, c3: float
 ) -> CheckResult:
@@ -98,19 +116,13 @@ def check_corner_cutting(
     """
     if kappa0 == 0:
         return _tuple_new(CheckResult, ("corner_cutting", ()))
-    gamma = params.gamma
-    ak0 = abs(kappa0)
-    k_lower = ak0 * math.sqrt(1.0 + gamma)
-    # k < nan is False: no upper edge unless 0 < gamma < 1
-    k_upper = ak0 / math.sqrt(1.0 / gamma - 1.0) if 0 < gamma < 1 else math.nan
-    steady = abs(predict_steady_lateral(params, kappa0))
+    gamma, k_lower, k_upper, steady, ok = _corner_window(params, kappa0, c3)
     k = params.k
     rows = (
-        _tuple_new(CheckRow, ("gamma_range", gamma, "in", GAMMA_LOWER,
-                              GAMMA_LOWER < gamma < 1.0)),
-        _tuple_new(CheckRow, ("k_above_lower", k_lower, "<", k, k_lower < k)),
-        _tuple_new(CheckRow, ("k_below_upper", k, "<", k_upper, k < k_upper)),
-        _tuple_new(CheckRow, ("steady_lateral_bound", steady, "<", c3, steady < c3)),
+        _tuple_new(CheckRow, ("gamma_range", gamma, "in", GAMMA_LOWER, ok[0])),
+        _tuple_new(CheckRow, ("k_above_lower", k_lower, "<", k, ok[1])),
+        _tuple_new(CheckRow, ("k_below_upper", k, "<", k_upper, ok[2])),
+        _tuple_new(CheckRow, ("steady_lateral_bound", steady, "<", c3, ok[3])),
     )
     return _tuple_new(CheckResult, ("corner_cutting", rows))
 
@@ -124,10 +136,19 @@ def predict_curvature_ratio(params: PlannerParams, kappa0: float) -> float:
     ratio of a run, which is v_s/v itself (the vehicle then drives a
     concentric circle of curvature kappa0 / (1 + d*kappa0) at the steady
     offset d of `predict_steady_lateral`).
+
+    Raises ValueError where the denominator vanishes, is not finite, or
+    overflows: kappa0^2 does for |kappa0| above about 1.3e154.
     """
-    denom = 1.0 - params.alpha * params.delta_d0 * kappa0 ** 2 / params.k
-    if abs(denom) < 1e-12:
-        raise ValueError("speed-ratio denominator vanishes for these parameters")
+    try:
+        denom = 1.0 - params.alpha * params.delta_d0 * kappa0 ** 2 / params.k
+    except OverflowError:
+        denom = math.inf
+    # written so that NaN fails it; an infinite denominator makes v_s/v 0
+    if not 1e-12 <= abs(denom) < math.inf:
+        raise ValueError(
+            "speed-ratio denominator vanishes or overflows for these parameters"
+        )
     vs_over_v = 1.0 / denom
     return vs_over_v * (1.0 - params.gamma / vs_over_v)
 
@@ -157,19 +178,31 @@ def find_feasible(
     differ from the grid value in its last digit.  Grid values outside the
     domain (gamma <= 0, k <= 0, lambda0 outside (0, 1)) are skipped; non-finite
     inputs, and grids whose derived lam or delta_d0 is not positive and
-    finite, raise ValueError.
+    finite, raise ValueError, as does `predict_curvature_ratio` on a pair
+    that passes.
 
-    Each check is evaluated once per point of the plane it depends on, and
-    the reports on that point share its result.  The oscillation and
-    abort-safety checks read (lambda0, k) only: they run on
-    `PlannerParams(k, lam, v_s=v)`, which checks k, lam and v, abort safety
-    only where oscillation passes.  The passing points are grouped by k and
-    sorted by their derived lambda0.  The corner-cutting check and
-    `predict_curvature_ratio` read (gamma, k) only: they run on the pair's
-    first parameter set, the pair's one checked construction, which checks
-    alpha and delta_d0.  A pair that passes is one block of reports in
-    lambda0 order, whose parameters are built unchecked: the plane and the
-    pair have checked every field.
+    Each k is visited once, and its (gamma, k) pairs go through a gate
+    first: the corner-cutting window at the pair's derived gamma, alpha k
+    delta_d0, with no `CheckResult` built (a straight lane has no window,
+    so every pair passes).  Only a k where some gamma passes has its
+    (lambda0, k) plane evaluated:
+    `check_oscillation` at each lambda0, `check_abort_safety` where that
+    passes.  The passing points are sorted by their derived lambda0, and a k
+    listed twice in the grid holds each of them twice.  A passing pair with
+    a non-empty plane then runs `check_corner_cutting` and
+    `predict_curvature_ratio` once and gives one block of reports, in
+    lambda0 order, which share the checks of their points.  Neither reads
+    lam, so a pair's parameters take the lam of the first grid lambda0.
+
+    Every `PlannerParams` here is built with tuple.__new__, unchecked.  The
+    argument checks cover k, alpha and v.  lam rises with lambda0 and falls
+    with k, and delta_d0 rises with gamma and falls with k, in floats too:
+    * and / are correctly rounded, so monotone, and ** 2 (the C library's
+    pow) rounds within about half an ulp, which keeps it monotone, since
+    the exact squares of neighbouring floats lie more than an ulp apart.
+    The two grid corners evaluated first therefore hold the extremes of
+    every derived lam and delta_d0: where both are positive and finite, so
+    is every point of the grid.
 
     Results are sorted by predicted curvature ratio, then by the derived
     gamma, lambda0 and k of their parameters, with ties in grid order
@@ -209,39 +242,47 @@ def find_feasible(
                 "lambda and delta_d0 must be positive and finite on the grid"
             )
 
-    # (lambda0, k) plane, grouped by k: (lam, lambda0, oscillation, abort
-    # safety) where both pass, lambda0 being the parameters' own k v_s sqrt(lam)
-    passing_by_k = {}
-    for lambda0 in lambda0s:
-        for k in ks:
+    # one block per passing (gamma, k) pair with a non-empty plane: (ratio,
+    # derived gamma, k, passing points, reports in lambda0 order).  Only
+    # tied blocks' order reaches the result, and their merge orders
+    # different ks by k, so k may be the outer loop
+    blocks = []
+    # each k once, with the number of times the grid lists it
+    for k, count in Counter(ks).items():
+        # the pairs read no lam: they take the first grid lambda0's
+        first_lam = (lambda0s[0] / (k * v)) ** 2
+        pairs = []
+        for gamma in gammas:
+            params = _tuple_new(
+                PlannerParams, (k, first_lam, alpha, gamma / (alpha * k), v)
+            )
+            # the gate: the window's verdicts at the derived gamma, with no
+            # CheckResult; a straight lane has no window
+            if kappa0 and not all(_corner_window(params, kappa0, c3)[4]):
+                continue
+            pairs.append(params)
+        if not pairs:
+            continue
+        # the (lambda0, k) plane: (lam, lambda0, oscillation, abort safety)
+        # where both pass, lambda0 being the parameters' own k v_s sqrt(lam)
+        passing = []
+        for lambda0 in lambda0s:
             lam = (lambda0 / (k * v)) ** 2
-            params = PlannerParams(k, lam, 0.0, 0.0, v)
+            params = _tuple_new(PlannerParams, (k, lam, 0.0, 0.0, v))
             oscillation = check_oscillation(params)
             if not oscillation.satisfied:
                 continue
             abort = check_abort_safety(params, v, lane_width, c1, c2)
             if abort.satisfied:
-                passing_by_k.setdefault(k, []).append(
-                    (lam, params.lambda0, oscillation, abort)
-                )
-    # stable, so equal derived lambda0s keep their grid order
-    for passing in passing_by_k.values():
+                passing += [(lam, params.lambda0, oscillation, abort)] * count
+        if not passing:
+            continue
+        # stable, so equal derived lambda0s keep their grid order
         passing.sort(key=itemgetter(1))
-
-    # one block per passing (gamma, k) pair: (ratio, derived gamma, k,
-    # passing points, reports in lambda0 order)
-    blocks = []
-    for gamma in gammas:
-        for k, passing in passing_by_k.items():
-            delta_d0 = gamma / (alpha * k)
-            # the (gamma, k) plane: neither reads lam, so the pair's first
-            # parameters stand for all of them.  Their constructor checks
-            # alpha and delta_d0; the plane's has checked k, lam and v
-            params = PlannerParams(k, passing[0][0], alpha, delta_d0, v)
+        for params in pairs:
             cutting = check_corner_cutting(params, kappa0, c3)
-            if not cutting.satisfied:
-                continue
             ratio = predict_curvature_ratio(params, kappa0)
+            delta_d0 = params.delta_d0
             reports = [
                 _tuple_new(FeasibilityReport, (
                     _tuple_new(PlannerParams, (k, lam, alpha, delta_d0, v)),
@@ -249,7 +290,7 @@ def find_feasible(
                 ))
                 for lam, _, oscillation, abort in passing
             ]
-            blocks.append((ratio, alpha * k * delta_d0, k, passing, reports))
+            blocks.append((ratio, params.gamma, k, passing, reports))
 
     # stable, so blocks tied on (ratio, gamma) keep their build order
     blocks.sort(key=itemgetter(0, 1))

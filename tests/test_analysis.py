@@ -20,6 +20,17 @@ ORACLE = os.path.join(HERE, "oracles", "gen_feasibility_fixture.py")
 with open(FIXTURE) as _fh:
     FIXTURE_DATA = json.load(_fh)
 
+# a search whose one passing pair has |kappa0| > 1.3e154, so kappa0 ** 2
+# overflows in predict_curvature_ratio
+KAPPA0_OVERFLOW = dict(
+    v=1.8022985722047018e-127, lane_width=3.4232798493716525e+273,
+    kappa0=6.011951275447932e+226, c1=math.inf, c2=math.inf,
+    c3=9.53398376109886e+292, alpha=0.4126804794224991,
+    gamma_grid=[0.9992995365614711, 0.9999999999999977],
+    lambda0_grid=[0.19236025548177993, 0.8347393285976465],
+    k_grid=[5.935508918566723e+228, 3.125672424541924e+222],
+)
+
 lambda0s = st.floats(0.05, 0.95)
 lams = st.floats(0.1, 25.0)
 
@@ -329,6 +340,27 @@ def search_inputs(draw):
     return inputs
 
 
+def count_calls(monkeypatch):
+    """Counts, from here on, the calls of the search's checks and ratio and
+    of the validating PlannerParams constructor, by name."""
+    names = ("check_oscillation", "check_abort_safety", "check_corner_cutting",
+             "predict_curvature_ratio")
+    calls = dict.fromkeys((*names, "PlannerParams"), 0)
+    for name in names:
+        def counting(*args, _real=getattr(analysis, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(analysis, name, counting)
+    real_new = PlannerParams.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls["PlannerParams"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(PlannerParams, "__new__", staticmethod(counting_new))
+    return calls
+
+
 class TestFindFeasible:
     GRID = dict(
         gamma_grid=[0.7, 0.995],
@@ -400,6 +432,28 @@ class TestFindFeasible:
                   c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[0.7, 0.995],
                   lambda0_grid=[math.nextafter(0.41, 1.0), 0.41],
                   k_grid=[0.05, 0.12, 0.2, 0.3]))
+    # a k and a lambda0 each listed twice: each point of k = 0.12 appears
+    # twice, adjacent, in every block at that k
+    @example(dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=math.inf,
+                  c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[0.995, 1.0],
+                  lambda0_grid=[0.5, 0.3, 0.5], k_grid=[0.12, 0.09, 0.12]))
+    # the window of (0.995, 0.13) passes, but abort safety, 0.5 k <= c1 / 3.5
+    # at lambda0 = 0.5, fails there: k = 0.13 has an empty plane
+    @example(dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=0.15,
+                  c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[0.995, 1.0],
+                  lambda0_grid=[0.5], k_grid=[0.05, 0.09, 0.13]))
+    # a corner turning the other way: the window reads |kappa0|
+    @example(dict(v=1.0, lane_width=3.5, kappa0=-0.01, c1=0.3,
+                  c2=0.3, c3=1.0, alpha=0.5, gamma_grid=[0.7, 0.995, 1.0],
+                  lambda0_grid=[0.3, 0.5, 0.8],
+                  k_grid=[0.05, 0.09, 0.12, 0.14, 0.2]))
+    # an unsorted k grid, on a corner and on a straight lane
+    @example(dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=0.3,
+                  c2=0.3, c3=math.inf, alpha=0.5, gamma_grid=[1.0, 0.995, 0.7],
+                  lambda0_grid=[0.5, 0.3], k_grid=[0.2, 0.09, 0.02, 0.12, 0.05]))
+    @example(dict(v=1.0, lane_width=3.5, kappa0=0.0, c1=0.3,
+                  c2=0.3, c3=1.0, alpha=0.5, gamma_grid=[1.0, 0.995, 0.7],
+                  lambda0_grid=[0.5, 0.3], k_grid=[0.2, 0.09, 0.02, 0.12, 0.05]))
     def test_matches_per_point_search(self, inputs):
         # the point-by-point search raised OverflowError or
         # ZeroDivisionError where lam or delta_d0 overflowed; the windowed
@@ -424,21 +478,7 @@ class TestFindFeasible:
         # needs it at most once per point of that plane, however many
         # reports share the point; so do the validating PlannerParams
         # constructions, each of which checks the fields its plane adds
-        calls = dict.fromkeys(("check_oscillation", "check_abort_safety",
-                               "check_corner_cutting", "predict_curvature_ratio"), 0)
-        for name in calls:
-            def counting(*args, _real=getattr(analysis, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(analysis, name, counting)
-        real_new = PlannerParams.__new__
-
-        def counting_new(cls, *args, **kwargs):
-            calls["PlannerParams"] += 1
-            return real_new(cls, *args, **kwargs)
-
-        calls["PlannerParams"] = 0
-        monkeypatch.setattr(PlannerParams, "__new__", staticmethod(counting_new))
+        calls = count_calls(monkeypatch)
         reports = analysis.find_feasible(**inputs)
         assert reports
         n_gamma, n_lambda0, n_k = (
@@ -453,6 +493,28 @@ class TestFindFeasible:
         for r in reports:
             assert type(r.params) is PlannerParams
             assert PlannerParams(*r.params) == r.params
+
+    @pytest.mark.parametrize("name", ["fixture", "bench_seed1"])
+    def test_search_is_lazy(self, monkeypatch, name):
+        # the plane of a k is evaluated only where some gamma passes the
+        # corner window at k, and the corner check and the ratio only for a
+        # passing pair whose plane is non-empty.  With the abort limits
+        # lifted every in-domain lambda0 passes, so the ks of the per-point
+        # search's sets are the ks with a passing pair
+        inputs = digest_inputs(name)
+        lifted = {**inputs, "c1": math.inf, "c2": math.inf}
+        gate_ks = {r.params.k for r in per_point_find_feasible(**lifted)}
+        pairs = {(r.params.k, r.params.delta_d0)
+                 for r in per_point_find_feasible(**inputs)}
+        n_lambda0 = sum(0 < x < 1 for x in inputs["lambda0_grid"])
+        assert gate_ks and len(gate_ks) < len(inputs["k_grid"])
+        calls = count_calls(monkeypatch)
+        reports = analysis.find_feasible(**inputs)
+        assert {(r.params.k, r.params.delta_d0) for r in reports} == pairs
+        assert calls["check_oscillation"] == n_lambda0 * len(gate_ks)
+        assert calls["check_corner_cutting"] == len(pairs)
+        assert calls["predict_curvature_ratio"] == len(pairs)
+        assert calls["PlannerParams"] == 0
 
     @pytest.mark.parametrize("kappa0", [FIXTURE_DATA["inputs"]["kappa0"], 0.0],
                              ids=["fixture", "straight"])
@@ -508,6 +570,14 @@ class TestFindFeasible:
         )
         assert reports == []
 
+    def test_kappa0_squared_overflow_is_value_error(self):
+        # the pair passes the corner window, and the ratio squares kappa0
+        with pytest.raises(ValueError, match="overflows"):
+            analysis.find_feasible(**KAPPA0_OVERFLOW)
+        params = PlannerParams(1.0, 1.0, 0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            analysis.predict_curvature_ratio(params, 1e155)
+
 
 def test_fixture_matches_its_oracle():
     """The pinned fixture is what its brute-force generator computes."""
@@ -548,28 +618,38 @@ def test_search_matches_oracle_on_jittered_grids(seed):
             assert abs(value - row[key]) <= 1e-12, (key, value, row[key])
 
 
-# the SHA-256 of repr([(params, predicted_curvature_ratio), ...]) of two
-# searches: a faster search must give the same sets in the same order, to
-# the last bit of every float
+# the SHA-256 of repr([(params, predicted_curvature_ratio), ...]) of four
+# searches, each taken before the search was reordered: a faster search must
+# give the same sets in the same order, to the last bit of every float
 SEARCH_SHA256 = {
     # seed 1's first grid of bench/lsbench.py: 40 jittered values per axis
     "bench_seed1": "7cb0aa613bf82ab3092e237c2effa4c92098e8f993af4381602440d6594238b0",
     "fixture_straight": "f038a96febefeec8ad968af4468db72a2bdd1e6e2fe611ce7acd827232a0775a",
+    # seed 2's first grid, 5033 sets
+    "bench_seed2": "d34f6b38325438ac401f0d2807d4bf99e3e64f5124376ddad66caa1b02c4b1c9",
+    # seed 1's grid on a straight lane: every pair passes, 58440 sets
+    "bench_seed1_straight": "6e7e4234d927de0029e6b8648db30bd052c4a37ab4c403caef2c644cb624585d",
 }
 
 
-@pytest.mark.parametrize("name", SEARCH_SHA256)
-def test_search_digest(name):
+def digest_inputs(name):
+    """The fixture's inputs on the grid that `name` names: `bench_seedN` is
+    seed N's first grid of bench/lsbench.py, `fixture` the fixture's own;
+    a `_straight` suffix sets kappa0 to 0."""
+    base, straight = name.removesuffix("_straight"), name.endswith("_straight")
     inputs = FIXTURE_DATA["inputs"]
-    if name == "bench_seed1":
-        rng = random.Random(1)
+    if base.startswith("bench_seed"):
+        rng = random.Random(int(base.removeprefix("bench_seed")))
         inputs = {**inputs, **{
             f"{axis}_grid": jittered(rng, inputs[f"{axis}_grid"], 40)
             for axis in ("gamma", "lambda0", "k")
         }}
-    else:
-        inputs = {**inputs, "kappa0": 0.0}
-    reports = analysis.find_feasible(**inputs)
+    return {**inputs, "kappa0": 0.0} if straight else inputs
+
+
+@pytest.mark.parametrize("name", SEARCH_SHA256)
+def test_search_digest(name):
+    reports = analysis.find_feasible(**digest_inputs(name))
     text = repr([(r.params, r.predicted_curvature_ratio) for r in reports])
     assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_SHA256[name]
 

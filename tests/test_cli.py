@@ -484,6 +484,22 @@ class TestFeasibility:
         assert code == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_kappa0_squared_overflow_is_usage_error(self, capsys):
+        # the one passing pair's ratio squares kappa0 = 6e226
+        code = run_cli([
+            "feasibility", "--v", "1.8022985722047018e-127",
+            "--lane-width", "3.4232798493716525e+273",
+            "--kappa0", "6.011951275447932e+226", "--c3", "9.53398376109886e+292",
+            "--alpha", "0.4126804794224991",
+            "--grid", "gamma=0.9992995365614711,0.9999999999999977",
+            "--grid", "lambda0=0.19236025548177993,0.8347393285976465",
+            "--grid", "k=5.935508918566723e+228,3.125672424541924e+222",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: speed-ratio denominator")
+        assert "Traceback" not in err
+
     def test_missing_axis_is_usage_error(self):
         code = run_cli([
             "feasibility", "--v", "1", "--lane-width", "3.5", "--kappa0", "0",

@@ -28,10 +28,6 @@ from .errors import (
 
 TAU = math.tau
 
-# junction continuity tolerances (position / orientation)
-_G1_POS_TOL = 1e-9
-_G1_ANG_TOL = 1e-9
-
 # two minimizers closer in distance than this, but at distinct feet,
 # make the projection ambiguous
 _AMBIGUITY_TOL = 1e-6
@@ -91,9 +87,6 @@ class StraightSegment:
         object.__setattr__(self, "normal", (-sn, c))
         object.__setattr__(self, "orientation", wrap_angle(self.heading))
 
-    def start_pose(self):
-        return self.x0, self.y0, self.heading
-
     def end_pose(self):
         c, sn = self.tangent
         return self.x0 + self.length * c, self.y0 + self.length * sn, self.heading
@@ -145,10 +138,6 @@ class ArcSegment:
         object.__setattr__(self, "curvature", turn / self.radius)
         object.__setattr__(self, "length", self.radius * abs(self.sweep))
 
-    def start_pose(self):
-        f = self.frame_at(0.0, 0.0)
-        return f.position[0], f.position[1], f.orientation
-
     def end_pose(self):
         f = self.frame_at(self.length, 0.0)
         return f.position[0], f.position[1], f.orientation
@@ -196,23 +185,26 @@ Segment = StraightSegment | ArcSegment
 
 
 class ReferenceLine:
-    """Arc-length parameterized chain of straight and circular-arc segments."""
+    """Arc-length parameterized chain of straight and circular-arc segments,
+    built by from_pieces or parallel_offset; equal where the segments are."""
 
-    def __init__(self, segments: list[Segment]):
-        if not segments:
-            raise ValueError("reference line needs at least one segment")
-        for prev, nxt in zip(segments, segments[1:]):
-            ex, ey, eh = prev.end_pose()
-            sx, sy, sh = nxt.start_pose()
-            if math.hypot(ex - sx, ey - sy) > _G1_POS_TOL:
-                raise ValueError("segments are not position-continuous")
-            if abs(wrap_angle(eh - sh)) > _G1_ANG_TOL:
-                raise ValueError("segments are not orientation-continuous")
-        self.segments = list(segments)
+    @classmethod
+    def _chain(cls, segments: list[Segment]) -> "ReferenceLine":
+        self = object.__new__(cls)
+        self.segments = segments
         self._starts = [0.0]
-        for seg in self.segments:
+        for seg in segments:
             self._starts.append(self._starts[-1] + seg.length)
         self.total_length = self._starts[-1]
+        return self
+
+    def __eq__(self, other):
+        if not isinstance(other, ReferenceLine):
+            return NotImplemented
+        return self.segments == other.segments
+
+    def __hash__(self):
+        return hash(tuple(self.segments))
 
     @classmethod
     def from_pieces(
@@ -226,6 +218,8 @@ class ReferenceLine:
         x, y, h = start_x, start_y, start_heading
         if not all(map(math.isfinite, (x, y, h))):
             raise ValueError("start pose must be finite")
+        if not pieces:
+            raise ValueError("reference line needs at least one piece")
         segments: list[Segment] = []
         for piece in pieces:
             kind = piece[0]
@@ -253,7 +247,7 @@ class ReferenceLine:
                 raise ValueError(f"unknown segment kind {kind!r}")
             segments.append(seg)
             x, y, h = seg.end_pose()
-        return cls(segments)
+        return cls._chain(segments)
 
     def point_at(self, s: float) -> FramePoint:
         total = self.total_length
@@ -328,4 +322,4 @@ class ReferenceLine:
 
     def parallel_offset(self, d: float) -> "ReferenceLine":
         """Parallel track at offset d along the +normal direction."""
-        return ReferenceLine([seg.offset(d) for seg in self.segments])
+        return self._chain([seg.offset(d) for seg in self.segments])

@@ -356,6 +356,7 @@ def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
 
     Keys use the scenario-file vocabulary (units in the name), e.g.
     planner.k_per_m, vehicle.l_f_m, sim.duration_s, sim.initial_y_m.
+    Built with `_replace`, so an unchecked _ScenarioFields stays unchecked.
     """
     section, _, name = key.partition(".")
     if section not in _TABLES:
@@ -380,11 +381,11 @@ def sweep(
     """Independent runs over the cartesian product of the axis values.
 
     Results are keyed and ordered by the grid coordinates.  Every grid
-    point's scenario is built on the call, so any rejected grid raises
-    ScenarioValidationError before any simulation; an invalid value's
-    message names the key and value.  The returned iterator runs each point
-    as it is reached; a failed run is recorded in its RunRecord and the
-    sweep continues.
+    point's scenario is built on the call, its keys checked together as a
+    file's are, so any rejected grid raises ScenarioValidationError before
+    any simulation; the message names the point's keys and values.  The
+    returned iterator runs each point as it is reached; a failed run is
+    recorded in its RunRecord and the sweep continues.
     """
     if not axes:
         raise ScenarioValidationError("sweep needs at least one axis")
@@ -397,15 +398,17 @@ def sweep(
     points = []
     for combo in itertools.product(*(axes[k] for k in keys)):
         overrides = dict(zip(keys, combo))
-        sc = scenario
-        for key, value in overrides.items():
-            try:
+        sc = _ScenarioFields._make(scenario)
+        try:
+            for key, value in overrides.items():
                 sc = apply_override(sc, key, value)
-            except KeyError as exc:
-                # the message itself: str() of a KeyError is its repr, in quotes
-                raise ScenarioValidationError(exc.args[0]) from None
-            except ValueError as exc:
-                raise ScenarioValidationError(f"{key} = {value!r}: {exc}") from None
+            sc = Scenario._make(sc)
+        except KeyError as exc:
+            # the message itself: str() of a KeyError is its repr, in quotes
+            raise ScenarioValidationError(exc.args[0]) from None
+        except ValueError as exc:
+            point = ", ".join(f"{k} = {v!r}" for k, v in overrides.items())
+            raise ScenarioValidationError(f"{point}: {exc}") from None
         points.append((overrides, sc))
     return ((overrides, run(sc)) for overrides, sc in points)
 

@@ -22,7 +22,7 @@ from oracles.target import target_at
 from lanesteer import analysis, cli, scenario_io, sim
 from lanesteer import vehicle as veh
 from lanesteer.control import PlannerParams
-from lanesteer.refline import ReferenceLine
+from lanesteer.refline import ReferenceLine, wrap_angle
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
 HERE = os.path.dirname(__file__)
@@ -326,6 +326,13 @@ def test_criterion_08_projection_oracle_at_junctions():
     checked = 0
     for _ in range(8):
         line = _random_chain(rng)
+        # continuity holds by construction, on the chain and its offsets
+        for chain in (line, line.parallel_offset(3.5), line.parallel_offset(-3.5)):
+            for prev, nxt in itertools.pairwise(chain.segments):
+                ex, ey, eh = prev.end_pose()
+                start = nxt.frame_at(0.0, 0.0)
+                assert math.hypot(ex - start.position[0], ey - start.position[1]) <= 1e-9
+                assert abs(wrap_angle(eh - start.orientation)) <= 1e-9
         _, xs, ys = _brute_force_positions(line, math.ceil(line.total_length / 2e-4) + 1)
         for junction in itertools.accumulate(seg.length for seg in line.segments[:-1]):
             jx, jy = line.point_at(junction).position

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import lanesteer
-from lanesteer import cli, sim
+from lanesteer import cli, scenario_io, sim
+from test_sim import JOINT_GRIDS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "feasibility_fixture.json")
 PYPROJECT = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
@@ -109,6 +110,55 @@ class TestRun:
         out = tmp_path / "o"
         assert run_cli([*args, "--out", str(out)]) == 2
         assert "control period" in capsys.readouterr().err
+        assert not out.exists()
+
+    # (text replaced, replacement, exit code, first line of stderr); {where}
+    # is the file and the line of the replacement's last line
+    @pytest.mark.parametrize("old, new, code, message", [
+        ("[planner]\n", "[ ]\n", 1, "error: {where}: empty section name"),
+        ("[output]\n", "[vehicle]\n", 1, "error: {where}: duplicate section [vehicle]"),
+        ("gain.\n", "gain.\nk = 1\n", 1, "error: {where}: key outside any [section]"),
+        ("h_s = 0.001\n", "h_s =\n", 1, "error: {where}: empty key or value"),
+        ("h_s = 0.001\n", "= 0.001\n", 1, "error: {where}: empty key or value"),
+        ("h_s = 0.001\n", "h_s = 0.001\nh_s = 0.002\n", 1,
+         "error: {where}: duplicate key 'h_s' in [sim]"),
+        ("emit_svg = true", "emit_svg = maybe", 2,
+         "validation error: [output] emit_svg = 'maybe': must be a boolean"),
+        ("segment = line 200.0", "segment = line", 2,
+         "validation error: [track]: segment 'line': expected 'line <length_m>' "
+         "or 'arc <length_m> <curvature_per_m>'"),
+        ("[output]\n", "[extra]\n", 2, "validation error: unknown section [extra]"),
+        ("[planner]\nk_per_m = 1.0\nlambda_s2 = 1.0\nv_s_m_per_s = 1.0\n", "", 2,
+         "validation error: missing section [planner]"),
+    ])
+    def test_malformed_file_is_rejected(self, tmp_path, capsys, old, new, code, message):
+        text = Path(scenario_path("lane_change_k10.scenario")).read_text()
+        assert old in text
+        text = text.replace(old, new, 1)
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(text)
+        line = text[:text.rindex(new) + len(new.rstrip("\n"))].count("\n") + 1
+        out = tmp_path / "o"
+        assert run_cli(["run", "--scenario", str(bad), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == message.format(where=f"{bad}:{line}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item, message", [
+        ("sim.h_s", "override 'sim.h_s' is not of the form section.key=value"),
+        ("h_s=0.001", "override 'h_s=0.001' is not of the form section.key=value"),
+        (".h_s=0.001", "override '.h_s=0.001' has empty parts"),
+        ("sim.=0.001", "override 'sim.=0.001' has empty parts"),
+        ("sim.h_s=", "override 'sim.h_s=' has empty parts"),
+    ])
+    def test_malformed_set_is_usage_error(self, tmp_path, capsys, item, message):
+        out = tmp_path / "o"
+        code = run_cli([
+            "run", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--set", item, "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
         assert not out.exists()
 
     @pytest.mark.parametrize("h", ["0.4", "0.6", "5e-324", "1e-300"])
@@ -318,6 +368,59 @@ class TestSweep:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("stem, axes", JOINT_GRIDS)
+    def test_point_is_checked_as_a_file_is(self, tmp_path, monkeypatch, stem, axes):
+        seen, real_run = [], sim.run
+        monkeypatch.setattr(sim, "run", lambda sc: seen.append(sc) or real_run(sc))
+        grid = [f"{key}={','.join(map(repr, values))}" for key, values in axes.items()]
+        args = ["--scenario", scenario_path(f"{stem}.scenario")]
+        for item in grid:
+            args += ["--grid", item]
+        assert run_cli(["sweep", *args, "--out", str(tmp_path / "o")]) == 0
+        [scenario] = seen
+        assert scenario == scenario_io.load(scenario_path(f"{stem}.scenario"), grid)[0]
+
+    def test_rejected_point_message_names_every_key(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--grid", "sim.duration_s=5", "--grid", "sim.abort_time_s=7",
+            "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "validation error: sim.abort_time_s = 7.0, sim.duration_s = 5.0: "
+            "abort_time must lie in [0, duration)\n"
+        )
+        assert not out.exists()
+
+    def test_failed_point_keeps_every_row(self, tmp_path):
+        # the 30 s run leaves the 20 m track; the 5 s run before it and the
+        # row of the failed run are both written
+        out = tmp_path / "o"
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--set", "track.segment=line 20", "--grid", "sim.duration_s=5,30",
+            "--out", str(out),
+        ])
+        assert code == 3
+        lines = (out / "lane_change_k10_sweep.csv").read_text().splitlines()
+        assert [line.split(",")[-1] for line in lines] == ["completed", "True", "False"]
+
+    @pytest.mark.parametrize("grid, message", [
+        (["planner.k_per_m"], "grid axis 'planner.k_per_m' is not of the form key=v1,v2,..."),
+        (["planner.k_per_m=1", "planner.k_per_m=2"],
+         "bad or duplicate grid axis 'planner.k_per_m=2'"),
+        (["=1"], "bad or duplicate grid axis '=1'"),
+        (["planner.k_per_m=,"], "grid axis 'planner.k_per_m=,' has no values"),
+    ])
+    def test_malformed_grid_is_usage_error(self, tmp_path, capsys, grid, message):
+        args = ["sweep", "--scenario", scenario_path("lane_change_k10.scenario")]
+        for item in grid:
+            args += ["--grid", item]
+        assert run_cli([*args, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+
     def test_bad_grid_is_usage_error(self, tmp_path):
         code = run_cli([
             "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
@@ -475,6 +578,7 @@ class TestFeasibility:
         (["--kappa0", "nan"], "kappa0 must be finite"),
         (["--kappa0", "0", "--c1", "-1"], "safety bounds must be positive"),
         (["--kappa0", "0", "--v", "inf"], "v and lane width must be positive"),
+        (["--kappa0", "0", "--grid", "bogus=1"], "unknown grid axes ['bogus']"),
     ])
     def test_bad_input_is_usage_error(self, capsys, args, message):
         code = run_cli([

@@ -75,21 +75,21 @@ class TestConstruction:
         expected = 50.0 + 0.5 * math.pi * 20.0 + 30.0 + 0.5 * math.pi * 40.0
         assert line.total_length == pytest.approx(expected)
 
-    def test_discontinuous_chain_rejected(self):
-        from lanesteer.refline import StraightSegment
+    def test_segment_list_is_no_constructor(self):
+        # a line is built from pieces, each starting where the last one ends
+        with pytest.raises(TypeError):
+            ReferenceLine([StraightSegment(0.0, 0.0, 0.0, 10.0)])
 
-        a = StraightSegment(0.0, 0.0, 0.0, 10.0)
-        b = StraightSegment(10.0, 5.0, 0.0, 10.0)
-        with pytest.raises(ValueError, match="position-continuous"):
-            ReferenceLine([a, b])
+    def test_no_pieces_rejected(self):
+        with pytest.raises(ValueError, match="at least one piece"):
+            ReferenceLine.from_pieces(0, 0, 0, [])
 
-    def test_heading_kink_rejected(self):
-        from lanesteer.refline import StraightSegment
-
-        a = StraightSegment(0.0, 0.0, 0.0, 10.0)
-        b = StraightSegment(10.0, 0.0, 0.3, 10.0)
-        with pytest.raises(ValueError, match="orientation-continuous"):
-            ReferenceLine([a, b])
+    def test_chain_far_from_the_origin_builds(self):
+        # a junction re-check once rejected this chain on rounding alone
+        line = ReferenceLine.from_pieces(
+            1e12, 1e12, 0.3, [("line", 10.0), ("arc", 20.0, 0.01), ("line", 10.0)]
+        )
+        assert line.total_length == pytest.approx(40.0)
 
     def test_bad_piece_kind(self):
         with pytest.raises(ValueError, match="unknown segment kind"):
@@ -98,6 +98,20 @@ class TestConstruction:
     def test_zero_curvature_arc_rejected(self):
         with pytest.raises(ValueError, match="curvature"):
             ReferenceLine.from_pieces(0, 0, 0, [("arc", 1.0, 0.0)])
+
+
+class TestEquality:
+    def test_equal_pieces_give_equal_lines(self):
+        a, b = make_mixed_track(), make_mixed_track()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a.parallel_offset(3.5) == b.parallel_offset(3.5)
+
+    def test_other_pieces_or_types_are_unequal(self):
+        line = make_mixed_track()
+        assert line != line.parallel_offset(1.0)
+        assert line != ReferenceLine.from_pieces(0.0, 0.0, 0.1, [("line", 50.0)])
+        assert line != line.segments
 
 
 class TestFrames:

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import re
 
 import pytest
@@ -194,3 +196,37 @@ def test_output_directory_is_not_a_key():
 def test_set_segment_replaces_the_track():
     scenario, _ = scenario_io.load(LANE_CHANGE, ["track.segment=line 100"])
     assert scenario.track.total_length == 100.0
+
+
+class TestEquality:
+    """Scenarios compare and hash by value, their track by its segments."""
+
+    def test_two_loads_are_equal(self):
+        a, _ = scenario_io.load(LANE_CHANGE)
+        b, _ = scenario_io.load(LANE_CHANGE)
+        assert a.track is not b.track
+        assert a == b and hash(a) == hash(b)
+
+    def test_copies_are_equal(self):
+        scenario, _ = scenario_io.load(LANE_CHANGE)
+        assert pickle.loads(pickle.dumps(scenario)) == scenario
+        assert copy.copy(scenario) == scenario
+
+    def test_another_track_is_unequal(self):
+        a, _ = scenario_io.load(LANE_CHANGE)
+        b, _ = scenario_io.load(LANE_CHANGE, ["track.start_heading_rad=0.1"])
+        assert a != b
+
+
+def test_far_offset_of_a_three_piece_track_validates(tmp_path):
+    # a junction re-check once rejected the -1e8 m offset line on rounding
+    text = MINIMAL.replace("start_heading_rad = 0.0", "start_heading_rad = 0.3")
+    text = text.replace(
+        "segment = line 200.0",
+        "segment = line 10\nsegment = arc 20 0.01\nsegment = line 300",
+    )
+    path = tmp_path / "three.scenario"
+    path.write_text(text)
+    scenario, _ = scenario_io.load(str(path), ["sim.lane_change_offset_m=-1e8"])
+    assert len(scenario.track.segments) == 3
+    assert scenario.lane_change_offset == -1e8

@@ -645,7 +645,33 @@ SWEEP_REJECTIONS = [
 ]
 
 
+# grids whose keys each fail against the file's other values but pass
+# together, as the same --set values do
+JOINT_GRIDS = [
+    ("lane_change_k10", {"sim.duration_s": [0.015], "sim.h_s": [0.0015]}),
+    ("lane_change_k10", {"sim.duration_s": [20.0], "sim.abort_time_s": [15.0]}),
+    ("corner_twopoint", {"sim.lane_change_offset_m": [3.5], "sim.abort_time_s": [2.0]}),
+]
+
+
 class TestSweep:
+    @pytest.mark.parametrize("stem, axes", JOINT_GRIDS)
+    def test_point_is_checked_as_a_file_is(self, monkeypatch, stem, axes):
+        monkeypatch.setattr(sim, "run", lambda scenario: scenario)
+        path = os.path.join(cli.SCENARIOS_DIR, f"{stem}.scenario")
+        [(overrides, scenario)] = sim.sweep(bundled(stem), axes)
+        sets = [f"{key}={value!r}" for key, value in overrides.items()]
+        assert scenario == scenario_io.load(path, sets)[0]
+
+    def test_rejected_point_message_names_every_key(self):
+        with pytest.raises(errors.ScenarioValidationError) as info:
+            sim.sweep(bundled("lane_change_k10"),
+                      {"sim.duration_s": [5.0], "sim.abort_time_s": [7.0]})
+        assert info.value.args == (
+            "sim.abort_time_s = 7.0, sim.duration_s = 5.0: "
+            "abort_time must lie in [0, duration)",
+        )
+
     def test_singleton_matches_run(self):
         sc = lane_change_scenario(duration=3.0)
         [(overrides, record)] = sim.sweep(sc, {"planner.k_per_m": [0.5]})

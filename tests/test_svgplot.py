@@ -87,3 +87,9 @@ def _assert_inside_the_box(svg):
     for pair in coords.split():
         x, y = map(float, pair.split(","))
         assert left <= x <= right and top <= y <= bottom, pair
+
+
+@pytest.mark.parametrize("series", [[], [("a", [])], [("a", []), ("b", [])]])
+def test_no_points_rejected(series):
+    with pytest.raises(ValueError, match="at least one non-empty series"):
+        svgplot.line_chart(series, "t", "x", "y")

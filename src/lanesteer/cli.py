@@ -91,12 +91,16 @@ def _parse_grid(items: list[str]) -> dict[str, list[float]]:
         key = key.strip()
         if not key or key in axes:
             raise ScenarioFormatError(f"bad or duplicate grid axis {item!r}")
+        values = [v.strip() for v in rest.split(",")]
+        if not any(values):
+            raise ScenarioFormatError(f"grid axis {item!r} has no values")
+        # as --set rejects an empty value, not a point fewer
+        if not all(values):
+            raise ScenarioFormatError(f"grid axis {item!r} has an empty value")
         try:
-            axes[key] = [float(v) for v in rest.split(",") if v.strip()]
+            axes[key] = [float(v) for v in values]
         except ValueError:
             raise ScenarioFormatError(f"grid axis {item!r} has a non-numeric value")
-        if not axes[key]:
-            raise ScenarioFormatError(f"grid axis {item!r} has no values")
     return axes
 
 

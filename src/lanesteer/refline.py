@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import (
@@ -25,6 +24,7 @@ from .errors import (
     ProjectionAmbiguityError,
     StationRangeError,
 )
+from .frozen import Frozen
 
 TAU = math.tau
 
@@ -67,25 +67,17 @@ class ShadowResult(NamedTuple):
     signed_lateral: float
 
 
-@dataclass(frozen=True)
-class StraightSegment:
+class StraightSegment(Frozen):
     """A straight piece: start point, heading and length."""
 
-    x0: float
-    y0: float
-    heading: float
-    length: float
-    # the unit tangent and normal and the wrapped heading, computed once;
-    # init=False so that dataclasses.replace recomputes them
-    tangent: tuple[float, float] = field(init=False, repr=False, compare=False)
-    normal: tuple[float, float] = field(init=False, repr=False, compare=False)
-    orientation: float = field(init=False, repr=False, compare=False)
+    __match_args__ = ("x0", "y0", "heading", "length")
+    # the fields, then the unit tangent and normal and the wrapped heading,
+    # computed once
+    __slots__ = (*__match_args__, "tangent", "normal", "orientation")
 
-    def __post_init__(self):
-        c, sn = math.cos(self.heading), math.sin(self.heading)
-        object.__setattr__(self, "tangent", (c, sn))
-        object.__setattr__(self, "normal", (-sn, c))
-        object.__setattr__(self, "orientation", wrap_angle(self.heading))
+    def __init__(self, x0: float, y0: float, heading: float, length: float):
+        c, sn = math.cos(heading), math.sin(heading)
+        self._fill(x0, y0, heading, length, (c, sn), (-sn, c), wrap_angle(heading))
 
     def end_pose(self):
         c, sn = self.tangent
@@ -117,26 +109,20 @@ class StraightSegment:
         return StraightSegment(self.x0 - d * sn, self.y0 + d * c, self.heading, self.length)
 
 
-@dataclass(frozen=True)
-class ArcSegment:
+class ArcSegment(Frozen):
     """A circular-arc piece: center, radius, the angle of its start point
     seen from the center, and the signed sweep."""
 
-    cx: float
-    cy: float
-    radius: float
-    start_angle: float  # angle of the start point as seen from the center
-    sweep: float  # signed, radians; positive = counter-clockwise
-    # derived once; init=False so that dataclasses.replace recomputes them
-    turn: float = field(init=False, repr=False, compare=False)
-    curvature: float = field(init=False, repr=False, compare=False)
-    length: float = field(init=False, repr=False, compare=False)
+    __match_args__ = ("cx", "cy", "radius", "start_angle", "sweep")
+    # the fields, then turn, curvature and length, derived once
+    __slots__ = (*__match_args__, "turn", "curvature", "length")
 
-    def __post_init__(self):
-        turn = 1.0 if self.sweep >= 0 else -1.0
-        object.__setattr__(self, "turn", turn)
-        object.__setattr__(self, "curvature", turn / self.radius)
-        object.__setattr__(self, "length", self.radius * abs(self.sweep))
+    def __init__(self, cx: float, cy: float, radius: float,
+                 start_angle: float,  # of the start point, seen from the center
+                 sweep: float):  # signed, radians; positive = counter-clockwise
+        turn = 1.0 if sweep >= 0 else -1.0
+        self._fill(cx, cy, radius, start_angle, sweep, turn, turn / radius,
+                   radius * abs(sweep))
 
     def end_pose(self):
         f = self.frame_at(self.length, 0.0)

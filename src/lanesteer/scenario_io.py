@@ -8,8 +8,6 @@ stages so overrides can be applied in between.
 
 from __future__ import annotations
 
-import inspect
-
 from . import sim
 from .control import PlannerParams
 from .errors import ScenarioFormatError, ScenarioValidationError
@@ -22,12 +20,18 @@ _TRACK_KEYS = ("start_x_m", "start_y_m", "start_heading_rad", "segment")
 
 def _required(table: dict, *classes) -> list[str]:
     """The keys of one of sim's key tables whose field has no default in
-    the constructors of `classes`."""
-    parameters = {}
+    the constructors of `classes`: NamedTuples, or classes whose __init__
+    takes the fields as positional-or-keyword parameters."""
+    required = set()
     for cls in classes:
-        parameters.update(inspect.signature(cls).parameters)
-    return [key for key, name in table.items()
-            if parameters[name].default is inspect.Parameter.empty]
+        if issubclass(cls, tuple):
+            names, defaults = cls._fields, cls._field_defaults
+        else:
+            code = cls.__init__.__code__
+            names = code.co_varnames[1:code.co_argcount]
+            defaults = cls.__init__.__defaults__ or ()
+        required.update(names[:len(names) - len(defaults)])
+    return [key for key, name in table.items() if name in required]
 
 
 # section -> (accepted keys, required keys).  The [vehicle], [planner] and

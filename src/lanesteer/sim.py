@@ -10,7 +10,6 @@ and bit-reproducible.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from typing import Iterator, NamedTuple
@@ -365,9 +364,7 @@ def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
     if section == "planner":
         return scenario._replace(params=scenario.params._replace(**kwargs))
     if section == "vehicle":
-        return scenario._replace(
-            geometry=dataclasses.replace(scenario.geometry, **kwargs)
-        )
+        return scenario._replace(geometry=scenario.geometry._replace(**kwargs))
     if _SIM_KEYS[name] in VehicleState._fields:
         return scenario._replace(
             initial_state=scenario.initial_state._replace(**kwargs)

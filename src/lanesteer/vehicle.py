@@ -7,37 +7,34 @@ slip angle beta is always derived from delta, never stored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from math import atan, cos, isfinite, pi, remainder, sin, tan, tau
 from typing import NamedTuple
 
 from .errors import NumericBlowupError, SteeringDomainError
+from .frozen import Frozen
 
 
-@dataclass(frozen=True)
-class VehicleGeometry:
+class VehicleGeometry(Frozen):
     """Axle distances from the center of gravity, plus actuator limits."""
 
-    l_f: float
-    l_r: float
-    delta_max: float = 0.6  # rad
-    u_max: float = 1.0  # rad/s
-    # l_r / (l_f + l_r), derived once; init=False so that
-    # dataclasses.replace recomputes it
-    ratio: float = field(init=False, repr=False, compare=False)
+    __match_args__ = ("l_f", "l_r", "delta_max", "u_max")
+    # the fields, then ratio = l_r / (l_f + l_r), derived once
+    __slots__ = (*__match_args__, "ratio")
 
-    def __post_init__(self):
-        if not (0 < self.l_f < math.inf and 0 < self.l_r < math.inf):
+    def __init__(self, l_f: float, l_r: float,
+                 delta_max: float = 0.6,  # rad
+                 u_max: float = 1.0):  # rad/s
+        if not (0 < l_f < math.inf and 0 < l_r < math.inf):
             raise ValueError("axle distances must be positive and finite")
-        ratio = self.l_r / (self.l_f + self.l_r)
+        ratio = l_r / (l_f + l_r)
         # a ratio that underflows to 0 zeroes the steering gain
         if not ratio > 0:
             raise ValueError("axle ratio l_r / (l_f + l_r) must be positive")
-        object.__setattr__(self, "ratio", ratio)
-        if not (0 < self.delta_max < math.pi / 2):
+        if not (0 < delta_max < math.pi / 2):
             raise ValueError("delta_max must be in (0, pi/2)")
-        if not 0 < self.u_max < math.inf:
+        if not 0 < u_max < math.inf:
             raise ValueError("u_max must be positive and finite")
+        self._fill(l_f, l_r, delta_max, u_max, ratio)
 
 
 class VehicleState(NamedTuple):

@@ -15,6 +15,7 @@ import pytest
 
 import lanesteer
 from lanesteer import cli, scenario_io, sim
+from lanesteer.errors import ScenarioFormatError
 from test_sim import JOINT_GRIDS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "feasibility_fixture.json")
@@ -35,6 +36,15 @@ def scenario_path(name):
 
 def run_cli(args):
     return cli.main(args)
+
+
+def package_env():
+    """os.environ with this checkout's package first on PYTHONPATH, for a
+    subprocess."""
+    src = os.path.dirname(os.path.dirname(lanesteer.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
 
 
 class TestRun:
@@ -222,10 +232,6 @@ class TestRun:
         # the chart of a lateral deviation flat to a few ulps at 5.8e117 once
         # looped forever on its ticks: a subprocess with a timeout turns such
         # a hang into a failure
-        src = os.path.dirname(os.path.dirname(lanesteer.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
         args = [
             sys.executable, "-c",
             "import sys; from lanesteer.cli import main; sys.exit(main(sys.argv[1:]))",
@@ -234,7 +240,8 @@ class TestRun:
         ]
         for item in overrides:
             args += ["--set", item]
-        proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
+        proc = subprocess.run(args, capture_output=True, text=True, env=package_env(),
+                              timeout=60)
         assert proc.returncode == 3
         assert f"run failed: {error}" in proc.stderr
 
@@ -413,6 +420,9 @@ class TestSweep:
          "bad or duplicate grid axis 'planner.k_per_m=2'"),
         (["=1"], "bad or duplicate grid axis '=1'"),
         (["planner.k_per_m=,"], "grid axis 'planner.k_per_m=,' has no values"),
+        (["planner.k_per_m=0.5,,1.0"],
+         "grid axis 'planner.k_per_m=0.5,,1.0' has an empty value"),
+        (["sim.h_s=0.001,"], "grid axis 'sim.h_s=0.001,' has an empty value"),
     ])
     def test_malformed_grid_is_usage_error(self, tmp_path, capsys, grid, message):
         args = ["sweep", "--scenario", scenario_path("lane_change_k10.scenario")]
@@ -420,6 +430,14 @@ class TestSweep:
             args += ["--grid", item]
         assert run_cli([*args, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+
+    def test_parse_grid_rejects_an_empty_value(self):
+        for item in ("planner.k_per_m=0.5,,1.0", "sim.h_s=0.001,", "planner.k_per_m= ,1"):
+            with pytest.raises(ScenarioFormatError, match="has an empty value"):
+                cli._parse_grid([item])
+        assert cli._parse_grid(["planner.k_per_m= 0.5 , 1.0"]) == {
+            "planner.k_per_m": [0.5, 1.0]
+        }
 
     def test_bad_grid_is_usage_error(self, tmp_path):
         code = run_cli([
@@ -579,6 +597,7 @@ class TestFeasibility:
         (["--kappa0", "0", "--c1", "-1"], "safety bounds must be positive"),
         (["--kappa0", "0", "--v", "inf"], "v and lane width must be positive"),
         (["--kappa0", "0", "--grid", "bogus=1"], "unknown grid axes ['bogus']"),
+        (["--kappa0", "0", "--grid", "k=0.1,,0.2"], "grid axis 'k=0.1,,0.2' has an empty value"),
     ])
     def test_bad_input_is_usage_error(self, capsys, args, message):
         code = run_cli([
@@ -745,6 +764,15 @@ class TestUsage:
             and not any(hasattr(base, f.name) for base in cls.__mro__[1:])
         )
         assert unused == []
+
+    def test_import_leaves_out_dataclasses_and_inspect(self):
+        # defining a dataclass or calling inspect.signature adds start-up
+        # time to every command; the package needs neither
+        code = ("import sys; before = set(sys.modules); import lanesteer.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=package_env(), timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
     def test_runtime_imports_only_the_standard_library(self):
         # pyproject.toml declares `dependencies = []`

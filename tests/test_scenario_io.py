@@ -193,6 +193,18 @@ def test_output_directory_is_not_a_key():
         scenario_io.load(LANE_CHANGE, ["output.directory=x"])
 
 
+def test_required_keys():
+    # derived from the constructors' defaults; a file must give these
+    assert {section: list(required) for section, (_, required)
+            in scenario_io._SECTIONS.items()} == {
+        "track": ["start_x_m", "start_y_m", "start_heading_rad", "segment"],
+        "vehicle": ["l_f_m", "l_r_m"],
+        "planner": ["k_per_m", "lambda_s2"],
+        "sim": ["duration_s", "initial_x_m", "initial_y_m", "initial_psi_rad"],
+        "output": [],
+    }
+
+
 def test_set_segment_replaces_the_track():
     scenario, _ = scenario_io.load(LANE_CHANGE, ["track.segment=line 100"])
     assert scenario.track.total_length == 100.0

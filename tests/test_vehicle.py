@@ -1,6 +1,7 @@
-import dataclasses
+import copy
 import inspect
 import math
+import pickle
 import re
 
 import pytest
@@ -10,7 +11,7 @@ from lanesteer import sim
 from lanesteer import vehicle as veh
 from lanesteer.control import PlannerParams
 from lanesteer.errors import NumericBlowupError, SteeringDomainError
-from lanesteer.refline import ReferenceLine, wrap_angle
+from lanesteer.refline import ArcSegment, ReferenceLine, StraightSegment, wrap_angle
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
 GEOM = VehicleGeometry(l_f=1.2, l_r=1.6)
@@ -192,7 +193,7 @@ class TestGeometryValidation:
         assert geom.ratio.hex() == (l_r / (l_f + l_r)).hex()
 
     def test_ratio_follows_replace_and_override(self):
-        moved = dataclasses.replace(GEOM, l_r=2.0)
+        moved = GEOM._replace(l_r=2.0)
         assert moved.ratio.hex() == (2.0 / (1.2 + 2.0)).hex()
         sc = sim.Scenario(
             track=ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 50.0)]),
@@ -211,6 +212,66 @@ class TestGeometryValidation:
         assert list(inspect.signature(VehicleGeometry).parameters) == [
             "l_f", "l_r", "delta_max", "u_max"
         ]
+
+
+class TestValueSemantics:
+    """VehicleGeometry and the two segment kinds behave as the frozen
+    dataclasses they replaced: the reprs below were taken from those."""
+
+    VALUES = [
+        (GEOM, "VehicleGeometry(l_f=1.2, l_r=1.6, delta_max=0.6, u_max=1.0)"),
+        (VehicleGeometry(l_f=1e-300, l_r=5e-324, delta_max=0.5, u_max=2.0),
+         "VehicleGeometry(l_f=1e-300, l_r=5e-324, delta_max=0.5, u_max=2.0)"),
+        (StraightSegment(1.0, 2.0, 0.3, 10.0),
+         "StraightSegment(x0=1.0, y0=2.0, heading=0.3, length=10.0)"),
+        (StraightSegment(-0.0, math.inf, 7, 1e300),
+         "StraightSegment(x0=-0.0, y0=inf, heading=7, length=1e+300)"),
+        (ArcSegment(0.0, 0.0, 20.0, 0.0, 0.5),
+         "ArcSegment(cx=0.0, cy=0.0, radius=20.0, start_angle=0.0, sweep=0.5)"),
+        (ArcSegment(1, -2.5, 3.25, -0.1, -1e-9),
+         "ArcSegment(cx=1, cy=-2.5, radius=3.25, start_angle=-0.1, sweep=-1e-09)"),
+    ]
+    SIGNATURES = {
+        VehicleGeometry: "(l_f: 'float', l_r: 'float', delta_max: 'float' = 0.6, "
+                         "u_max: 'float' = 1.0)",
+        StraightSegment: "(x0: 'float', y0: 'float', heading: 'float', length: 'float')",
+        ArcSegment: "(cx: 'float', cy: 'float', radius: 'float', start_angle: 'float', "
+                    "sweep: 'float')",
+    }
+
+    @pytest.mark.parametrize("value, text", VALUES)
+    def test_repr_hash_and_equality(self, value, text):
+        assert repr(value) == text
+        fields = tuple(getattr(value, name) for name in value.__match_args__)
+        assert hash(value) == hash(fields)
+        assert value == type(value)(*fields)
+        assert value != fields and value != object()
+
+    @pytest.mark.parametrize("value, text", VALUES)
+    def test_copies_are_equal_and_rebuilt(self, value, text):
+        for other in (copy.copy(value), pickle.loads(pickle.dumps(value))):
+            assert type(other) is type(value) and other is not value
+            assert other == value and repr(other) == text
+            assert all(getattr(other, name) == getattr(value, name)
+                       for name in type(value).__slots__)
+
+    @pytest.mark.parametrize("value, text", VALUES)
+    def test_fields_cannot_be_assigned_or_deleted(self, value, text):
+        assert not hasattr(value, "__dict__")
+        for name in (*type(value).__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1.0)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("cls", sorted(SIGNATURES, key=lambda c: c.__name__))
+    def test_signature(self, cls):
+        assert str(inspect.signature(cls)) == self.SIGNATURES[cls]
+
+    def test_unequal_across_kinds(self):
+        a, b = StraightSegment(0.0, 0.0, 0.0, 1.0), StraightSegment(0.0, 0.0, 0.0, 2.0)
+        assert a != b and a != ArcSegment(0.0, 0.0, 1.0, 0.0, 1.0)
 
 
 def textbook_rk4(geom, state, v, u, h):

@@ -65,12 +65,12 @@ def cmd_run(args) -> int:
     record = sim.run(scenario)
     sim.write_csv(os.path.join(args.out, f"{stem}.csv"), record.samples)
     metrics = "\n".join(_metrics_lines(record)) + "\n"
-    with open(os.path.join(args.out, f"{stem}_metrics.txt"), "w") as fh:
+    with open(os.path.join(args.out, f"{stem}_metrics.txt"), "w", encoding="utf-8") as fh:
         fh.write(metrics)
     if emit_svg and record.samples:
         series = [(stem, [(s.t, s.d_lateral) for s in record.samples])]
         svg = svgplot.line_chart(series, stem, "t [s]", "lateral deviation [m]")
-        with open(os.path.join(args.out, f"{stem}.svg"), "w") as fh:
+        with open(os.path.join(args.out, f"{stem}.svg"), "w", encoding="utf-8") as fh:
             fh.write(svg)
 
     print(metrics, end="")
@@ -112,7 +112,7 @@ def cmd_sweep(args) -> int:
     path = os.path.join(args.out, f"{_scenario_stem(args.scenario)}_sweep.csv")
     completed = []
     os.makedirs(args.out, exist_ok=True)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([*keys, *sim.RunMetrics._fields, "completed"]) + "\n")
         for overrides, record in results:
             row = [str(overrides[k]) for k in keys]
@@ -215,13 +215,10 @@ def cmd_figures(args) -> int:
         rate_series.append(
             (label, [(s.t, s.d_lateral_rate) for s in record.samples])
         )
-    arc_pts = []
-    track = two_point.scenario.track
+    track = two_point.scenario.track.line()
     last_station = two_point.samples[-1].t * two_point.scenario.params.v_s
     n = 400
-    for i in range(n + 1):
-        f = track.point_at(last_station * i / n)
-        arc_pts.append(f.position)
+    arc_pts = [track.point_at(last_station * i / n).position for i in range(n + 1)]
     path_pts = [(s.x, s.y) for s in two_point.samples]
 
     outputs = {
@@ -245,7 +242,7 @@ def cmd_figures(args) -> int:
         ),
     }
     for name, svg in outputs.items():
-        with open(os.path.join(args.out, name), "w") as fh:
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
             fh.write(svg)
     print(f"wrote {len(outputs)} figures to {args.out}")
     return EXIT_OK

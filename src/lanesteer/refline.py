@@ -172,7 +172,7 @@ Segment = StraightSegment | ArcSegment
 
 class ReferenceLine:
     """Arc-length parameterized chain of straight and circular-arc segments,
-    built by from_pieces or parallel_offset; equal where the segments are."""
+    built by from_pieces or parallel_offset."""
 
     @classmethod
     def _chain(cls, segments: list[Segment]) -> "ReferenceLine":
@@ -183,14 +183,6 @@ class ReferenceLine:
             self._starts.append(self._starts[-1] + seg.length)
         self.total_length = self._starts[-1]
         return self
-
-    def __eq__(self, other):
-        if not isinstance(other, ReferenceLine):
-            return NotImplemented
-        return self.segments == other.segments
-
-    def __hash__(self):
-        return hash(tuple(self.segments))
 
     @classmethod
     def from_pieces(

@@ -2,8 +2,9 @@
 
 The format is a flat, sectioned key-value text file with units encoded in
 the key names (duration_s, l_f_m, ...).  The `segment` key in [track] is
-repeatable and ordered.  Parsing and schema validation are separate
-stages so overrides can be applied in between.
+repeatable and ordered.  A file is parsed, then validated into a Scenario
+on its own; `--set` overrides then apply to that Scenario through
+`sim.apply_overrides`, as a sweep's grid points do.
 """
 
 from __future__ import annotations
@@ -11,42 +12,30 @@ from __future__ import annotations
 from . import sim
 from .control import PlannerParams
 from .errors import ScenarioFormatError, ScenarioValidationError
-from .refline import ReferenceLine
 from .sim import Scenario
 from .vehicle import VehicleGeometry, VehicleState
 
-_TRACK_KEYS = ("start_x_m", "start_y_m", "start_heading_rad", "segment")
 
-
-def _required(table: dict, *classes) -> list[str]:
-    """The keys of one of sim's key tables whose field has no default in
-    the constructors of `classes`: NamedTuples, or classes whose __init__
-    takes the fields as positional-or-keyword parameters."""
+def _section(section: str, *classes) -> tuple[tuple, list]:
+    """The keys of one of sim's key tables, and those whose field has no
+    default in the constructors of `classes`, which list their fields in
+    `__match_args__`: NamedTuples, built by __new__, or `Frozen` classes."""
     required = set()
     for cls in classes:
-        if issubclass(cls, tuple):
-            names, defaults = cls._fields, cls._field_defaults
-        else:
-            code = cls.__init__.__code__
-            names = code.co_varnames[1:code.co_argcount]
-            defaults = cls.__init__.__defaults__ or ()
+        init = cls.__new__ if issubclass(cls, tuple) else cls.__init__
+        names, defaults = cls.__match_args__, init.__defaults__ or ()
         required.update(names[:len(names) - len(defaults)])
-    return [key for key, name in table.items() if name in required]
+    table = sim._TABLES[section]
+    return tuple(table), [key for key, name in table.items() if name in required]
 
 
-# section -> (accepted keys, required keys).  The [vehicle], [planner] and
-# [sim] keys are sim's override keys; [sim] holds the initial state's too.
+# section -> (accepted keys, required keys): but for [output], sim's
+# override keys, [sim]'s with the initial state's
 _SECTIONS = {
-    "track": (_TRACK_KEYS, _TRACK_KEYS),
-    "vehicle": (
-        tuple(sim._VEHICLE_KEYS), _required(sim._VEHICLE_KEYS, VehicleGeometry)
-    ),
-    "planner": (
-        tuple(sim._PLANNER_KEYS), _required(sim._PLANNER_KEYS, PlannerParams)
-    ),
-    "sim": (
-        tuple(sim._SIM_KEYS), _required(sim._SIM_KEYS, Scenario, VehicleState)
-    ),
+    "track": _section("track", sim.Track),
+    "vehicle": _section("vehicle", VehicleGeometry),
+    "planner": _section("planner", PlannerParams),
+    "sim": _section("sim", Scenario, VehicleState),
     "output": (("emit_svg",), ()),
 }
 
@@ -58,8 +47,12 @@ def parse_file(path: str) -> dict:
     """
     sections: dict[str, dict] = {}
     current = None
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"{path}: not UTF-8 text: {exc}") from None
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -100,27 +93,12 @@ def parse_file(path: str) -> dict:
     return sections
 
 
-def apply_overrides(sections: dict, overrides: list[str]) -> dict:
-    """Apply 'section.key=value' strings to the raw parse tree."""
-    out = {sec: dict(keys) for sec, keys in sections.items()}
-    for item in overrides:
-        if "=" not in item or "." not in item.split("=", 1)[0]:
-            raise ScenarioFormatError(
-                f"override {item!r} is not of the form section.key=value"
-            )
-        dotted, _, value = item.partition("=")
-        section, _, key = dotted.strip().partition(".")
-        value = value.strip()
-        if not section or not key or not value:
-            raise ScenarioFormatError(f"override {item!r} has empty parts")
-        # a segment replaces the file's chain, a list as parse_file builds it
-        out.setdefault(section, {})[key] = [value] if key == "segment" else value
-    return out
-
-
-def _convert(section: str, key: str, value: str):
-    """Parse one value's text: [output] keys are booleans, every other
-    value is a number.  Ranges are the constructors' to check."""
+def _convert(section: str, key: str, value):
+    """Parse one value's text: [track]'s segment texts give a tuple of
+    pieces, [output] keys are booleans, every other value is a number.
+    Ranges are the constructors' to check."""
+    if key == "segment":
+        return tuple(map(_parse_segment, value))
     try:
         if section != "output":
             return float(value)
@@ -137,79 +115,64 @@ def _convert(section: str, key: str, value: str):
 
 
 def _parse_segment(text: str):
-    parts = text.split()
-    if parts and parts[0] == "line" and len(parts) == 2:
-        return ("line", float(parts[1]))
-    if parts and parts[0] == "arc" and len(parts) == 3:
-        return ("arc", float(parts[1]), float(parts[2]))
+    kind, *numbers = text.split()
+    if (kind, len(numbers)) in (("line", 1), ("arc", 2)):
+        try:
+            return (kind, *map(float, numbers))
+        except ValueError:
+            pass
     raise ScenarioValidationError(
-        f"segment {text!r}: expected 'line <length_m>' or "
+        f"[track]: segment {text!r}: expected 'line <length_m>' or "
         "'arc <length_m> <curvature_per_m>'"
     )
 
 
-def validate(sections: dict) -> tuple[Scenario, bool]:
-    """Enforce the schema and build the Scenario, returned with the [output]
-    emit_svg flag. Unknown keys are errors."""
-    for section in sections:
+def _values(sections: dict) -> dict:
+    """{section: {key: value}} of a parse tree whose every section and key
+    the format knows.  Unknown ones are errors."""
+    for section, present in sections.items():
         if section not in _SECTIONS:
             raise ScenarioValidationError(f"unknown section [{section}]")
-    for section, (keys, required) in _SECTIONS.items():
-        if section == "output" and section not in sections:
-            continue
-        if section not in sections:
-            raise ScenarioValidationError(f"missing section [{section}]")
-        present = sections[section]
         for key in present:
-            if key not in keys:
-                raise ScenarioValidationError(
-                    f"unknown key {key!r} in [{section}]"
-                )
+            if key not in _SECTIONS[section][0]:
+                raise ScenarioValidationError(f"unknown key {key!r} in [{section}]")
+    return {
+        section: {key: _convert(section, key, raw) for key, raw in present.items()}
+        for section, present in sections.items()
+    }
+
+
+def validate(sections: dict) -> tuple[Scenario, bool]:
+    """Enforce the schema and build the Scenario, returned with the [output]
+    emit_svg flag."""
+    values = _values(sections)
+    for section, (_, required) in _SECTIONS.items():
+        if section not in sections and section != "output":
+            raise ScenarioValidationError(f"missing section [{section}]")
         for key in required:
-            if key not in present:
+            if key not in sections.get(section, ()):
                 raise ScenarioValidationError(
                     f"missing required key {key!r} in [{section}]"
                 )
 
-    values = {
-        section: {
-            key: list(raw) if key == "segment" else _convert(section, key, raw)
-            for key, raw in present.items()
-        }
-        for section, present in sections.items()
-    }
-
-    trk = values["track"]
-    try:
-        pieces = [_parse_segment(s) for s in trk["segment"]]
-        track = ReferenceLine.from_pieces(
-            trk["start_x_m"], trk["start_y_m"], trk["start_heading_rad"], pieces
-        )
-    except ValueError as exc:
-        raise ScenarioValidationError(f"[track]: {exc}") from None
-
-    try:
-        geometry = VehicleGeometry(**sim.field_values("vehicle", values["vehicle"]))
-    except ValueError as exc:
-        raise ScenarioValidationError(f"[vehicle]: {exc}") from None
-
-    try:
-        params = PlannerParams(**sim.field_values("planner", values["planner"]))
-    except ValueError as exc:
-        raise ScenarioValidationError(f"[planner]: {exc}") from None
+    records = {}
+    for section, build in (("track", sim.Track), ("vehicle", VehicleGeometry),
+                           ("planner", PlannerParams)):
+        try:
+            record = build(**sim.field_values(section, values[section]))
+            if section == "track":
+                # Scenario checks it too, but its errors read as [sim]'s
+                record.line()
+        except ValueError as exc:
+            raise ScenarioValidationError(f"[{section}]: {exc}") from None
+        records[sim._RECORDS[section]] = record
 
     try:
         kwargs = sim.field_values("sim", values["sim"])
         initial = VehicleState(**{
             name: kwargs.pop(name) for name in VehicleState._fields if name in kwargs
         })
-        scenario = Scenario(
-            track=track,
-            geometry=geometry,
-            params=params,
-            initial_state=initial,
-            **kwargs,
-        )
+        scenario = Scenario(initial_state=initial, **records, **kwargs)
     except ValueError as exc:
         raise ScenarioValidationError(f"[sim]: {exc}") from None
 
@@ -217,9 +180,29 @@ def validate(sections: dict) -> tuple[Scenario, bool]:
 
 
 def load(path: str, overrides: list[str] | None = None) -> tuple[Scenario, bool]:
-    """The scenario of a file, with overrides applied, and whether its run
-    draws an SVG ([output] emit_svg, false by default)."""
-    sections = parse_file(path)
-    if overrides:
-        sections = apply_overrides(sections, overrides)
-    return validate(sections)
+    """The scenario of a file, with 'section.key=value' overrides applied,
+    and whether its run draws an SVG ([output] emit_svg, false by default).
+    The file must validate on its own; the overrides then apply together,
+    as a grid point's keys do, and a segment replaces the whole chain."""
+    tree: dict[str, dict] = {}
+    for item in overrides or ():
+        dotted, equals, value = item.partition("=")
+        section, dot, key = dotted.strip().partition(".")
+        if not (equals and dot):
+            raise ScenarioFormatError(
+                f"override {item!r} is not of the form section.key=value"
+            )
+        value = value.strip()
+        if not (section and key and value):
+            raise ScenarioFormatError(f"override {item!r} has empty parts")
+        # a segment is a list, as parse_file builds it
+        tree.setdefault(section, {})[key] = [value] if key == "segment" else value
+    scenario, emit_svg = validate(parse_file(path))
+    values = _values(tree)
+    emit_svg = values.pop("output", {}).get("emit_svg", emit_svg)
+    if values:
+        scenario = sim.apply_overrides(scenario, {
+            f"{section}.{key}": value
+            for section, keys in values.items() for key, value in keys.items()
+        })
+    return scenario, emit_svg

@@ -30,10 +30,25 @@ _STEADY_AGREE_TOL = 1e-2
 _tuple_new = tuple.__new__
 
 
+class Track(NamedTuple):
+    """What a scenario file's [track] states, the arguments of
+    `ReferenceLine.from_pieces`: a start pose (m, m, rad) and a tuple of
+    ("line", length) and ("arc", length, curvature) pieces."""
+
+    start_x: float
+    start_y: float
+    start_heading: float
+    pieces: tuple
+
+    def line(self) -> ReferenceLine:
+        """The reference line, built anew on each call."""
+        return ReferenceLine.from_pieces(*self)
+
+
 # the fields of Scenario: a NamedTuple body may not define __new__ or _make,
 # so Scenario subclasses this one
 class _ScenarioFields(NamedTuple):
-    track: ReferenceLine
+    track: Track
     geometry: VehicleGeometry
     params: PlannerParams
     initial_state: VehicleState
@@ -82,9 +97,10 @@ class Scenario(_ScenarioFields):
                 raise ValueError("abort_time requires a lane-change offset")
             if not 0 <= abort_time < duration:
                 raise ValueError("abort_time must lie in [0, duration)")
+        # only to reject a bad track or an offset that collapses an arc
+        line = track.line()
         if lane_change_offset is not None:
-            # only to reject an offset that collapses an arc; run builds its own
-            track.parallel_offset(lane_change_offset)
+            line.parallel_offset(lane_change_offset)
         return _tuple_new(cls, (track, geometry, params, initial_state, duration,
                                 h, control_divisor, lane_change_offset, abort_time))
 
@@ -155,7 +171,7 @@ def run(scenario: Scenario) -> RunRecord:
     plan_step, step = ctl.plan_step, veh.step
     # a lane change follows the offset line until the first period i with
     # i * period >= abort_time, if any, and the track from there on
-    track, offset = scenario.track, scenario.lane_change_offset
+    track, offset = scenario.track.line(), scenario.lane_change_offset
     target = track if offset is None else track.parallel_offset(offset)
     swap = n_periods + 1
     abort = scenario.abort_time
@@ -298,6 +314,12 @@ def metrics_from_samples(
 
 
 # scenario-file key names (units encoded) -> constructor field names
+_TRACK_KEYS = {
+    "start_x_m": "start_x",
+    "start_y_m": "start_y",
+    "start_heading_rad": "start_heading",
+    "segment": "pieces",
+}
 _PLANNER_KEYS = {
     "k_per_m": "k",
     "lambda_s2": "lam",
@@ -325,16 +347,20 @@ _SIM_KEYS = {
 }
 
 
-_TABLES = {"planner": _PLANNER_KEYS, "vehicle": _VEHICLE_KEYS, "sim": _SIM_KEYS}
+_TABLES = {"track": _TRACK_KEYS, "planner": _PLANNER_KEYS,
+           "vehicle": _VEHICLE_KEYS, "sim": _SIM_KEYS}
+
+# the Scenario field of each section's record; [sim] fills the others
+_RECORDS = {"track": "track", "planner": "params", "vehicle": "geometry"}
 
 
 def field_values(section: str, values: dict[str, float]) -> dict:
     """Constructor keyword arguments for one section's scenario-file keys;
     [sim]'s initial-state keys give fields of Scenario.initial_state.
 
-    Besides the renaming, the one conversion is of an integral control
-    divisor such as 2.0 to the int that Scenario requires; every range is
-    the constructors' to check.
+    Besides the renaming, an integral control divisor such as 2.0 becomes
+    the int that Scenario requires, and a segment must be a tuple of
+    pieces; every range is the constructors' to check.
     """
     table = _TABLES[section]
     kwargs = {}
@@ -346,30 +372,45 @@ def field_values(section: str, values: dict[str, float]) -> dict:
             if not float(value).is_integer():
                 raise ValueError(f"control divisor {value!r} is not an integer")
             value = int(value)
+        elif name == "pieces" and not isinstance(value, tuple):
+            raise ValueError("a segment is text, not a number")
         kwargs[name] = value
     return kwargs
 
 
-def apply_override(scenario: Scenario, key: str, value: float) -> Scenario:
+def apply_override(scenario: Scenario, key: str, value) -> Scenario:
     """New scenario with one dotted-key parameter replaced.
 
     Keys use the scenario-file vocabulary (units in the name), e.g.
-    planner.k_per_m, vehicle.l_f_m, sim.duration_s, sim.initial_y_m.
-    Built with `_replace`, so an unchecked _ScenarioFields stays unchecked.
+    planner.k_per_m, sim.initial_y_m, track.start_x_m; track.segment takes
+    a tuple of pieces.  Built with `_replace`, so an unchecked
+    _ScenarioFields stays unchecked.
     """
     section, _, name = key.partition(".")
     if section not in _TABLES:
         raise KeyError(f"unknown override section {section!r}")
     kwargs = field_values(section, {name: value})
-    if section == "planner":
-        return scenario._replace(params=scenario.params._replace(**kwargs))
-    if section == "vehicle":
-        return scenario._replace(geometry=scenario.geometry._replace(**kwargs))
-    if _SIM_KEYS[name] in VehicleState._fields:
-        return scenario._replace(
-            initial_state=scenario.initial_state._replace(**kwargs)
-        )
-    return scenario._replace(**kwargs)
+    if section == "sim" and _SIM_KEYS[name] not in VehicleState._fields:
+        return scenario._replace(**kwargs)
+    field = _RECORDS.get(section, "initial_state")
+    return scenario._replace(**{field: getattr(scenario, field)._replace(**kwargs)})
+
+
+def apply_overrides(scenario: Scenario, overrides: dict) -> Scenario:
+    """New scenario with every dotted key of `overrides` replaced, checked
+    once with all of them applied; a rejected set raises
+    ScenarioValidationError, whose message names every key and value."""
+    sc = _ScenarioFields._make(scenario)
+    try:
+        for key, value in overrides.items():
+            sc = apply_override(sc, key, value)
+        return Scenario._make(sc)
+    except KeyError as exc:
+        # the message itself: str() of a KeyError is its repr, in quotes
+        raise ScenarioValidationError(exc.args[0]) from None
+    except ValueError as exc:
+        point = ", ".join(f"{k} = {v!r}" for k, v in overrides.items())
+        raise ScenarioValidationError(f"{point}: {exc}") from None
 
 
 def sweep(
@@ -378,10 +419,9 @@ def sweep(
     """Independent runs over the cartesian product of the axis values.
 
     Results are keyed and ordered by the grid coordinates.  Every grid
-    point's scenario is built on the call, its keys checked together as a
-    file's are, so any rejected grid raises ScenarioValidationError before
-    any simulation; the message names the point's keys and values.  The
-    returned iterator runs each point as it is reached; a failed run is
+    point's scenario is built on the call by `apply_overrides`, so any
+    rejected grid raises ScenarioValidationError before any simulation.
+    The returned iterator runs each point as it is reached; a failed run is
     recorded in its RunRecord and the sweep continues.
     """
     if not axes:
@@ -392,21 +432,9 @@ def sweep(
         if len(set(values)) != len(values):
             raise ScenarioValidationError(f"axis {key!r} has duplicate values")
     keys = sorted(axes)
-    points = []
-    for combo in itertools.product(*(axes[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
-        sc = _ScenarioFields._make(scenario)
-        try:
-            for key, value in overrides.items():
-                sc = apply_override(sc, key, value)
-            sc = Scenario._make(sc)
-        except KeyError as exc:
-            # the message itself: str() of a KeyError is its repr, in quotes
-            raise ScenarioValidationError(exc.args[0]) from None
-        except ValueError as exc:
-            point = ", ".join(f"{k} = {v!r}" for k, v in overrides.items())
-            raise ScenarioValidationError(f"{point}: {exc}") from None
-        points.append((overrides, sc))
+    grid = [dict(zip(keys, combo))
+            for combo in itertools.product(*(axes[k] for k in keys))]
+    points = [(overrides, apply_overrides(scenario, overrides)) for overrides in grid]
     return ((overrides, run(sc)) for overrides, sc in points)
 
 
@@ -417,6 +445,6 @@ def write_csv(path, samples) -> None:
     number, written with repr, which round-trips a float exactly and never
     needs quoting, and every row ends in CRLF.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(Sample._fields) + "\r\n")
         fh.writelines(",".join(map(repr, row)) + "\r\n" for row in samples)

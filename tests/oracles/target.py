@@ -7,10 +7,11 @@ A lane change follows the track offset by `lane_change_offset` along its
 
 
 def target_at(scenario, t):
-    """Line the controller follows at time t: a new offset line on each call,
-    or the track itself."""
+    """Line the controller follows at time t, built anew on each call: the
+    track's line, or its offset line."""
+    track = scenario.track.line()
     if scenario.lane_change_offset is None or (
         scenario.abort_time is not None and t >= scenario.abort_time
     ):
-        return scenario.track
-    return scenario.track.parallel_offset(scenario.lane_change_offset)
+        return track
+    return track.parallel_offset(scenario.lane_change_offset)

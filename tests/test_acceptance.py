@@ -104,7 +104,7 @@ def test_criterion_02_oscillation_onset(lane_change_trio):
 
 
 def test_criterion_03_error_decay_rate():
-    track = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 500.0)])
+    track = sim.Track(0.0, 0.0, 0.0, (("line", 500.0),))
     geom = VehicleGeometry(l_f=1.5, l_r=1.5, u_max=10.0)
     rng = random.Random(20260823)
     worst = 0.0
@@ -140,7 +140,7 @@ def test_criterion_03_error_decay_rate():
 
 
 def _small_lane_change(abort_time=None):
-    track = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 500.0)])
+    track = sim.Track(0.0, 0.0, 0.0, (("line", 500.0),))
     geom = VehicleGeometry(l_f=1.5, l_r=1.5, u_max=10.0)
     params = PlannerParams(k=0.25, lam=1.0)
     return sim.Scenario(
@@ -592,9 +592,7 @@ def test_steady_row_predicts_the_corner_run(k, accepted):
     assert _failing_rows(params, kappa0) == (
         [] if accepted else ["corner_cutting.steady_lateral_bound"]
     )
-    track = ReferenceLine.from_pieces(
-        0.0, 0.0, 0.0, [("arc", 2.0 * math.pi / kappa0, kappa0)]
-    )
+    track = sim.Track(0.0, 0.0, 0.0, (("arc", 2.0 * math.pi / kappa0, kappa0),))
     record = sim.run(sim.Scenario(
         track=track,
         geometry=VehicleGeometry(l_f=1.5, l_r=1.5),
@@ -628,7 +626,7 @@ def test_abort_c1_row_predicts_the_lane_change(k, accepted):
         [] if accepted else ["abort_safety.abort_peak_vs_c1"]
     )
     record = sim.run(sim.Scenario(
-        track=ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 500.0)]),
+        track=sim.Track(0.0, 0.0, 0.0, (("line", 500.0),)),
         geometry=VehicleGeometry(l_f=1.5, l_r=1.5, u_max=10.0),
         params=params,
         initial_state=VehicleState(0.0, 0.0, 0.0, 0.0),

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import xml.dom.minidom
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,43 @@ class TestRun:
         assert rows[-1].y == pytest.approx(3.5, abs=0.035)
         assert os.path.exists(os.path.join(out, "lane_change_k05_metrics.txt"))
         assert os.path.exists(os.path.join(out, "lane_change_k05.svg"))
+
+    def test_svg_text_is_escaped(self, tmp_path):
+        # the file's stem is the chart's title and series label
+        src = tmp_path / "a&b<c.scenario"
+        shutil.copy(scenario_path("lane_change_k10.scenario"), src)
+        out = tmp_path / "o"
+        assert run_cli(["run", "--scenario", str(src), "--out", str(out)]) == 0
+        svg = xml.dom.minidom.parse(str(out / "a&b<c.svg"))
+        texts = [node.firstChild.data for node in svg.getElementsByTagName("text")]
+        assert texts.count("a&b<c") == 2
+
+    def test_file_not_utf8_is_usage_error(self, tmp_path, capsys):
+        src = Path(scenario_path("lane_change_k10.scenario"))
+        bad = tmp_path / "latin1.scenario"
+        bad.write_bytes(b"# caf\xe9\n" + src.read_bytes())
+        out = tmp_path / "o"
+        assert run_cli(["run", "--scenario", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_no_file_is_opened_without_an_encoding(self, tmp_path):
+        # every text file the package opens names its encoding, so that
+        # -X warn_default_encoding finds none, SVG and sweep CSV included
+        for args in (["run"], ["sweep", "--grid", "planner.k_per_m=0.5,1"]):
+            proc = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding",
+                 "-W", "error::EncodingWarning", "-c",
+                 "import sys; from lanesteer.cli import main; sys.exit(main(sys.argv[1:]))",
+                 *args, "--scenario", scenario_path("lane_change_k10.scenario"),
+                 "--out", str(tmp_path)],
+                capture_output=True, text=True, env=package_env(), timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "lane_change_k10.svg").is_file()
+        assert (tmp_path / "lane_change_k10_sweep.csv").is_file()
 
     def test_missing_file_is_usage_error(self, tmp_path):
         code = run_cli([
@@ -330,16 +368,59 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err == "validation error: unknown planner parameter 'bogus'\n"
 
-    def test_track_key_is_not_a_grid_key(self, tmp_path, capsys):
-        # a file and --set take the [track] start pose; --grid does not
+    def test_track_key_is_a_grid_key(self, tmp_path):
+        # --grid takes the [track] start pose, as a file and --set do; the
+        # track starts 5 m behind the vehicle, so that the turned one's
+        # offset line does not start ahead of it
         out = tmp_path / "o"
         code = run_cli([
             "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--set", "track.start_x_m=-5",
             "--grid", "track.start_heading_rad=0,0.1", "--out", str(out),
         ])
+        assert code == 0
+        lines = (out / "lane_change_k10_sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == [
+            "track.start_heading_rad", "0.0", "0.1"]
+        assert lines[1].split(",")[1:] != lines[2].split(",")[1:]
+
+    def test_track_start_grid_matches_run(self, tmp_path):
+        # each row reads as the metrics file of the run with the same --set
+        out = tmp_path / "sweep"
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--grid", "track.start_x_m=-5,0", "--out", str(out),
+        ])
+        assert code == 0
+        lines = (out / "lane_change_k10_sweep.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","), strict=True)) for line in lines[1:]]
+        assert [row["track.start_x_m"] for row in rows] == ["-5.0", "0.0"]
+        for row in rows:
+            value = row.pop("track.start_x_m")
+            run_out = tmp_path / f"run_{value}"
+            code = run_cli([
+                "run", "--scenario", scenario_path("lane_change_k10.scenario"),
+                "--set", f"track.start_x_m={value}", "--out", str(run_out),
+            ])
+            assert code == 0
+            text = (run_out / "lane_change_k10_metrics.txt").read_text()
+            assert dict(line.split(" = ") for line in text.splitlines()) == row
+
+    @pytest.mark.parametrize("grid, message", [
+        ("track.segment=1", "validation error: track.segment = 1.0: "
+                            "a segment is text, not a number\n"),
+        ("output.emit_svg=0,1",
+         "validation error: unknown override section 'output'\n"),
+    ])
+    def test_file_only_key_is_not_a_grid_key(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "o"
+        code = run_cli([
+            "sweep", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--grid", grid, "--out", str(out),
+        ])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err == "validation error: unknown override section 'track'\n"
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     def test_safety_limit_is_not_a_grid_key(self, tmp_path, capsys):

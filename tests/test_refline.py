@@ -100,20 +100,6 @@ class TestConstruction:
             ReferenceLine.from_pieces(0, 0, 0, [("arc", 1.0, 0.0)])
 
 
-class TestEquality:
-    def test_equal_pieces_give_equal_lines(self):
-        a, b = make_mixed_track(), make_mixed_track()
-        assert a is not b
-        assert a == b and hash(a) == hash(b)
-        assert a.parallel_offset(3.5) == b.parallel_offset(3.5)
-
-    def test_other_pieces_or_types_are_unequal(self):
-        line = make_mixed_track()
-        assert line != line.parallel_offset(1.0)
-        assert line != ReferenceLine.from_pieces(0.0, 0.0, 0.1, [("line", 50.0)])
-        assert line != line.segments
-
-
 class TestFrames:
     def test_normal_is_left_of_tangent(self):
         line = make_mixed_track()

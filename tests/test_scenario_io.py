@@ -105,7 +105,7 @@ OVERRIDE_KEYS = [
         ("sim", sim._SIM_KEYS),
     )
     for key in table
-]
+] + ["track.start_x_m", "track.start_y_m", "track.start_heading_rad"]
 # the safety limits and the lane width are feasibility inputs, not scenario
 # values (the control law never reads them), and lambda0 follows from k,
 # lambda and v_s: both entry points reject them
@@ -114,7 +114,7 @@ REMOVED_KEYS = [
     "planner.lambda0",
 ]
 SCENARIO_FIELDS = [
-    "geometry", "params", "h", "duration", "control_divisor", "abort_time",
+    "track", "geometry", "params", "h", "duration", "control_divisor", "abort_time",
     "lane_change_offset", "initial_state",
 ]
 
@@ -125,8 +125,8 @@ SCENARIO_FIELDS = [
 @pytest.mark.parametrize("key", OVERRIDE_KEYS + REMOVED_KEYS)
 def test_set_and_override_accept_the_same_values(key, value):
     """--set (through the scenario file's parser) and sweep's apply_override
-    reject exactly the same keys and values, and otherwise build the same
-    scenario.  apply_override knows every key of sim's tables: a KeyError
+    reject exactly the same keys and values, the [track] start pose's too,
+    and otherwise build the same scenario.  apply_override knows every key of sim's tables: a KeyError
     for one of them would fail the test."""
     base, _ = scenario_io.load(LANE_CHANGE)
     if key in REMOVED_KEYS:
@@ -207,11 +207,12 @@ def test_required_keys():
 
 def test_set_segment_replaces_the_track():
     scenario, _ = scenario_io.load(LANE_CHANGE, ["track.segment=line 100"])
-    assert scenario.track.total_length == 100.0
+    assert scenario.track == sim.Track(0.0, 0.0, 0.0, (("line", 100.0),))
 
 
 class TestEquality:
-    """Scenarios compare and hash by value, their track by its segments."""
+    """Scenarios compare and hash by value, their track by its start pose
+    and pieces."""
 
     def test_two_loads_are_equal(self):
         a, _ = scenario_io.load(LANE_CHANGE)
@@ -240,5 +241,5 @@ def test_far_offset_of_a_three_piece_track_validates(tmp_path):
     path = tmp_path / "three.scenario"
     path.write_text(text)
     scenario, _ = scenario_io.load(str(path), ["sim.lane_change_offset_m=-1e8"])
-    assert len(scenario.track.segments) == 3
+    assert len(scenario.track.pieces) == 3
     assert scenario.lane_change_offset == -1e8

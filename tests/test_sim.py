@@ -24,7 +24,7 @@ GEOM = VehicleGeometry(l_f=1.5, l_r=1.5)
 
 
 def straight_track(length=200.0):
-    return ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", length)])
+    return sim.Track(0.0, 0.0, 0.0, (("line", length),))
 
 
 def lane_change_scenario(k=0.5, duration=10.0, offset=3.5, **kw):
@@ -64,9 +64,7 @@ class TestScenarioValidation:
     def test_collapsing_offset_rejected_at_construction(self):
         # the offset line is built with the scenario, so a 3.5 m offset toward
         # the center of a 2 m-radius arc fails here rather than inside run
-        track = ReferenceLine.from_pieces(
-            0.0, 0.0, 0.0, [("line", 5.0), ("arc", 20.0, 0.5)]
-        )
+        track = sim.Track(0.0, 0.0, 0.0, (("line", 5.0), ("arc", 20.0, 0.5)))
         with pytest.raises(ValueError, match="collapses"):
             sim.Scenario(
                 track=track,
@@ -121,9 +119,9 @@ class TestScenarioValidation:
         for q in (copy.copy(a), a._make(a), a._replace()):
             assert type(q) is sim.Scenario and q == a
             assert target_at(q, 0.0).point_at(0.0) == target_at(a, 0.0).point_at(0.0)
-        # the track compares by identity, so an unpickled copy differs there
+        # the track compares by value, so an unpickled copy is equal too
         q = pickle.loads(pickle.dumps(a))
-        assert type(q) is sim.Scenario and q[1:] == a[1:]
+        assert type(q) is sim.Scenario and q == a
         assert target_at(q, 0.0).point_at(5.0) == target_at(a, 0.0).point_at(5.0)
         # the constructor's signature carries the fields' defaults
         parameters = inspect.signature(sim.Scenario).parameters
@@ -137,7 +135,8 @@ class TestScenarioValidation:
         moved = sc._replace(lane_change_offset=-2.0)
         assert target_at(moved, 0.0).point_at(0.0).position == (0.0, -2.0)
         assert target_at(sc, 0.0).point_at(0.0).position == (0.0, 3.5)
-        assert target_at(sc._replace(lane_change_offset=None), 0.0) is sc.track
+        unmoved = target_at(sc._replace(lane_change_offset=None), 0.0)
+        assert unmoved.point_at(0.0).position == (0.0, 0.0)
         track = straight_track(50.0)
         assert target_at(sc._replace(track=track), 0.0).total_length == 50.0
 
@@ -181,8 +180,15 @@ class TestScenarioValidation:
           for bad in (-1.0, 10.0, math.nan, math.inf)],
         # 3.5 m toward the center of a 2 m-radius arc
         ({"lane_change_offset": None,
-          "track": ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("arc", 20.0, 0.5)])},
+          "track": sim.Track(0.0, 0.0, 0.0, (("arc", 20.0, 0.5),))},
          "lane_change_offset", 3.5, "parallel offset collapses"),
+        *[({}, "track", sim.Track(*pose, pieces), message)
+          for pose, pieces, message in (
+              ((math.nan, 0.0, 0.0), (("line", 10.0),), "start pose must be finite"),
+              ((0.0, 0.0, math.inf), (("line", 10.0),), "start pose must be finite"),
+              ((0.0, 0.0, 0.0), (), "reference line needs at least one piece"),
+              ((0.0, 0.0, 0.0), (("line", -1.0),), "segment length must"),
+              ((0.0, 0.0, 0.0), (("arc", 1.0, 0.0),), "arc curvature must"))],
     ])
     def test_every_way_of_building_checks_every_rule(self, changes, name, value,
                                                      message):
@@ -285,12 +291,15 @@ class TestRun:
         # the track, so every period runs; only the last sample's projection
         # onto the track, for final_lateral, fails
         sc = lane_change_scenario(duration=1.0)
-        assert target_at(sc, 0.0) is not sc.track
+        real_project = ReferenceLine.project
 
-        def outside(position):
-            raise StationRangeError("injected")
+        def outside(line, position):
+            # the track starts at (0, 0), its 3.5 m offset line does not
+            if line.point_at(0.0).position == (0.0, 0.0):
+                raise StationRangeError("injected")
+            return real_project(line, position)
 
-        monkeypatch.setattr(sc.track, "project", outside)
+        monkeypatch.setattr(ReferenceLine, "project", outside)
         record = sim.run(sc)
         assert not record.completed
         assert record.failure_reason == "StationRangeError: injected"
@@ -551,12 +560,15 @@ class TestRunAbort:
         record = sim.run(sc)
         assert record.completed
         assert len(targets) == len(record.samples)
-        # the oracle builds a new offset line on each call, equal to the run's
+        # the oracle builds new lines on each call, equal to the run's; the
+        # run steers to one line object until the swap, and the track's after
         expected = [target_at(sc, s.t) for s in record.samples]
-        assert [t is sc.track for t in targets] == [t is sc.track for t in expected]
         assert [t.segments == e.segments for t, e in zip(targets, expected)] == [
             True] * len(targets)
-        assert [t is sc.track for t in targets] == [i >= swap for i in range(len(targets))]
+        track = target_at(sc._replace(lane_change_offset=None, abort_time=None), 0.0)
+        assert [t.segments == track.segments for t in targets] == [
+            i >= swap for i in range(len(targets))]
+        assert len({id(t) for t in targets}) == (2 if 0 < swap < len(targets) else 1)
 
 
 class TestRunCorner:
@@ -587,8 +599,8 @@ class TestRunCorner:
     def test_two_point_drives_from_line_into_arc(self):
         # the two-point planner tracks inside the lane, so it meets the arc
         # on its concave side, where the arc's foot is clamped to the junction
-        track = ReferenceLine.from_pieces(
-            0.0, 0.0, 0.0, [("line", 50.0), ("arc", 60.0, 0.02), ("line", 100.0)]
+        track = sim.Track(
+            0.0, 0.0, 0.0, (("line", 50.0), ("arc", 60.0, 0.02), ("line", 100.0))
         )
         sc = bundled("corner_twopoint")._replace(track=track, duration=150.0)
         record = sim.run(sc)
@@ -634,7 +646,7 @@ SWEEP_REJECTIONS = [
     ({}, "sweep needs at least one axis"),
     ({"planner.k_per_m": []}, "axis 'planner.k_per_m' has no values"),
     ({"planner.k_per_m": [0.5, 0.5]}, "axis 'planner.k_per_m' has duplicate values"),
-    ({"track.start_heading_rad": [0.0, 0.1]}, "unknown override section 'track'"),
+    ({"output.emit_svg": [0.0, 1.0]}, "unknown override section 'output'"),
     ({"planner.bogus": [1.0]}, "unknown planner parameter 'bogus'"),
     ({"planner.k_per_m": [0.5, -1.0]},
      "planner.k_per_m = -1.0: k must be positive and finite"),
@@ -642,6 +654,7 @@ SWEEP_REJECTIONS = [
      "sim.control_divisor = 2.5: control divisor 2.5 is not an integer"),
     ({"sim.lane_change_offset_m": [1e3]},
      "sim.lane_change_offset_m = 1000.0: parallel offset collapses an arc segment"),
+    ({"track.segment": [1.0]}, "track.segment = 1.0: a segment is text, not a number"),
 ]
 
 
@@ -672,6 +685,30 @@ class TestSweep:
             "abort_time must lie in [0, duration)",
         )
 
+    def test_track_keys_are_grid_keys(self, monkeypatch):
+        # each point's track is the file's, with its start pose replaced, as
+        # the same --set values give it
+        monkeypatch.setattr(sim, "run", lambda scenario: scenario)
+        path = os.path.join(cli.SCENARIOS_DIR, "lane_change_k10.scenario")
+        base = bundled("lane_change_k10")
+        axes = {"track.start_heading_rad": [0.0, 0.1], "track.start_x_m": [-5.0],
+                "track.start_y_m": [2.0]}
+        points = list(sim.sweep(base, axes))
+        assert [scenario.track for _, scenario in points] == [
+            base.track._replace(start_x=-5.0, start_y=2.0, start_heading=heading)
+            for heading in (0.0, 0.1)
+        ]
+        for overrides, scenario in points:
+            sets = [f"{key}={value!r}" for key, value in overrides.items()]
+            assert scenario == scenario_io.load(path, sets)[0]
+
+    def test_segment_override_takes_pieces(self):
+        sc = sim.apply_override(lane_change_scenario(), "track.segment",
+                                (("line", 50.0), ("arc", 10.0, 0.1)))
+        assert sc.track == sim.Track(0.0, 0.0, 0.0, (("line", 50.0), ("arc", 10.0, 0.1)))
+        with pytest.raises(ValueError, match="a segment is text"):
+            sim.apply_override(lane_change_scenario(), "track.segment", 1.0)
+
     def test_singleton_matches_run(self):
         sc = lane_change_scenario(duration=3.0)
         [(overrides, record)] = sim.sweep(sc, {"planner.k_per_m": [0.5]})
@@ -698,7 +735,7 @@ class TestSweep:
     @pytest.mark.parametrize("axes, message", SWEEP_REJECTIONS)
     def test_rejected_grid_message(self, axes, message):
         # on an arc, so that an offset can collapse it
-        arc = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("arc", 100.0, 0.01)])
+        arc = sim.Track(0.0, 0.0, 0.0, (("arc", 100.0, 0.01),))
         with pytest.raises(errors.ScenarioValidationError) as info:
             sim.sweep(lane_change_scenario()._replace(track=arc), axes)
         assert type(info.value) is errors.ScenarioValidationError
@@ -822,7 +859,7 @@ class TestCsv:
             kappa_n = [
                 target_at(sc, r.t).project((r.x, r.y)).frame.curvature for r in rows
             ]
-            final_lateral = -sc.track.project((rows[-1].x, rows[-1].y)).signed_lateral
+            final_lateral = -sc.track.line().project((rows[-1].x, rows[-1].y)).signed_lateral
             again = sim.metrics_from_samples(sc, rows, kappa_n, final_lateral)
             for name in sim.RunMetrics._fields:
                 a = getattr(record.metrics, name)

@@ -11,7 +11,7 @@ from lanesteer import sim
 from lanesteer import vehicle as veh
 from lanesteer.control import PlannerParams
 from lanesteer.errors import NumericBlowupError, SteeringDomainError
-from lanesteer.refline import ArcSegment, ReferenceLine, StraightSegment, wrap_angle
+from lanesteer.refline import ArcSegment, StraightSegment, wrap_angle
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
 GEOM = VehicleGeometry(l_f=1.2, l_r=1.6)
@@ -196,7 +196,7 @@ class TestGeometryValidation:
         moved = GEOM._replace(l_r=2.0)
         assert moved.ratio.hex() == (2.0 / (1.2 + 2.0)).hex()
         sc = sim.Scenario(
-            track=ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 50.0)]),
+            track=sim.Track(0.0, 0.0, 0.0, (("line", 50.0),)),
             geometry=GEOM, params=PlannerParams(k=0.5, lam=1.0),
             initial_state=VehicleState(0.0, 0.0, 0.0), duration=1.0,
         )

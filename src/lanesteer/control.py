@@ -80,22 +80,27 @@ class PlannerParams(_PlannerFields):
         return self.k * self.v_s * math.sqrt(self.lam)
 
 
-class ControlSample(NamedTuple):
-    """Everything one control evaluation produced, for logging."""
+class Sample(NamedTuple):
+    """One control period's record: the state at its start and what plan_step
+    made of it.  The fields, in order, are the CSV columns."""
 
-    e: float
+    t: float
+    x: float
+    y: float
+    psi: float
+    delta: float
+    beta: float  # slip angle at the sampled state
+    theta_v: float  # velocity orientation psi + beta, wrapped
     theta_n: float
     theta_f: float
-    delta_theta: float  # theta_v - theta_n, wrapped
-    lateral: float  # <y_s, r>
-    v: float
+    e: float
+    d_lateral: float  # <y_s, r>
+    d_lateral_rate: float  # -v sin(theta_v - theta_n)
     u_s: float
     u_c: float
     u_applied: float
-    kappa_n: float
-    beta: float  # slip angle at the sampled state
-    theta_v: float  # velocity orientation psi + beta, wrapped
-    kappa_e: float  # path curvature under u_applied: omega / v
+    v: float
+    kappa_e_inst: float  # path curvature under u_applied: omega / v
 
 
 def error_two_point(
@@ -138,9 +143,14 @@ def plan_step(
     geom: VehicleGeometry,
     state: VehicleState,
     params: PlannerParams,
-) -> ControlSample:
+    t: float,
+) -> tuple[Sample, float]:
     """One full control evaluation: project, look ahead, couple the speed,
     form the error, and emit the saturated wheel-rate command.
+
+    Returns the Sample of the period that starts at time t in `state`, and
+    the orientation-difference rate d(theta_v - theta_n)/dt =
+    kappa_e * v - v_s * kappa_n, since the shadow point advances at v_s.
 
     The wheel rate is u_s + u_c.  The feed-forward u_s cancels the
     slip-angle kinematics, tracks the target orientation rate, and cancels
@@ -160,6 +170,7 @@ def plan_step(
 
     delta_theta = wrap_angle(theta_v - theta_n)
     alignment = math.cos(delta_theta)
+    sin_dt = math.sin(delta_theta)
     v = vehicle_speed(v_s, lateral * kappa_n, alignment)
 
     e = error_two_point(theta_v, theta_n, theta_f, lateral, k, alpha)
@@ -170,7 +181,7 @@ def plan_step(
     # look-ahead blend, and using the blended difference here would leave a
     # residual in the error dynamics on curved lanes
     try:
-        u_s = (-yaw_rate + theta_dot_ref - k * v * math.sin(delta_theta)) / g
+        u_s = (-yaw_rate + theta_dot_ref - k * v * sin_dt) / g
         u_c = -e / (g * math.sqrt(lam))
         u_applied = u_s + u_c
         # before the clamp, which would hide an infinite command
@@ -188,7 +199,7 @@ def plan_step(
         raise NumericBlowupError("control law divided by zero") from None
     if not isfinite(kappa_e):
         raise NumericBlowupError("control law produced a non-finite path curvature")
-    return _tuple_new(ControlSample, (
-        e, theta_n, theta_f, delta_theta, lateral, v, u_s, u_c,
-        u_applied, kappa_n, beta, theta_v, kappa_e,
-    ))
+    return _tuple_new(Sample, (
+        t, x, y, psi, delta, beta, theta_v, theta_n, theta_f, e, lateral,
+        -v * sin_dt, u_s, u_c, u_applied, v, kappa_e,
+    )), kappa_e * v - v_s * kappa_n

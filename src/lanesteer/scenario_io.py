@@ -47,7 +47,8 @@ def parse_file(path: str) -> dict:
     """
     sections: dict[str, dict] = {}
     current = None
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig: a byte-order mark, if any, is not part of the first line
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
@@ -81,16 +82,19 @@ def parse_file(path: str) -> dict:
                 raise ScenarioFormatError(
                     f"{path}:{lineno}: empty key or value"
                 )
-            bucket = sections[current]
-            if key == "segment":
-                bucket.setdefault(key, []).append(value)
-            elif key in bucket:
-                raise ScenarioFormatError(
-                    f"{path}:{lineno}: duplicate key {key!r} in [{current}]"
-                )
-            else:
-                bucket[key] = value
+            _put(sections[current], current, key, value, f"{path}:{lineno}")
     return sections
+
+
+def _put(bucket: dict, section: str, key: str, value: str, where: str) -> None:
+    """Put one `key = value` of `section` into its dict: `segment` values
+    join the section's list in order, any other key may be given once."""
+    if key == "segment":
+        bucket.setdefault(key, []).append(value)
+    elif key in bucket:
+        raise ScenarioFormatError(f"{where}: duplicate key {key!r} in [{section}]")
+    else:
+        bucket[key] = value
 
 
 def _convert(section: str, key: str, value):
@@ -183,7 +187,8 @@ def load(path: str, overrides: list[str] | None = None) -> tuple[Scenario, bool]
     """The scenario of a file, with 'section.key=value' overrides applied,
     and whether its run draws an SVG ([output] emit_svg, false by default).
     The file must validate on its own; the overrides then apply together,
-    as a grid point's keys do, and a segment replaces the whole chain."""
+    as a grid point's keys do.  They follow the file's rules: a key may be
+    given once, and the segments given, in order, replace the whole chain."""
     tree: dict[str, dict] = {}
     for item in overrides or ():
         dotted, equals, value = item.partition("=")
@@ -195,8 +200,7 @@ def load(path: str, overrides: list[str] | None = None) -> tuple[Scenario, bool]
         value = value.strip()
         if not (section and key and value):
             raise ScenarioFormatError(f"override {item!r} has empty parts")
-        # a segment is a list, as parse_file builds it
-        tree.setdefault(section, {})[key] = [value] if key == "segment" else value
+        _put(tree.setdefault(section, {}), section, key, value, f"override {item!r}")
     scenario, emit_svg = validate(parse_file(path))
     values = _values(tree)
     emit_svg = values.pop("output", {}).get("emit_svg", emit_svg)

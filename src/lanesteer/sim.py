@@ -16,7 +16,7 @@ from typing import Iterator, NamedTuple
 
 from . import control as ctl
 from . import vehicle as veh
-from .control import PlannerParams
+from .control import PlannerParams, Sample
 from .errors import PlannerError, ScenarioValidationError
 from .refline import ReferenceLine, wrap_angle
 from .vehicle import VehicleGeometry, VehicleState
@@ -25,6 +25,9 @@ from .vehicle import VehicleGeometry, VehicleState
 _RATE_DEADBAND = 1e-3
 
 _STEADY_AGREE_TOL = 1e-2
+
+# the most RK4 steps one run may take; README.md states what they cost
+_MAX_STEPS = 10 ** 8
 
 # builds a record without the NamedTuple constructor's Python-level __new__
 _tuple_new = tuple.__new__
@@ -79,14 +82,14 @@ class Scenario(_ScenarioFields):
             raise ValueError("control divisor must be an integer of at least 1")
         # run takes round(duration / period) periods, which must be the
         # duration itself: at least one, and whole to 1e-9 of the duration.
-        # Above 2**53 every float is whole and t = i * period is no longer
-        # exact, so no more periods than that
+        # Each period takes control_divisor RK4 steps, at most _MAX_STEPS in
+        # all, which also keeps t = i * period exact (below 2**53)
         periods = duration / (control_divisor * h)
-        if not (periods <= 2 ** 53 and round(periods) >= 1
+        if not (periods * control_divisor <= _MAX_STEPS and round(periods) >= 1
                 and abs(round(periods) - periods) <= 1e-9 * periods):
             raise ValueError(
                 "duration must be a whole number of control periods "
-                "control_divisor * h, at most 2**53 of them"
+                "control_divisor * h, with at most 10**8 RK4 steps in all"
             )
         if not all(map(math.isfinite, initial_state)):
             raise ValueError("initial state must be finite")
@@ -107,29 +110,6 @@ class Scenario(_ScenarioFields):
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-
-class Sample(NamedTuple):
-    """One control period's record: the state at its start and what plan_step
-    made of it.  The fields, in order, are the CSV columns."""
-
-    t: float
-    x: float
-    y: float
-    psi: float
-    delta: float
-    beta: float
-    theta_v: float
-    theta_n: float
-    theta_f: float
-    e: float
-    d_lateral: float
-    d_lateral_rate: float
-    u_s: float
-    u_c: float
-    u_applied: float
-    v: float
-    kappa_e_inst: float
 
 
 class RunMetrics(NamedTuple):
@@ -179,24 +159,18 @@ def run(scenario: Scenario) -> RunRecord:
         swap = next((i for i in range(swap) if i * period >= abort), swap)
     substeps = range(scenario.control_divisor)
     samples: list[Sample] = []
-    kappa_n: list[float] = []
+    dtheta_dots: list[float] = []
     reason = None
     try:
         for i in range(n_periods + 1):
-            t = i * period
             if i == swap:
                 target = track
-            # ControlSample's fields, in order
-            (e, theta_n, theta_f, delta_theta, lateral, v, u_s, u_c, u, kn, beta,
-             theta_v, kappa_e) = plan_step(target, geom, state, params)
-            x, y, psi, delta = state
-            samples.append(_tuple_new(Sample, (
-                t, x, y, psi, delta, beta, theta_v, theta_n, theta_f, e, lateral,
-                -v * math.sin(delta_theta), u_s, u_c, u, v, kappa_e,
-            )))
-            kappa_n.append(kn)
+            sample, dtheta_dot = plan_step(target, geom, state, params, i * period)
+            samples.append(sample)
+            dtheta_dots.append(dtheta_dot)
             if i == n_periods:
                 break
+            v, u = sample.v, sample.u_applied
             for _ in substeps:
                 state = step(geom, state, v, u, h)
     except PlannerError as exc:
@@ -211,7 +185,7 @@ def run(scenario: Scenario) -> RunRecord:
         except PlannerError as exc:
             if reason is None:
                 reason = f"{type(exc).__name__}: {exc}"
-    metrics = metrics_from_samples(scenario, samples, kappa_n, final_lateral)
+    metrics = metrics_from_samples(samples, dtheta_dots, final_lateral)
     return RunRecord(
         scenario=scenario,
         samples=tuple(samples),
@@ -248,16 +222,15 @@ def _count_sign_changes(rates: list[float]) -> int:
 
 
 def metrics_from_samples(
-    scenario: Scenario,
     samples: list[Sample],
-    kappa_n: list[float],
+    dtheta_dots: list[float],
     final_lateral: float,
 ) -> RunMetrics:
     """Summary metrics of a run.
 
-    kappa_n[i] is the lane curvature at the shadow point of samples[i], as
+    dtheta_dots[i] is the orientation-difference rate of samples[i], as
     plan_step found it.  final_lateral is the last sample's offset from
-    scenario.track, which run projects, since no sample holds it.
+    the scenario's track, which run projects, since no sample holds it.
     """
     if not samples:
         return RunMetrics(
@@ -271,16 +244,13 @@ def metrics_from_samples(
             steady_converged=False,
             saturation_fraction=math.nan,
         )
-    v_s = scenario.params.v_s
-    dthetas, dtheta_dots, laterals, rates, kappas = [], [], [], [], []
+    dthetas, laterals, rates, kappas = [], [], [], []
     saturated = 0
-    for row, kn in zip(samples, kappa_n, strict=True):
+    for row in samples:
         # Sample's fields, in order
         (_, _, _, _, _, _, theta_v, theta_n, _, _, lateral, rate, u_s, u_c,
-         u_applied, v, kappa_e) = row
+         u_applied, _, kappa_e) = row
         dthetas.append(wrap_angle(theta_v - theta_n))
-        # theta_dot_n = v_s * kappa_n since the shadow advances at v_s
-        dtheta_dots.append(kappa_e * v - v_s * kn)
         laterals.append(lateral)
         rates.append(rate)
         kappas.append(kappa_e)

@@ -11,7 +11,7 @@ same error class.  Only the records, the errors and each segment's
 import bisect
 import math
 
-from lanesteer.control import ControlSample
+from lanesteer.control import Sample
 from lanesteer.errors import (
     GeometryDegenerateError,
     ProjectionAmbiguityError,
@@ -153,7 +153,7 @@ def vehicle_speed(v_s, lateral_term, alignment):
     return v_s * numerator / alignment
 
 
-def plan_step(line, geom, state, params):
+def plan_step(line, geom, state, params, t):
     beta = slip_angle(geom, state.delta)
     g = steering_gain(geom, state.delta)
     theta_v = wrap_angle(state.psi + beta)
@@ -181,18 +181,25 @@ def plan_step(line, geom, state, params):
     u_s = (-yaw_rate + theta_dot_ref - params.k * v * math.sin(delta_theta)) / g
     u_c = -e / (g * math.sqrt(params.lam))
     u_applied = min(max(u_s + u_c, -geom.u_max), geom.u_max)
-    return ControlSample(
-        e=e,
+    kappa_e = (yaw_rate + g * u_applied) / v
+    sample = Sample(
+        t=t,
+        x=state.x,
+        y=state.y,
+        psi=state.psi,
+        delta=state.delta,
+        beta=beta,
+        theta_v=theta_v,
         theta_n=near.orientation,
         theta_f=far.orientation,
-        delta_theta=delta_theta,
-        lateral=shadow.signed_lateral,
-        v=v,
+        e=e,
+        d_lateral=shadow.signed_lateral,
+        d_lateral_rate=-v * math.sin(delta_theta),
         u_s=u_s,
         u_c=u_c,
         u_applied=u_applied,
-        kappa_n=near.curvature,
-        beta=beta,
-        theta_v=theta_v,
-        kappa_e=(yaw_rate + g * u_applied) / v,
+        v=v,
+        kappa_e_inst=kappa_e,
     )
+    # the shadow point advances at v_s, so theta_n changes at v_s * kappa_n
+    return sample, kappa_e * v - params.v_s * near.curvature

@@ -1,6 +1,7 @@
 import ast
 import errno
 import glob
+import hashlib
 import importlib.metadata
 import io
 import json
@@ -17,6 +18,7 @@ import pytest
 import lanesteer
 from lanesteer import cli, scenario_io, sim
 from lanesteer.errors import ScenarioFormatError
+from test_acceptance import CSV_SHA256
 from test_sim import JOINT_GRIDS
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "feasibility_fixture.json")
@@ -71,6 +73,16 @@ class TestRun:
         svg = xml.dom.minidom.parse(str(out / "a&b<c.svg"))
         texts = [node.firstChild.data for node in svg.getElementsByTagName("text")]
         assert texts.count("a&b<c") == 2
+
+    def test_file_with_byte_order_mark_runs(self, tmp_path):
+        # the mark once made the first line a key outside any [section]
+        src = Path(scenario_path("lane_change_k10.scenario"))
+        bom = tmp_path / "lane_change_k10.scenario"
+        bom.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        out = tmp_path / "o"
+        assert run_cli(["run", "--scenario", str(bom), "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "lane_change_k10.csv").read_bytes()).hexdigest()
+        assert digest == CSV_SHA256["lane_change_k10"]
 
     def test_file_not_utf8_is_usage_error(self, tmp_path, capsys):
         src = Path(scenario_path("lane_change_k10.scenario"))
@@ -192,6 +204,20 @@ class TestRun:
         assert err.splitlines()[0] == message.format(where=f"{bad}:{line}")
         assert not out.exists()
 
+    def test_repeated_set_key_is_usage_error(self, tmp_path, capsys):
+        # the last item once silently won
+        out = tmp_path / "o"
+        code = run_cli([
+            "run", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--set", "planner.k_per_m=0.5", "--set", "planner.k_per_m=1.5",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: override 'planner.k_per_m=1.5': duplicate key 'k_per_m' "
+            "in [planner]\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("item, message", [
         ("sim.h_s", "override 'sim.h_s' is not of the form section.key=value"),
         ("h_s=0.001", "override 'h_s=0.001' is not of the form section.key=value"),
@@ -224,6 +250,25 @@ class TestRun:
         ])
         assert code == 2
         assert "whole number of control periods" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_of_more_than_10_8_steps_is_rejected_at_once(self, tmp_path):
+        # 10**12 RK4 steps validated and then ran for hours; a subprocess
+        # with a timeout turns such a hang into a failure
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from lanesteer.cli import main; sys.exit(main(sys.argv[1:]))",
+             "run", "--scenario", scenario_path("lane_change_k10.scenario"),
+             "--set", "sim.h_s=1e-11", "--out", str(out)],
+            capture_output=True, text=True, env=package_env(), timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "validation error: sim.h_s = 1e-11: duration must be a whole number "
+            "of control periods control_divisor * h, with at most 10**8 RK4 "
+            "steps in all\n"
+        )
         assert not out.exists()
 
     def test_one_control_period_is_the_whole_run(self, tmp_path, read_samples):
@@ -848,12 +893,19 @@ class TestUsage:
 
     def test_import_leaves_out_dataclasses_and_inspect(self):
         # defining a dataclass or calling inspect.signature adds start-up
-        # time to every command; the package needs neither
-        code = ("import sys; before = set(sys.modules); import lanesteer.cli; "
-                "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        # time to every command; the package needs neither.  Every module
+        # the import loads is the package's or the standard library's
+        code = ("import json, sys; before = set(sys.modules); import lanesteer.cli; "
+                "print(json.dumps(sorted(set(sys.modules) - before)))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=package_env(), timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        loaded = json.loads(proc.stdout)
+        assert "lanesteer.cli" in loaded
+        assert not {"dataclasses", "inspect"} & set(loaded)
+        outside = [name for name in loaded if name.partition(".")[0] != "lanesteer"
+                   and name.partition(".")[0] not in sys.stdlib_module_names]
+        assert outside == []
 
     def test_runtime_imports_only_the_standard_library(self):
         # pyproject.toml declares `dependencies = []`

@@ -159,9 +159,9 @@ class TestControlLaw:
         params = base_params(k=0.3, lam=2.0)
         state = VehicleState(5.0, 0.8, 0.2, 0.05)
         h = 1e-5
-        cs = ctl.plan_step(line, GEOM, state, params)
+        cs, _ = ctl.plan_step(line, GEOM, state, params, 0.0)
         nxt = veh.step(GEOM, state, cs.v, cs.u_applied, h)
-        cs2 = ctl.plan_step(line, GEOM, nxt, params)
+        cs2, _ = ctl.plan_step(line, GEOM, nxt, params, 0.0)
         de = (cs2.e - cs.e) / h
         assert de == pytest.approx(-cs.e / math.sqrt(params.lam), rel=1e-3)
 
@@ -175,16 +175,16 @@ class TestControlLaw:
         )
         state = VehicleState(20.0, 2.5, 0.25, 0.02)
         h = 1e-5
-        cs = ctl.plan_step(line, GEOM, state, params)
+        cs, _ = ctl.plan_step(line, GEOM, state, params, 0.0)
         nxt = veh.step(GEOM, state, cs.v, cs.u_applied, h)
-        cs2 = ctl.plan_step(line, GEOM, nxt, params)
+        cs2, _ = ctl.plan_step(line, GEOM, nxt, params, 0.0)
         de = (cs2.e - cs.e) / h
         assert de == pytest.approx(-cs.e / math.sqrt(params.lam), rel=1e-3)
 
     def test_equilibrium_is_stationary(self):
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
         params = base_params()
-        cs = ctl.plan_step(line, GEOM, VehicleState(10.0, 0.0, 0.0, 0.0), params)
+        cs, _ = ctl.plan_step(line, GEOM, VehicleState(10.0, 0.0, 0.0, 0.0), params, 0.0)
         assert cs.e == pytest.approx(0.0)
         assert cs.u_s + cs.u_c == pytest.approx(0.0)
         assert cs.v == pytest.approx(params.v_s)
@@ -192,7 +192,7 @@ class TestControlLaw:
     def test_saturation_clamps_u(self):
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
         params = base_params(k=2.0, lam=0.01)
-        cs = ctl.plan_step(line, GEOM, VehicleState(10.0, 2.0, 0.0, 0.0), params)
+        cs, _ = ctl.plan_step(line, GEOM, VehicleState(10.0, 2.0, 0.0, 0.0), params, 0.0)
         assert abs(cs.u_s + cs.u_c) > GEOM.u_max
         assert abs(cs.u_applied) == GEOM.u_max
 
@@ -200,7 +200,7 @@ class TestControlLaw:
         # u_c = -e / (g(delta) * sqrt(lam)), opposing the error
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
         params = base_params(lam=4.0)
-        cs = ctl.plan_step(line, GEOM, VehicleState(10.0, 0.4, 0.0, 0.0), params)
+        cs, _ = ctl.plan_step(line, GEOM, VehicleState(10.0, 0.4, 0.0, 0.0), params, 0.0)
         g = veh.slip_and_gain(GEOM, 0.0)[1]
         assert cs.e == pytest.approx(0.5 * 0.4)
         assert cs.u_c == pytest.approx(-cs.e / (g * 2.0))
@@ -210,24 +210,26 @@ class TestControlLaw:
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
         for params in (base_params(), base_params(alpha=0.5, delta_d0=5.0)):
             with pytest.raises(SteeringDomainError, match="outside"):
-                ctl.plan_step(line, GEOM, VehicleState(10.0, 0.3, 0.0, delta), params)
+                ctl.plan_step(line, GEOM, VehicleState(10.0, 0.3, 0.0, delta), params, 0.0)
 
     def test_velocity_orientation_is_heading_plus_slip(self):
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
         state = VehicleState(1.0, 2.0, 0.7, 0.1)
-        cs = ctl.plan_step(line, GEOM, state, base_params())
+        cs, _ = ctl.plan_step(line, GEOM, state, base_params(), 0.0)
         assert cs.beta == veh.slip_and_gain(GEOM, 0.1)[0]
         assert cs.theta_v == wrap_angle(0.7 + cs.beta)
-        assert cs.delta_theta == wrap_angle(cs.theta_v - cs.theta_n)
+        delta_theta = wrap_angle(cs.theta_v - cs.theta_n)
+        assert cs.d_lateral_rate == -cs.v * math.sin(delta_theta)
 
     def test_path_curvature_combines_yaw_and_slip_rate(self):
         # kappa_e = omega / v with omega = (v / l_r) sin(beta) + g(delta) u
         line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 100.0)])
-        cs = ctl.plan_step(line, GEOM, VehicleState(10.0, 0.3, 0.1, 0.2), base_params())
+        cs, _ = ctl.plan_step(
+            line, GEOM, VehicleState(10.0, 0.3, 0.1, 0.2), base_params(), 0.0)
         beta, g = veh.slip_and_gain(GEOM, 0.2)
         omega = (cs.v / GEOM.l_r) * math.sin(beta) + g * cs.u_applied
         assert cs.u_applied != 0.0
-        assert cs.kappa_e == pytest.approx(omega / cs.v)
+        assert cs.kappa_e_inst == pytest.approx(omega / cs.v)
 
     def test_target_rate_blends_curvatures(self):
         # shadow on the straight piece, look-ahead on the arc
@@ -235,8 +237,9 @@ class TestControlLaw:
             0.0, 0.0, 0.0, [("line", 20.0), ("arc", 50.0, 0.02)]
         )
         params = base_params(alpha=0.5, delta_d0=10.0)
-        cs = ctl.plan_step(line, GEOM, VehicleState(15.0, 0.0, 0.0, 0.0), params)
-        assert cs.kappa_n == 0.0
+        cs, dtheta_dot = ctl.plan_step(
+            line, GEOM, VehicleState(15.0, 0.0, 0.0, 0.0), params, 0.0)
+        assert dtheta_dot == cs.kappa_e_inst * cs.v
         # aligned with the line, so the yaw and lateral-rate terms of u_s
         # vanish and u_s is the target rate over the steering gain
         g = veh.slip_and_gain(GEOM, 0.0)[1]

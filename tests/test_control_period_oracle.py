@@ -2,12 +2,12 @@
 
 The pinned CSV digests of the benchmark cover single-segment tracks only.
 Here `ReferenceLine.project` and `control.plan_step` must return the
-oracle's `ShadowResult` and `ControlSample` bit for bit, or raise the same
-error class, on criterion 8's random G1 chains: poses on both sides of
-every junction and at both line ends, and on a U-turn that comes back
-near itself; alpha in {0, 0.5} and delta_d0 zero or positive.  Saturated
-wheel-rate commands, and `point_at` at and just past either end of its
-station range, are compared the same way.
+oracle's `ShadowResult`, and its `Sample` and orientation-difference rate,
+bit for bit, or raise the same error class, on criterion 8's random G1
+chains: poses on both sides of every junction and at both line ends, and
+on a U-turn that comes back near itself; alpha in {0, 0.5} and delta_d0
+zero or positive.  Saturated wheel-rate commands, and `point_at` at and
+just past either end of its station range, are compared the same way.
 """
 
 import itertools
@@ -35,6 +35,9 @@ PARAMS = [
     PlannerParams(k=0.5, lam=1.0, alpha=alpha, delta_d0=delta_d0)
     for alpha, delta_d0 in itertools.product((0.0, 0.5), (0.0, 4.0))
 ]
+
+# the start time of the sampled control period
+T = 0.3
 
 
 def _bits(value):
@@ -107,8 +110,8 @@ def test_project_and_plan_step_match_the_oracle_bit_for_bit():
             got = _outcome(line.project, position)
             assert got == _outcome(oracle.project, line, position), (line, state)
             for params in PARAMS:
-                got = _outcome(ctl.plan_step, line, GEOM, state, params)
-                want = _outcome(oracle.plan_step, line, GEOM, state, params)
+                got = _outcome(ctl.plan_step, line, GEOM, state, params, T)
+                want = _outcome(oracle.plan_step, line, GEOM, state, params, T)
                 assert got == want, (line, state, params)
                 key = got if isinstance(got, type) else "sample"
                 seen[key] = seen.get(key, 0) + 1
@@ -132,9 +135,9 @@ def test_steering_domain_error_matches_the_oracle():
     for delta in (math.pi / 2, -math.pi / 2, 2.0, math.nan):
         state = VehicleState(*f.position, f.orientation, delta)
         for params in PARAMS:
-            got = _outcome(ctl.plan_step, line, GEOM, state, params)
+            got = _outcome(ctl.plan_step, line, GEOM, state, params, T)
             assert got is SteeringDomainError
-            assert got is _outcome(oracle.plan_step, line, GEOM, state, params)
+            assert got is _outcome(oracle.plan_step, line, GEOM, state, params, T)
 
 
 def test_saturated_commands_match_the_oracle():
@@ -144,9 +147,10 @@ def test_saturated_commands_match_the_oracle():
     for heading, bound in ((1.0, -GEOM.u_max), (-1.0, GEOM.u_max)):
         state = VehicleState(5.0, 0.0, heading, 0.0)
         for params in PARAMS:
-            got = ctl.plan_step(line, GEOM, state, params)
-            assert got.u_applied == bound and abs(got.u_s + got.u_c) > GEOM.u_max
-            assert _bits(got) == _outcome(oracle.plan_step, line, GEOM, state, params)
+            got = ctl.plan_step(line, GEOM, state, params, T)
+            sample = got[0]
+            assert sample.u_applied == bound and abs(sample.u_s + sample.u_c) > GEOM.u_max
+            assert _bits(got) == _outcome(oracle.plan_step, line, GEOM, state, params, T)
 
 
 def test_point_at_matches_the_oracle_at_the_clamps():

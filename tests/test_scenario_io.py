@@ -7,7 +7,7 @@ import re
 import pytest
 
 from lanesteer import cli, scenario_io, sim
-from lanesteer.errors import ScenarioValidationError
+from lanesteer.errors import ScenarioFormatError, ScenarioValidationError
 from lanesteer.control import PlannerParams
 from lanesteer.vehicle import VehicleGeometry, VehicleState
 
@@ -208,6 +208,35 @@ def test_required_keys():
 def test_set_segment_replaces_the_track():
     scenario, _ = scenario_io.load(LANE_CHANGE, ["track.segment=line 100"])
     assert scenario.track == sim.Track(0.0, 0.0, 0.0, (("line", 100.0),))
+
+
+def test_set_segments_build_the_track_in_order(tmp_path):
+    # as a file's segment lines do: the two items equal a file with them
+    items = ["track.segment=line 20", "track.segment=arc 30 0.01"]
+    scenario, _ = scenario_io.load(LANE_CHANGE, items)
+    assert scenario.track == sim.Track(
+        0.0, 0.0, 0.0, (("line", 20.0), ("arc", 30.0, 0.01)))
+    with open(LANE_CHANGE, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count("segment = ") == 1
+    path = tmp_path / "two.scenario"
+    path.write_text(text.replace("segment = line 200.0",
+                                 "segment = line 20\nsegment = arc 30 0.01"),
+                    encoding="utf-8")
+    assert scenario_io.load(str(path)) == (scenario, True)
+
+
+@pytest.mark.parametrize("items, key, section", [
+    (["planner.k_per_m=0.5", "planner.k_per_m=1.5"], "k_per_m", "planner"),
+    (["sim.h_s=0.001", "planner.alpha=0.1", "sim.h_s=0.001"], "h_s", "sim"),
+    (["output.emit_svg=true", "output.emit_svg=false"], "emit_svg", "output"),
+])
+def test_repeated_set_key_is_a_format_error(items, key, section):
+    # a file's repeated key is one too; the last item is the repeat
+    with pytest.raises(ScenarioFormatError) as exc:
+        scenario_io.load(LANE_CHANGE, items)
+    assert str(exc.value) == (
+        f"override {items[-1]!r}: duplicate key {key!r} in [{section}]")
 
 
 class TestEquality:

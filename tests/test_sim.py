@@ -14,7 +14,7 @@ import pytest
 from lanesteer import cli, errors, scenario_io, sim
 from lanesteer import control as ctl
 from lanesteer import vehicle as veh
-from lanesteer.control import ControlSample, PlannerParams
+from lanesteer.control import PlannerParams
 from lanesteer.errors import NumericBlowupError, StationRangeError
 from lanesteer.refline import FramePoint, ReferenceLine, ShadowResult
 from lanesteer.vehicle import VehicleGeometry, VehicleState
@@ -97,9 +97,25 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="whole number of control periods"):
             lane_change_scenario(h=h)
 
-    def test_2_53_periods_accepted(self):
-        sc = lane_change_scenario(h=2.0 ** -53)
-        assert sc.duration / (sc.control_divisor * sc.h) == 2 ** 53
+    def test_2_53_periods_rejected(self):
+        # whole, with t = i * period exact, but 10 * 2**53 RK4 steps
+        assert 10.0 / (10 * 2.0 ** -53) == 2 ** 53
+        with pytest.raises(ValueError, match="at most 10\\*\\*8 RK4 steps"):
+            lane_change_scenario(h=2.0 ** -53)
+
+    @pytest.mark.parametrize("divisor", [1, 10, 7])
+    def test_step_bound(self, divisor):
+        # 10**8 RK4 steps in all are accepted, one period more is not; the
+        # scenarios are built, never run.  h = 2**-20 makes each duration
+        # exact; with 7 steps a period, 10**8 // 7 periods are the most
+        h = 2.0 ** -20
+        periods = 10 ** 8 // divisor
+        sc = lane_change_scenario(duration=periods * divisor * h, h=h,
+                                  control_divisor=divisor)
+        assert round(sc.duration / (divisor * h)) * divisor <= 10 ** 8
+        with pytest.raises(ValueError, match="at most 10\\*\\*8 RK4 steps"):
+            lane_change_scenario(duration=(periods + 1) * divisor * h, h=h,
+                                 control_divisor=divisor)
 
     def test_target_swaps_at_abort(self):
         sc = lane_change_scenario(abort_time=2.0)
@@ -469,11 +485,15 @@ class TestRun:
             )
         record = sim.run(sim.apply_override(bundled(stem), "sim.duration_s", 0.5))
         assert record.completed
+        # plan_step returns a pair: the period's Sample and its dtheta/dt
+        pairs = returned["plan_step"]
+        assert all(type(p) is tuple and len(p) == 2 for p in pairs)
+        returned["plan_step"] = [sample for sample, _ in pairs]
         returned["sample"] = list(record.samples)
         returned["shadow frame"] = [r.frame for r in returned["project"]]
         expected = {
             "step": VehicleState,
-            "plan_step": ControlSample,
+            "plan_step": sim.Sample,
             "project": ShadowResult,
             "shadow frame": FramePoint,
             "point_at": FramePoint,
@@ -854,13 +874,15 @@ class TestCsv:
             sim.write_csv(path, record.samples)
             rows = read_samples(path)
             assert rows == list(record.samples)
-            # re-projecting each row is the oracle for the curvature the run
-            # hands over from plan_step
+            # re-projecting each row is the oracle for the shadow-point
+            # curvature in the dtheta/dt that the run hands over from plan_step
             kappa_n = [
                 target_at(sc, r.t).project((r.x, r.y)).frame.curvature for r in rows
             ]
+            dtheta_dots = [r.kappa_e_inst * r.v - sc.params.v_s * kn
+                           for r, kn in zip(rows, kappa_n, strict=True)]
             final_lateral = -sc.track.line().project((rows[-1].x, rows[-1].y)).signed_lateral
-            again = sim.metrics_from_samples(sc, rows, kappa_n, final_lateral)
+            again = sim.metrics_from_samples(rows, dtheta_dots, final_lateral)
             for name in sim.RunMetrics._fields:
                 a = getattr(record.metrics, name)
                 b = getattr(again, name)

@@ -10,6 +10,7 @@ combining all of it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -88,8 +89,11 @@ def check_abort_safety(
 def _corner_window(params: PlannerParams, kappa0: float, c3: float):
     """The corner-cutting window at the parameters' own gamma: (gamma,
     k_lower, k_upper, |steady lateral|, the four rows' verdicts in row
-    order).  `check_corner_cutting` and the gate of `find_feasible` both
-    read it, so each edge and comparison is written here alone."""
+    order, rising, falling).  All four hold exactly where rising and
+    falling both do; at fixed k, rising can only turn true and falling
+    only false as delta_d0 grows (see `find_feasible`).
+    `check_corner_cutting` and the gate of `find_feasible` both read it,
+    so each edge and comparison is written here alone."""
     gamma = params.gamma
     ak0 = abs(kappa0)
     k_lower = ak0 * math.sqrt(1.0 + gamma)
@@ -97,9 +101,11 @@ def _corner_window(params: PlannerParams, kappa0: float, c3: float):
     k_upper = ak0 / math.sqrt(1.0 / gamma - 1.0) if 0 < gamma < 1 else math.nan
     steady = abs(predict_steady_lateral(params, kappa0))
     k = params.k
+    above, below = GAMMA_LOWER < gamma, gamma < 1.0
+    inside, lower, bounded = k < k_upper, k_lower < k, steady < c3
     return gamma, k_lower, k_upper, steady, (
-        GAMMA_LOWER < gamma < 1.0, k_lower < k, k < k_upper, steady < c3,
-    )
+        above and below, lower, inside, bounded,
+    ), above and (inside or not below), below and lower and bounded
 
 
 def check_corner_cutting(
@@ -116,7 +122,7 @@ def check_corner_cutting(
     """
     if kappa0 == 0:
         return _tuple_new(CheckResult, ("corner_cutting", ()))
-    gamma, k_lower, k_upper, steady, ok = _corner_window(params, kappa0, c3)
+    gamma, k_lower, k_upper, steady, ok, _, _ = _corner_window(params, kappa0, c3)
     k = params.k
     rows = (
         _tuple_new(CheckRow, ("gamma_range", gamma, "in", GAMMA_LOWER, ok[0])),
@@ -184,8 +190,16 @@ def find_feasible(
     Each k is visited once, and its (gamma, k) pairs go through a gate
     first: the corner-cutting window at the pair's derived gamma, alpha k
     delta_d0, with no `CheckResult` built (a straight lane has no window,
-    so every pair passes).  Only a k where some gamma passes has its
-    (lambda0, k) plane evaluated:
+    so every pair passes).  The gate bisects the sorted distinct grid
+    gammas, about 2 log2(n + 1) windows for n gammas: at fixed k the
+    derived gamma never falls as the grid gamma rises (/ and * are
+    correctly rounded), and with it k_lower, the steady offset and, on
+    (0, 1), k_upper rise.  So the window's rising verdict (gamma above
+    GAMMA_LOWER, and k < k_upper or gamma >= 1) can only turn true, and
+    its falling one (gamma < 1, k_lower < k, steady < c3) only false:
+    the passing gammas, where both hold, are one run.  k_upper is NaN from
+    gamma 1 on, so k < k_upper alone is not monotone.  Only a k where some
+    gamma passes has its (lambda0, k) plane evaluated:
     `check_oscillation` at each lambda0, `check_abort_safety` where that
     passes.  The passing points are sorted by their derived lambda0, and a k
     listed twice in the grid holds each of them twice.  A passing pair with
@@ -247,22 +261,33 @@ def find_feasible(
     # tied blocks' order reaches the result, and their merge orders
     # different ks by k, so k may be the outer loop
     blocks = []
+    distinct = sorted(set(gammas))
     # each k once, with the number of times the grid lists it
     for k, count in Counter(ks).items():
         # the pairs read no lam: they take the first grid lambda0's
         first_lam = (lambda0s[0] / (k * v)) ** 2
-        pairs = []
-        for gamma in gammas:
-            params = _tuple_new(
+
+        def pair(gamma):
+            return _tuple_new(
                 PlannerParams, (k, first_lam, alpha, gamma / (alpha * k), v)
             )
-            # the gate: the window's verdicts at the derived gamma, with no
-            # CheckResult; a straight lane has no window
-            if kappa0 and not all(_corner_window(params, kappa0, c3)[4]):
+
+        def window(gamma):
+            return _corner_window(pair(gamma), kappa0, c3)
+
+        kept = gammas
+        # the gate, with no CheckResult; a straight lane has no window.  The
+        # passing run starts at the first sorted gamma where rising holds
+        # and ends before the first after it where falling fails; every grid
+        # gamma inside it is kept, in grid order
+        if kappa0:
+            lo = bisect_left(distinct, True, key=lambda g: window(g)[5])
+            hi = bisect_left(distinct, True, lo, key=lambda g: not window(g)[6])
+            if lo == hi:
                 continue
-            pairs.append(params)
-        if not pairs:
-            continue
+            low, high = distinct[lo], distinct[hi - 1]
+            kept = [gamma for gamma in gammas if low <= gamma <= high]
+        pairs = list(map(pair, kept))
         # the (lambda0, k) plane: (lam, lambda0, oscillation, abort safety)
         # where both pass, lambda0 being the parameters' own k v_s sqrt(lam)
         passing = []

@@ -269,7 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_feas = sub.add_parser("feasibility", help="search the parameter space")
     p_feas.add_argument("--v", type=float, required=True)
     p_feas.add_argument("--lane-width", type=float, required=True)
-    p_feas.add_argument("--kappa0", type=float, required=True)
+    p_feas.add_argument(
+        "--kappa0", type=float, required=True,
+        help="corner curvature (1/m); write a negative one in exponent "
+        "form as --kappa0=-1e-2, since -1e-2 alone reads as a flag",
+    )
     p_feas.add_argument("--c1", type=float, default=math.inf)
     p_feas.add_argument("--c2", type=float, default=math.inf)
     p_feas.add_argument("--c3", type=float, default=math.inf)

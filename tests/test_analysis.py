@@ -454,6 +454,19 @@ class TestFindFeasible:
     @example(dict(v=1.0, lane_width=3.5, kappa0=0.0, c1=0.3,
                   c2=0.3, c3=1.0, alpha=0.5, gamma_grid=[1.0, 0.995, 0.7],
                   lambda0_grid=[0.5, 0.3], k_grid=[0.2, 0.09, 0.02, 0.12, 0.05]))
+    # gammas unsorted and listed twice; at k = 0.05 the upper edge on k and
+    # the steady row bound the passing run from both sides
+    @example(dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=math.inf,
+                  c2=math.inf, c3=3.96, alpha=0.5,
+                  gamma_grid=[0.99, 0.95, 0.97, 0.999, 0.98, 0.97, 0.95],
+                  lambda0_grid=[0.5, 0.3], k_grid=[0.05, 0.09, 0.12]))
+    # gammas on both sides of 1, one ulp from it among them: derived from
+    # 1.0 and its lower neighbour, gamma can land below 1 and pass
+    @example(dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=math.inf,
+                  c2=math.inf, c3=math.inf, alpha=0.5,
+                  gamma_grid=[1.2, 0.995, math.nextafter(1.0, 0.0), 1.0,
+                              math.nextafter(1.0, 2.0), 0.98, 0.5],
+                  lambda0_grid=[0.5], k_grid=[0.05, 0.09, 0.12, 0.3]))
     def test_matches_per_point_search(self, inputs):
         # the point-by-point search raised OverflowError or
         # ZeroDivisionError where lam or delta_d0 overflowed; the windowed
@@ -515,6 +528,56 @@ class TestFindFeasible:
         assert calls["check_corner_cutting"] == len(pairs)
         assert calls["predict_curvature_ratio"] == len(pairs)
         assert calls["PlannerParams"] == 0
+
+    @pytest.mark.parametrize("name", ["fixture", "bench_seed1"])
+    def test_gate_bisects_the_gammas(self, monkeypatch, name):
+        # at each k the gate finds the two ends of the passing run by
+        # bisection over the n distinct gammas, ceil(log2(n + 1)) windows
+        # each; `check_corner_cutting` reads one more per passing pair
+        inputs = digest_inputs(name)
+        calls = []
+        real = analysis._corner_window
+        monkeypatch.setattr(analysis, "_corner_window",
+                            lambda *args: calls.append(args) or real(*args))
+        reports = analysis.find_feasible(**inputs)
+        pairs = {(r.params.k, r.params.delta_d0) for r in reports}
+        n_gamma = len({g for g in inputs["gamma_grid"] if g > 0})
+        n_k = len({k for k in inputs["k_grid"] if k > 0})
+        per_k = 2 * math.ceil(math.log2(n_gamma + 1))
+        assert pairs and per_k < n_gamma
+        assert len(calls) <= n_k * per_k + len(pairs)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_window_verdicts_are_monotone_in_gamma(self, data):
+        # the premise of the gate's bisection: along the sorted gammas,
+        # at fixed k, rising turns true at most once and falling false at
+        # most once, and the four rows hold exactly where both do
+        k = data.draw(st.floats(1e-3, 3.0))
+        alpha = data.draw(st.floats(0.05, 0.95))
+        c3 = data.draw(bounds)
+        kappa0 = data.draw(st.floats(-0.3, 0.3).filter(lambda x: abs(x) > 1e-6))
+        ak0 = abs(kappa0)
+        # the gammas where k meets k_lower, k_upper and the steady bound
+        edges = [(k / ak0) ** 2 - 1.0, 1.0 / (1.0 + (ak0 / k) ** 2),
+                 c3 * k * k / ak0]
+        specials = [analysis.GAMMA_LOWER, 1.0, *edges]
+        specials += [math.nextafter(g, to) for g in specials
+                     for to in (0.0, math.inf)]
+        gamma = st.one_of(
+            st.floats(1e-6, 10.0),
+            st.sampled_from([g for g in specials if 1e-6 <= g <= 10.0]),
+        )
+        gammas = sorted(data.draw(st.lists(gamma, min_size=1, max_size=12)))
+        rising, falling = [], []
+        for g in gammas:
+            params = PlannerParams(k, 1.0, alpha, g / (alpha * k), 1.0)
+            *_, ok, up, down = analysis._corner_window(params, kappa0, c3)
+            assert all(ok) == (up and down)
+            rising.append(up)
+            falling.append(down)
+        assert rising == sorted(rising)
+        assert falling == sorted(falling, reverse=True)
 
     @pytest.mark.parametrize("kappa0", [FIXTURE_DATA["inputs"]["kappa0"], 0.0],
                              ids=["fixture", "straight"])

@@ -718,6 +718,18 @@ class TestFeasibility:
                 row["predicted_ratio"], abs=1e-12
             )
 
+    def test_negative_exponent_kappa0_after_equals(self, capsys):
+        # argparse takes "-1e-2" alone for a flag; after "=" it is the value
+        grid = ["--grid", "gamma=0.995,0.7", "--grid", "lambda0=0.3,0.5",
+                "--grid", "k=0.05,0.09,0.12"]
+        outs = []
+        for kappa0 in (["--kappa0=-1e-2"], ["--kappa0", "-0.01"]):
+            code = run_cli(["feasibility", "--v", "1", "--lane-width", "3.5",
+                            *kappa0, "--c1", "0.3", "--c2", "0.3", *grid])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and "SET " in outs[0]
+
     @pytest.mark.parametrize("args, message", [
         (["--kappa0", "nan"], "kappa0 must be finite"),
         (["--kappa0", "0", "--c1", "-1"], "safety bounds must be positive"),

@@ -9,6 +9,7 @@ combining all of it.
 
 from __future__ import annotations
 
+import gc
 import math
 from bisect import bisect_left
 from collections import Counter
@@ -224,6 +225,14 @@ def find_feasible(
     evaluation order.  The blocks are sorted on (ratio, gamma); only blocks
     tied on both, as every k of a gamma is on a straight lane, have their
     reports merged by (lambda0, k).
+
+    The search, after the argument checks, runs with the cyclic garbage
+    collector paused, and a finally re-enables it only if it was on, so a
+    caller's disabled collector stays disabled.  Nothing the search builds
+    is part of a reference cycle, so a collection during it could free
+    nothing; it would only rescan the reports built so far, thousands on a
+    large grid.  The pause is process-wide: other threads get no cyclic
+    collection while it lasts.
     """
     if not (0 < v < math.inf and 0 < lane_width < math.inf):
         raise ValueError("v and lane width must be positive and finite")
@@ -256,6 +265,20 @@ def find_feasible(
                 "lambda and delta_d0 must be positive and finite on the grid"
             )
 
+    # the search builds no reference cycle, so a collection during it could
+    # free nothing; pause the collector as timeit does
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _search(v, lane_width, kappa0, c1, c2, c3, alpha, gammas,
+                       lambda0s, ks)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _search(v, lane_width, kappa0, c1, c2, c3, alpha, gammas, lambda0s, ks):
+    """`find_feasible`'s search over its validated, in-domain grid values."""
     # one block per passing (gamma, k) pair with a non-empty plane: (ratio,
     # derived gamma, k, passing points, reports in lambda0 order).  Only
     # tied blocks' order reaches the result, and their merge orders

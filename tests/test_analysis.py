@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib.util
 import json
@@ -641,6 +642,36 @@ class TestFindFeasible:
         with pytest.raises(ValueError, match="overflows"):
             analysis.predict_curvature_ratio(params, 1e155)
 
+    def test_search_pauses_and_restores_the_collector(self):
+        # 4554 reports, three tracked containers each: enough to start a
+        # young collection many times over were the collector running
+        inputs = digest_inputs("bench_seed1")
+        collections = []
+
+        def record(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(record)
+        try:
+            assert analysis.find_feasible(**inputs)
+        finally:
+            gc.callbacks.remove(record)
+        assert collections == [] and gc.isenabled()
+        # kappa0 ** 2 overflows inside the pause
+        with pytest.raises(ValueError, match="overflows"):
+            analysis.find_feasible(**KAPPA0_OVERFLOW)
+        assert gc.isenabled()
+
+    def test_search_leaves_a_disabled_collector_off(self):
+        gc.disable()
+        try:
+            assert analysis.find_feasible(**FIXTURE_DATA["inputs"])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
 
 def test_fixture_matches_its_oracle():
     """The pinned fixture is what its brute-force generator computes."""
@@ -715,6 +746,21 @@ def test_search_digest(name):
     reports = analysis.find_feasible(**digest_inputs(name))
     text = repr([(r.params, r.predicted_curvature_ratio) for r in reports])
     assert hashlib.sha256(text.encode()).hexdigest() == SEARCH_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["bench_seed1", "bench_seed1_straight"])
+def test_search_builds_no_reference_cycle(name):
+    """find_feasible pauses the cyclic collector because nothing it builds
+    is part of a cycle: a search run with the collector off leaves, once
+    its result is dropped, nothing for a collection to free."""
+    inputs = digest_inputs(name)
+    gc.collect()
+    gc.disable()
+    try:
+        assert analysis.find_feasible(**inputs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestEigenvalues:

@@ -448,7 +448,10 @@ class TestFindFeasible:
                   c2=0.3, c3=1.0, alpha=0.5, gamma_grid=[0.7, 0.995, 1.0],
                   lambda0_grid=[0.3, 0.5, 0.8],
                   k_grid=[0.05, 0.09, 0.12, 0.14, 0.2]))
-    # an unsorted k grid, on a corner and on a straight lane
+    # an unsorted k grid, on a corner and on a straight lane.  lambda0 0.5
+    # derives 0.49999999999999994 at k = 0.09 and 0.5 at the other ks, so
+    # the straight lane's k = 0.09 reports catch an oscillation result
+    # shared by grid lambda0 rather than by derived lambda0
     @example(dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=0.3,
                   c2=0.3, c3=math.inf, alpha=0.5, gamma_grid=[1.0, 0.995, 0.7],
                   lambda0_grid=[0.5, 0.3], k_grid=[0.2, 0.09, 0.02, 0.12, 0.05]))
@@ -514,21 +517,43 @@ class TestFindFeasible:
         # corner window at k, and the corner check and the ratio only for a
         # passing pair whose plane is non-empty.  With the abort limits
         # lifted every in-domain lambda0 passes, so the ks of the per-point
-        # search's sets are the ks with a passing pair
+        # search's sets are the ks with a passing pair.  Abort safety runs
+        # at each point of their planes whose derived lambda0 lies in (0, 1),
+        # and the oscillation check once per distinct derived lambda0
         inputs = digest_inputs(name)
         lifted = {**inputs, "c1": math.inf, "c2": math.inf}
-        gate_ks = {r.params.k for r in per_point_find_feasible(**lifted)}
+        gate_sets = per_point_find_feasible(**lifted)
+        gate_ks = {r.params.k for r in gate_sets}
         pairs = {(r.params.k, r.params.delta_d0)
                  for r in per_point_find_feasible(**inputs)}
-        n_lambda0 = sum(0 < x < 1 for x in inputs["lambda0_grid"])
+        v, alpha = inputs["v"], inputs["alpha"]
+        n_abort = sum(
+            0 < PlannerParams(k, (x / (k * v)) ** 2, alpha, 1.0, v).lambda0 < 1
+            for k in gate_ks for x in inputs["lambda0_grid"] if 0 < x < 1
+        )
         assert gate_ks and len(gate_ks) < len(inputs["k_grid"])
         calls = count_calls(monkeypatch)
         reports = analysis.find_feasible(**inputs)
         assert {(r.params.k, r.params.delta_d0) for r in reports} == pairs
-        assert calls["check_oscillation"] == n_lambda0 * len(gate_ks)
+        assert calls["check_abort_safety"] == n_abort
+        assert calls["check_oscillation"] == len(
+            {r.params.lambda0 for r in gate_sets}
+        )
         assert calls["check_corner_cutting"] == len(pairs)
         assert calls["predict_curvature_ratio"] == len(pairs)
         assert calls["PlannerParams"] == 0
+
+    @pytest.mark.parametrize("name", ["fixture", "bench_seed1"])
+    def test_one_oscillation_result_per_derived_lambda0(self, name):
+        # the oscillation check reads only the derived lambda0, so the
+        # reports that share one share its result, whatever their k, and
+        # its row states their own lambda0
+        reports = analysis.find_feasible(**digest_inputs(name))
+        assert reports
+        for r in reports:
+            assert r.checks[0].rows[0].lhs == r.params.lambda0
+        results = {id(r.checks[0]) for r in reports}
+        assert len(results) == len({r.params.lambda0 for r in reports})
 
     @pytest.mark.parametrize("name", ["fixture", "bench_seed1"])
     def test_gate_bisects_the_gammas(self, monkeypatch, name):

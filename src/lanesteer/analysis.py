@@ -77,9 +77,22 @@ def check_abort_safety(
         raise ValueError("lambda0 must lie in (0, 1)")
     # the peak (1/sqrt(lam)) exp(log lambda0 / (1 - lambda0)) against the
     # limits c1 v / W and sqrt(c2 v / W)
-    lam = params.lam
-    lhs = (1.0 / math.sqrt(lam)) * math.exp(math.log(lambda0) / (1.0 - lambda0))
-    rhs1, rhs2 = c1 * v / lane_width, math.sqrt(c2 * v / lane_width)
+    return _abort_safety(
+        params.lam, _abort_decay(lambda0),
+        c1 * v / lane_width, math.sqrt(c2 * v / lane_width),
+    )
+
+
+def _abort_decay(lambda0: float) -> float:
+    """The abort-safety peak's factor exp(log lambda0 / (1 - lambda0)), for
+    lambda0 in (0, 1); it reads the derived lambda0 alone."""
+    return math.exp(math.log(lambda0) / (1.0 - lambda0))
+
+
+def _abort_safety(lam, decay, rhs1, rhs2) -> CheckResult:
+    """`check_abort_safety`'s result from lam, the `_abort_decay` of the
+    derived lambda0 and the two limits c1 v / W and sqrt(c2 v / W)."""
+    lhs = (1.0 / math.sqrt(lam)) * decay
     rows = (
         _tuple_new(CheckRow, ("abort_peak_vs_c1", lhs, "<=", rhs1, lhs <= rhs1)),
         _tuple_new(CheckRow, ("abort_peak_vs_c2", lhs, "<=", rhs2, lhs <= rhs2)),
@@ -200,17 +213,22 @@ def find_feasible(
     its falling one (gamma < 1, k_lower < k, steady < c3) only false:
     the passing gammas, where both hold, are one run.  k_upper is NaN from
     gamma 1 on, so k < k_upper alone is not monotone.  Only a k where some
-    gamma passes has its (lambda0, k) plane evaluated: `check_abort_safety`
-    at each point whose derived lambda0 passes `check_oscillation`.  That
-    check reads only the derived lambda0, which takes far fewer values than
-    the planes have points (under 100 of 1600 on the benchmark's grids), so
-    it runs once per distinct value in a search, and the points sharing a
-    value share its result.  The passing points are sorted by their derived
-    lambda0, and a k listed twice in the grid holds each of them twice.  A
-    passing pair with a non-empty plane then runs `check_corner_cutting`
-    and `predict_curvature_ratio` once and gives one block of reports, in
-    lambda0 order, which share the checks of their points.  Neither reads
-    lam, so a pair's parameters take the lam of the first grid lambda0.
+    gamma passes has its (lambda0, k) plane evaluated: abort safety at each
+    point whose derived lambda0 passes `check_oscillation`.  That check,
+    and the abort peak's factor exp(log lambda0 / (1 - lambda0)), read only
+    the derived lambda0, which takes far fewer values than the planes have
+    points (under 100 of 1600 on the benchmark's grids).  So both public
+    checks run once per distinct value in a search, the points sharing a
+    value share its oscillation result, and a later point builds its abort
+    rows from the shared factor.  The abort verdict is not shared: its peak
+    also reads lam, and at one derived lambda0 1/sqrt(lam) is proportional
+    to k, so one k can pass where another fails.  The passing points are
+    sorted by their derived lambda0, and a k listed twice in the grid holds
+    each of them twice.  A passing pair with a non-empty plane then runs
+    `check_corner_cutting` and `predict_curvature_ratio` once and gives one
+    block of reports, in lambda0 order, which share the checks of their
+    points.  Neither reads lam, so a pair's parameters take the lam of the
+    first grid lambda0.
 
     Every `PlannerParams` here is built with tuple.__new__, unchecked.  The
     argument checks cover k, alpha and v.  lam rises with lambda0 and falls
@@ -288,13 +306,19 @@ def _search(v, lane_width, kappa0, c1, c2, c3, alpha, gammas, lambda0s, ks):
     # different ks by k, so k may be the outer loop
     blocks = []
     distinct = sorted(set(gammas))
-    # check_oscillation reads only the derived lambda0, which takes far fewer
-    # values over the planes than there are points: one result per value
-    oscillations = {}
+    # check_oscillation and the abort peak's decay read only the derived
+    # lambda0, which takes far fewer values over the planes than there are
+    # points: one (oscillation result, decay or None) per value.  The
+    # abort verdict is not shared: its lhs also reads lam, which varies
+    # with k at one derived lambda0
+    shared = {}
+    # check_abort_safety's limits, fixed for the search
+    rhs1, rhs2 = c1 * v / lane_width, math.sqrt(c2 * v / lane_width)
     # each k once, with the number of times the grid lists it
     for k, count in Counter(ks).items():
+        kv = k * v
         # the pairs read no lam: they take the first grid lambda0's
-        first_lam = (lambda0s[0] / (k * v)) ** 2
+        first_lam = (lambda0s[0] / kv) ** 2
 
         def pair(gamma):
             return _tuple_new(
@@ -318,20 +342,30 @@ def _search(v, lane_width, kappa0, c1, c2, c3, alpha, gammas, lambda0s, ks):
             kept = [gamma for gamma in gammas if low <= gamma <= high]
         pairs = list(map(pair, kept))
         # the (lambda0, k) plane: (lam, lambda0, oscillation, abort safety)
-        # where both pass, lambda0 being the parameters' own k v_s sqrt(lam).
-        # Each verdict is read from its rows by index (rows[i].satisfied),
-        # with no Python-level `satisfied` call
+        # where both pass, lambda0 being the parameters' own k v_s sqrt(lam),
+        # written as the `PlannerParams.lambda0` property does.  A value
+        # seen first runs both public checks; a value seen before builds
+        # the point's abort result from its shared decay.  Each verdict is
+        # read from its rows by index (rows[i].satisfied), with no
+        # Python-level `satisfied` call
         passing = []
         for lambda0 in lambda0s:
-            lam = (lambda0 / (k * v)) ** 2
-            params = _tuple_new(PlannerParams, (k, lam, 0.0, 0.0, v))
-            derived = params.lambda0
-            oscillation = oscillations.get(derived)
-            if oscillation is None:
-                oscillation = oscillations[derived] = check_oscillation(params)
-            if not oscillation[1][0][4]:
-                continue
-            abort = check_abort_safety(params, v, lane_width, c1, c2)
+            lam = (lambda0 / kv) ** 2
+            derived = kv * math.sqrt(lam)
+            seen = shared.get(derived)
+            if seen is None:
+                params = _tuple_new(PlannerParams, (k, lam, 0.0, 0.0, v))
+                oscillation = check_oscillation(params)
+                if not oscillation[1][0][4]:
+                    shared[derived] = oscillation, None
+                    continue
+                abort = check_abort_safety(params, v, lane_width, c1, c2)
+                shared[derived] = oscillation, _abort_decay(derived)
+            else:
+                oscillation, decay = seen
+                if decay is None:
+                    continue
+                abort = _abort_safety(lam, decay, rhs1, rhs2)
             rows = abort[1]
             if rows[0][4] and rows[1][4]:
                 passing += [(lam, derived, oscillation, abort)] * count

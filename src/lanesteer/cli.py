@@ -267,19 +267,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_feas = sub.add_parser("feasibility", help="search the parameter space")
-    p_feas.add_argument("--v", type=float, required=True)
-    p_feas.add_argument("--lane-width", type=float, required=True)
+    p_feas.add_argument("--v", type=float, required=True,
+                        help="vehicle speed (m/s)")
+    p_feas.add_argument("--lane-width", type=float, required=True,
+                        help="lane width (m) that an abortable lane change "
+                        "crosses")
     p_feas.add_argument(
         "--kappa0", type=float, required=True,
         help="corner curvature (1/m); write a negative one in exponent "
         "form as --kappa0=-1e-2, since -1e-2 alone reads as a flag",
     )
-    p_feas.add_argument("--c1", type=float, default=math.inf)
-    p_feas.add_argument("--c2", type=float, default=math.inf)
-    p_feas.add_argument("--c3", type=float, default=math.inf)
-    p_feas.add_argument("--alpha", type=float, default=0.5)
-    p_feas.add_argument("--grid", action="append", required=True,
-                        metavar="KEY=V1,V2,...")
+    p_feas.add_argument(
+        "--c1", type=float, default=math.inf,
+        help="bound on the abort peak orientation difference (rad); "
+        "default inf: no bound",
+    )
+    p_feas.add_argument(
+        "--c2", type=float, default=math.inf,
+        help="bound on the abort peak orientation-difference rate (rad/s); "
+        "default inf: no bound",
+    )
+    p_feas.add_argument(
+        "--c3", type=float, default=math.inf,
+        help="bound on the steady lateral deviation on the corner (m); "
+        "default inf: no bound",
+    )
+    p_feas.add_argument("--alpha", type=float, default=0.5,
+                        help="two-point blend weight, in (0, 1); default 0.5")
+    p_feas.add_argument(
+        "--grid", action="append", required=True, metavar="KEY=V1,V2,...",
+        help="one search axis, repeated for each of the three, all required: "
+        "gamma, lambda0 and k (1/m)",
+    )
     p_feas.set_defaults(func=cmd_feasibility)
 
     p_fig = sub.add_parser("figures", help="emit the demonstration plots")

@@ -517,9 +517,9 @@ class TestFindFeasible:
         # corner window at k, and the corner check and the ratio only for a
         # passing pair whose plane is non-empty.  With the abort limits
         # lifted every in-domain lambda0 passes, so the ks of the per-point
-        # search's sets are the ks with a passing pair.  Abort safety runs
-        # at each point of their planes whose derived lambda0 lies in (0, 1),
-        # and the oscillation check once per distinct derived lambda0
+        # search's sets are the ks with a passing pair.  Both public checks
+        # run once per distinct derived lambda0 of their planes, abort
+        # safety only for the values in (0, 1)
         inputs = digest_inputs(name)
         lifted = {**inputs, "c1": math.inf, "c2": math.inf}
         gate_sets = per_point_find_feasible(**lifted)
@@ -527,10 +527,11 @@ class TestFindFeasible:
         pairs = {(r.params.k, r.params.delta_d0)
                  for r in per_point_find_feasible(**inputs)}
         v, alpha = inputs["v"], inputs["alpha"]
-        n_abort = sum(
-            0 < PlannerParams(k, (x / (k * v)) ** 2, alpha, 1.0, v).lambda0 < 1
+        derived = {
+            PlannerParams(k, (x / (k * v)) ** 2, alpha, 1.0, v).lambda0
             for k in gate_ks for x in inputs["lambda0_grid"] if 0 < x < 1
-        )
+        }
+        n_abort = sum(0 < lambda0 < 1 for lambda0 in derived)
         assert gate_ks and len(gate_ks) < len(inputs["k_grid"])
         calls = count_calls(monkeypatch)
         reports = analysis.find_feasible(**inputs)
@@ -554,6 +555,25 @@ class TestFindFeasible:
             assert r.checks[0].rows[0].lhs == r.params.lambda0
         results = {id(r.checks[0]) for r in reports}
         assert len(results) == len({r.params.lambda0 for r in reports})
+
+    def test_abort_decay_shared_but_not_its_verdict(self, monkeypatch):
+        # lambda0 0.5 derives 0.5 at all three ks, so they share one decay,
+        # exp(log 0.5 / 0.5) = 1/4.  The lhs, 0.5 k here, also reads lam:
+        # 0.025, 0.05 and 0.065 against c1 v / W = 0.0571, so k = 0.13
+        # fails while the other two pass
+        inputs = dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=0.2,
+                      c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[0.995],
+                      lambda0_grid=[0.5], k_grid=[0.05, 0.1, 0.13])
+        calls = count_calls(monkeypatch)
+        reports = analysis.find_feasible(**inputs)
+        # the public check ran once, for the one derived lambda0
+        assert calls["check_abort_safety"] == 1
+        assert {r.params.lambda0 for r in reports} == {0.5}
+        assert {r.params.k for r in reports} == {0.05, 0.1}
+        for r in reports:
+            assert r.checks[1] == analysis.check_abort_safety(
+                r.params, 1.0, 3.5, 0.2, math.inf
+            )
 
     @pytest.mark.parametrize("name", ["fixture", "bench_seed1"])
     def test_gate_bisects_the_gammas(self, monkeypatch, name):

@@ -768,6 +768,26 @@ class TestFeasibility:
         ])
         assert code == 1
 
+    def test_help_gives_each_flag_its_unit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["feasibility", "--help"])
+        assert exc.value.code == 0
+        options = capsys.readouterr().out.split("options:", 1)[1]
+        # each option's entry, from its flag to the next, wrapping undone
+        entries = {}
+        for entry in options.split("\n  -")[1:]:
+            flag, *words = entry.split()
+            entries["-" + flag] = " ".join(words)
+        unbounded = "default inf: no bound"
+        for flag, phrases in {
+            "--v": ["(m/s)"], "--lane-width": ["(m)"], "--kappa0": ["(1/m)"],
+            "--c1": ["(rad)", unbounded], "--c2": ["(rad/s)", unbounded],
+            "--c3": ["(m)", unbounded], "--alpha": ["in (0, 1)"],
+            "--grid": ["all required", "gamma, lambda0 and k (1/m)"],
+        }.items():
+            for phrase in phrases:
+                assert phrase in entries[flag], (flag, phrase)
+
 
 class TestFigures:
     def test_outputs_and_determinism(self, tmp_path):

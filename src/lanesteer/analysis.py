@@ -12,7 +12,6 @@ from __future__ import annotations
 import gc
 import math
 from bisect import bisect_left
-from collections import Counter
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
@@ -201,10 +200,10 @@ def find_feasible(
     finite, raise ValueError, as does `predict_curvature_ratio` on a pair
     that passes.
 
-    Each k is visited once, and its (gamma, k) pairs go through a gate
-    first: the corner-cutting window at the pair's derived gamma, alpha k
-    delta_d0, with no `CheckResult` built (a straight lane has no window,
-    so every pair passes).  The gate bisects the sorted distinct grid
+    Each k is visited as the grid lists it, and its (gamma, k) pairs go
+    through a gate first: the corner-cutting window at the pair's derived
+    gamma, alpha k delta_d0, with no `CheckResult` built (a straight lane
+    has no window, so every pair passes).  The gate bisects the sorted grid
     gammas, about 2 log2(n + 1) windows for n gammas: at fixed k the
     derived gamma never falls as the grid gamma rises (/ and * are
     correctly rounded), and with it k_lower, the steady offset and, on
@@ -223,12 +222,11 @@ def find_feasible(
     rows from the shared factor.  The abort verdict is not shared: its peak
     also reads lam, and at one derived lambda0 1/sqrt(lam) is proportional
     to k, so one k can pass where another fails.  The passing points are
-    sorted by their derived lambda0, and a k listed twice in the grid holds
-    each of them twice.  A passing pair with a non-empty plane then runs
-    `check_corner_cutting` and `predict_curvature_ratio` once and gives one
-    block of reports, in lambda0 order, which share the checks of their
-    points.  Neither reads lam, so a pair's parameters take the lam of the
-    first grid lambda0.
+    sorted by their derived lambda0.  A passing pair with a non-empty plane
+    then runs `check_corner_cutting` and `predict_curvature_ratio` once and
+    gives one block of reports, in lambda0 order, which share the checks of
+    their points.  Neither reads lam, so a pair's parameters take the lam of
+    the first grid lambda0.
 
     Every `PlannerParams` here is built with tuple.__new__, unchecked.  The
     argument checks cover k, alpha and v.  lam rises with lambda0 and falls
@@ -244,8 +242,8 @@ def find_feasible(
     gamma, lambda0 and k of their parameters, with ties in grid order
     (gamma, then lambda0), so the ordering does not depend on the
     evaluation order.  The blocks are sorted on (ratio, gamma); only blocks
-    tied on both, as every k of a gamma is on a straight lane, have their
-    reports merged by (lambda0, k).
+    tied on both, as every k of a gamma is on a straight lane and a k listed
+    twice is with its first copy, have their reports merged by (lambda0, k).
 
     The search, after the argument checks, runs with the cyclic garbage
     collector paused, and a finally re-enables it only if it was on, so a
@@ -305,7 +303,7 @@ def _search(v, lane_width, kappa0, c1, c2, c3, alpha, gammas, lambda0s, ks):
     # tied blocks' order reaches the result, and their merge orders
     # different ks by k, so k may be the outer loop
     blocks = []
-    distinct = sorted(set(gammas))
+    sorted_gammas = sorted(gammas)
     # check_oscillation and the abort peak's decay read only the derived
     # lambda0, which takes far fewer values over the planes than there are
     # points: one (oscillation result, decay or None) per value.  The
@@ -314,8 +312,7 @@ def _search(v, lane_width, kappa0, c1, c2, c3, alpha, gammas, lambda0s, ks):
     shared = {}
     # check_abort_safety's limits, fixed for the search
     rhs1, rhs2 = c1 * v / lane_width, math.sqrt(c2 * v / lane_width)
-    # each k once, with the number of times the grid lists it
-    for k, count in Counter(ks).items():
+    for k in ks:
         kv = k * v
         # the pairs read no lam: they take the first grid lambda0's
         first_lam = (lambda0s[0] / kv) ** 2
@@ -334,11 +331,11 @@ def _search(v, lane_width, kappa0, c1, c2, c3, alpha, gammas, lambda0s, ks):
         # and ends before the first after it where falling fails; every grid
         # gamma inside it is kept, in grid order
         if kappa0:
-            lo = bisect_left(distinct, True, key=lambda g: window(g)[5])
-            hi = bisect_left(distinct, True, lo, key=lambda g: not window(g)[6])
+            lo = bisect_left(sorted_gammas, True, key=lambda g: window(g)[5])
+            hi = bisect_left(sorted_gammas, True, lo, key=lambda g: not window(g)[6])
             if lo == hi:
                 continue
-            low, high = distinct[lo], distinct[hi - 1]
+            low, high = sorted_gammas[lo], sorted_gammas[hi - 1]
             kept = [gamma for gamma in gammas if low <= gamma <= high]
         pairs = list(map(pair, kept))
         # the (lambda0, k) plane: (lam, lambda0, oscillation, abort safety)
@@ -368,7 +365,7 @@ def _search(v, lane_width, kappa0, c1, c2, c3, alpha, gammas, lambda0s, ks):
                 abort = _abort_safety(lam, decay, rhs1, rhs2)
             rows = abort[1]
             if rows[0][4] and rows[1][4]:
-                passing += [(lam, derived, oscillation, abort)] * count
+                passing.append((lam, derived, oscillation, abort))
         if not passing:
             continue
         # stable, so equal derived lambda0s keep their grid order
@@ -395,7 +392,8 @@ def _search(v, lane_width, kappa0, c1, c2, c3, alpha, gammas, lambda0s, ks):
             result += tied[0][4]
             continue
         # every k of a gamma ties on a straight lane, where the ratio is
-        # 1 - gamma: merge the blocks' reports by (lambda0, k)
+        # 1 - gamma, and a k listed twice with its first copy: merge the
+        # blocks' reports by (lambda0, k)
         merged = [
             (lambda0, k, report)
             for _, _, k, passing, reports in tied

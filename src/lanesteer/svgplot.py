@@ -36,12 +36,9 @@ def _nice_step(lo: float, hi: float) -> float:
     """Tick spacing from the 1-2-5 ladder closest to (hi - lo)/_TARGET_TICKS
     from above."""
     # from halves, so that the span of two finite values cannot overflow
-    half_span = hi / 2 - lo / 2
-    if half_span <= 0:
-        return 1.0
-    raw = half_span / (_TARGET_TICKS / 2)
+    raw = (hi / 2 - lo / 2) / (_TARGET_TICKS / 2)
     mag = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
+    for mult in (1.0, 2.0, 5.0):
         if mag * mult >= raw:
             return mag * mult
     return mag * 10.0

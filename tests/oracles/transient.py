@@ -54,3 +54,21 @@ def predict_lane_change(e0: float, lam: float, lambda0: float) -> LinearizedPred
         peak_time_dtheta=t_peak,
         peak_time_dtheta_dot=2.0 * t_peak,
     )
+
+
+def worst_abort_dtheta_dot(e0: float, lam: float, lambda0: float) -> float:
+    """The largest |dtheta/dt| of the lane change over all abort times:
+    |e0|/sqrt(lam) (1 + lambda0^((1 + lambda0)/(1 - lambda0))).
+
+    While the loop is linear, the response after an abort at tau is the
+    plain one minus a copy of it started at tau.  The copy's rate starts at
+    its largest magnitude, |e0|/sqrt(lam), with the sign opposite to the
+    plain rate's interior extremum at 2 t*, |e0|/sqrt(lam) lambda0^((1 +
+    lambda0)/(1 - lambda0)); an abort at 2 t* adds the two.
+    """
+    if not 0 < lambda0 < 1:
+        raise ValueError("lambda0 must lie in (0, 1)")
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    interior = lambda0 ** ((1.0 + lambda0) / (1.0 - lambda0))
+    return abs(e0) / math.sqrt(lam) * (1.0 + interior)

@@ -557,6 +557,44 @@ def test_criterion_13_lane_change_on_a_curve():
              "; ".join(details))
 
 
+def test_criterion_14_abort_at_every_time():
+    # Unsaturated, the response after an abort at tau is the plain one minus
+    # a copy of it started at tau.  lambda0 < 1 keeps dtheta of one sign, so
+    # no abort time lifts |dtheta| above the plain peak; the rate's worst
+    # abort is at 2 t*, where the closed form puts it.  Abort times cluster
+    # at t* and 2 t*; 12 s holds the peaks of the latest abort, 3 t* + t*
+    # <= 11.1 s, and keeps the 21 runs near 1 s.
+    ok, details = True, []
+    for (k, lam), factor in (((0.25, 1.0), 1.0992), ((0.5, 1.0), 1.125),
+                             ((0.25, 4.0), 1.125)):
+        base = _small_lane_change()._replace(
+            params=PlannerParams(k=k, lam=lam), duration=12.0
+        )
+        plain = sim.run(base)
+        assert plain.completed and plain.metrics.saturation_fraction == 0.0
+        e0, lambda0 = plain.samples[0].e, base.params.lambda0
+        t_star = oracle.predict_lane_change(e0, lam, lambda0).peak_time_dtheta
+        worst_d = worst_r = 0.0
+        for tau in (0.5 * t_star, t_star, 2.0 * t_star - 0.05, 2.0 * t_star,
+                    2.0 * t_star + 0.05, 3.0 * t_star):
+            record = sim.run(base._replace(abort_time=tau))
+            assert record.completed and record.metrics.saturation_fraction == 0.0
+            worst_d = max(worst_d, record.metrics.peak_abs_dtheta)
+            worst_r = max(worst_r, record.metrics.peak_abs_dtheta_dot)
+        closed = oracle.worst_abort_dtheta_dot(e0, lam, lambda0)
+        assert closed * math.sqrt(lam) / abs(e0) == pytest.approx(factor, abs=1e-4)
+        peak_d = plain.metrics.peak_abs_dtheta
+        ok = (ok and worst_d <= peak_d * (1.0 + 1e-12)
+              and abs(worst_r / closed - 1.0) < 0.01)
+        details.append(
+            f"k={k}, lam={lam}: |dtheta| {worst_d:.5f} vs plain {peak_d:.5f}, "
+            f"|dtheta_dot| {worst_r:.5f} vs {closed:.5f}"
+        )
+    conclude(14, ok, "no abort time lifts |dtheta| above the plain peak, and the "
+                     "worst |dtheta_dot| matches the closed form within 1%",
+             "; ".join(details))
+
+
 def _fixture_params(k, lambda0, gamma=None):
     """Planner parameters of one feasibility grid point, built as
     `find_feasible` builds them at the fixture's v and alpha; the one-point

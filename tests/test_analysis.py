@@ -310,10 +310,11 @@ bounds = st.one_of(st.just(math.inf), st.floats(0.05, 5.0))
 @st.composite
 def search_inputs(draw):
     """Random search inputs with small grids: out-of-domain grid values,
-    gamma on the golden-ratio bound and at 1, k on the window and abort
-    edges, and a k at which lam overflows.  Positive gamma stays above
-    1e-6: far below that delta_d0 can underflow to 0, which the windowed
-    search rejects and the point-by-point search accepted."""
+    gamma on the golden-ratio bound and at 1, lambda0 one ulp below 1, k on
+    the window and abort edges, and a k at which lam overflows.  Positive
+    gamma stays above 1e-6: far below that delta_d0 can underflow to 0,
+    which the windowed search rejects and the point-by-point search
+    accepted."""
     inputs = dict(
         v=draw(st.floats(0.1, 30.0)),
         lane_width=draw(st.floats(1.0, 5.0)),
@@ -328,9 +329,10 @@ def search_inputs(draw):
                          math.nextafter(1.0, 0.0)]),
     )
     inputs["gamma_grid"] = draw(st.lists(gamma, min_size=1, max_size=4))
-    inputs["lambda0_grid"] = draw(
-        st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=4)
-    )
+    # one ulp below 1 derives exactly 1.0, out of range, at about one k in
+    # seven
+    lambda0 = st.one_of(st.floats(-0.2, 1.2), st.just(math.nextafter(1.0, 0.0)))
+    inputs["lambda0_grid"] = draw(st.lists(lambda0, min_size=1, max_size=4))
     k_grid = draw(st.lists(st.floats(-0.1, 3.0), min_size=1, max_size=4))
     edges = boundary_ks({**inputs, "k_grid": k_grid})
     if edges:
@@ -433,8 +435,9 @@ class TestFindFeasible:
                   c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[0.7, 0.995],
                   lambda0_grid=[math.nextafter(0.41, 1.0), 0.41],
                   k_grid=[0.05, 0.12, 0.2, 0.3]))
-    # a k and a lambda0 each listed twice: each point of k = 0.12 appears
-    # twice, adjacent, in every block at that k
+    # a k and a lambda0 each listed twice: each copy of k = 0.12 gives its
+    # own blocks, whose tie the merge orders by (lambda0, k), so each point
+    # at that k appears twice, adjacent
     @example(dict(v=1.0, lane_width=3.5, kappa0=0.01, c1=math.inf,
                   c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[0.995, 1.0],
                   lambda0_grid=[0.5, 0.3, 0.5], k_grid=[0.12, 0.09, 0.12]))
@@ -471,6 +474,13 @@ class TestFindFeasible:
                   gamma_grid=[1.2, 0.995, math.nextafter(1.0, 0.0), 1.0,
                               math.nextafter(1.0, 2.0), 0.98, 0.5],
                   lambda0_grid=[0.5], k_grid=[0.05, 0.09, 0.12, 0.3]))
+    # lambda0 one ulp below 1 derives exactly 1.0 at both ks, which fails
+    # the oscillation range: the first visit stores no decay, and the later
+    # ones, the repeated k's included, skip the point on that
+    @example(dict(v=1.0, lane_width=3.5, kappa0=0.0, c1=math.inf,
+                  c2=math.inf, c3=math.inf, alpha=0.5, gamma_grid=[0.5],
+                  lambda0_grid=[0.5, 0.9999999999999999],
+                  k_grid=[1.371769, 0.44932, 1.371769]))
     def test_matches_per_point_search(self, inputs):
         # the point-by-point search raised OverflowError or
         # ZeroDivisionError where lam or delta_d0 overflowed; the windowed

@@ -17,7 +17,7 @@ import pytest
 
 import lanesteer
 from lanesteer import cli, scenario_io, sim
-from lanesteer.errors import ScenarioFormatError
+from lanesteer.errors import NumericBlowupError, ScenarioFormatError
 from test_acceptance import CSV_SHA256
 from test_sim import JOINT_GRIDS
 
@@ -187,6 +187,9 @@ class TestRun:
         ("segment = line 200.0", "segment = line", 2,
          "validation error: [track]: segment 'line': expected 'line <length_m>' "
          "or 'arc <length_m> <curvature_per_m>'"),
+        ("segment = line 200.0", "segment = line abc", 2,
+         "validation error: [track]: segment 'line abc': expected "
+         "'line <length_m>' or 'arc <length_m> <curvature_per_m>'"),
         ("[output]\n", "[extra]\n", 2, "validation error: unknown section [extra]"),
         ("[planner]\nk_per_m = 1.0\nlambda_s2 = 1.0\nv_s_m_per_s = 1.0\n", "", 2,
          "validation error: missing section [planner]"),
@@ -203,6 +206,23 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.splitlines()[0] == message.format(where=f"{bad}:{line}")
         assert not out.exists()
+
+    def test_planner_error_escaping_a_command_is_run_failure(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # sim.run records the failures it detects, so main's own handler
+        # maps whatever PlannerError still escapes a command
+        def blowup(scenario):
+            raise NumericBlowupError("integration produced a non-finite state")
+
+        monkeypatch.setattr(sim, "run", blowup)
+        code = run_cli([
+            "run", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == cli.EXIT_RUN_FAILURE
+        assert capsys.readouterr().err == (
+            "run failed: integration produced a non-finite state\n")
 
     def test_repeated_set_key_is_usage_error(self, tmp_path, capsys):
         # the last item once silently won
@@ -823,7 +843,10 @@ class TestFigures:
          "run failed: [sim]: duration must be positive and finite\n"),
         # the file does not parse
         ("duration_s = 12.0\n", "duration_s 12.0\n", "run failed: "),
-    ], ids=["invalid", "unparsable"])
+        # the file loads, but the run leaves the end of its 200 m line
+        ("duration_s = 12.0\n", "duration_s = 500.0\n",
+         "run failed: StationRangeError"),
+    ], ids=["invalid", "unparsable", "run_ends_failed"])
     def test_unusable_bundled_scenario_is_run_failure(
         self, tmp_path, monkeypatch, capsys, old, new, message
     ):

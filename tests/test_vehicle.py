@@ -167,6 +167,17 @@ class TestStep:
         with pytest.raises(NumericBlowupError, match="non-finite state"):
             veh.step(geom, VehicleState(0.0, 0.0, 0.0, delta), v, 0.0, 1e-3)
 
+    @pytest.mark.parametrize("state, v, h", [
+        # x + v h overflows, heading along x, then along y
+        (VehicleState(1.79e308, 0.0, 0.0, 0.0), 1e306, 1.0),
+        (VehicleState(0.0, 1.79e308, math.pi / 2, 0.0), 1e306, 1.0),
+        # cos, sin and remainder return NaN for a NaN heading, raising nothing
+        (VehicleState(0.0, 0.0, math.nan, 0.0), 1.0, 0.01),
+    ], ids=["x", "y", "nan_psi"])
+    def test_non_finite_state_is_numeric_blowup(self, state, v, h):
+        with pytest.raises(NumericBlowupError, match="non-finite state"):
+            veh.step(GEOM, state, v, 0.0, h)
+
     def test_bad_step_size(self):
         with pytest.raises(ValueError):
             veh.step(GEOM, VehicleState(0, 0, 0, 0), 1.0, 0.0, 0.0)
@@ -332,6 +343,9 @@ class TestStepOracle:
     @example(VehicleState(0.0, 0.0, 0.0, -0.58), 1.0, -1.0, 0.02)
     # -0.0 + 0.01 * -0.0 is -0.0, which the clamp must keep
     @example(VehicleState(0.0, 0.0, 0.0, -0.0), 1.0, -0.0, 0.01)
+    # starts outside the steering domain: the message names the start angle
+    # 1.6, not the midpoint's 1.595
+    @example(VehicleState(0.0, 0.0, 0.0, 1.6), 1.0, -1.0, 0.01)
     def test_step_matches_textbook_rk4_bit_for_bit(self, state, v, u, h):
         try:
             expected = textbook_rk4(GEOM, state, v, u, h)

@@ -103,10 +103,16 @@ def _corner_window(params: PlannerParams, kappa0: float, c3: float):
     """The corner-cutting window at the parameters' own gamma: (gamma,
     k_lower, k_upper, |steady lateral|, the four rows' verdicts in row
     order, rising, falling).  All four hold exactly where rising and
-    falling both do; at fixed k, rising can only turn true and falling
-    only false as delta_d0 grows (see `find_feasible`).
-    `check_corner_cutting` and the gate of `find_feasible` both read it,
-    so each edge and comparison is written here alone."""
+    falling both do.  At fixed k, as a grid gamma rises, delta_d0 =
+    gamma / (alpha k) and the derived gamma, alpha k delta_d0, never fall
+    (/ and * are correctly rounded), and with the derived gamma k_lower,
+    the steady offset and, on (0, 1), k_upper rise.  So rising (gamma above
+    GAMMA_LOWER, and k < k_upper or gamma >= 1) can only turn true, and
+    falling (gamma < 1, k_lower < k, steady < c3) only false: the passing
+    gammas of one k are one run.  k_upper is NaN from gamma 1 on, so
+    k < k_upper alone is not monotone.  `check_corner_cutting` and the gate
+    of `find_feasible` both read it, so each edge and comparison is written
+    here alone."""
     gamma = params.gamma
     ak0 = abs(kappa0)
     k_lower = ak0 * math.sqrt(1.0 + gamma)
@@ -195,63 +201,21 @@ def find_feasible(
     lambda and delta_d0 are derived per grid point: lam = (lambda0/(k v))^2
     and delta_d0 = gamma / (alpha k); a report's lambda0, k v sqrt(lam), can
     differ from the grid value in its last digit.  Grid values outside the
-    domain (gamma <= 0, k <= 0, lambda0 outside (0, 1)) are skipped; non-finite
-    inputs, and grids whose derived lam or delta_d0 is not positive and
-    finite, raise ValueError, as does `predict_curvature_ratio` on a pair
-    that passes.
-
-    Each k is visited as the grid lists it, and its (gamma, k) pairs go
-    through a gate first: the corner-cutting window at the pair's derived
-    gamma, alpha k delta_d0, with no `CheckResult` built (a straight lane
-    has no window, so every pair passes).  The gate bisects the sorted grid
-    gammas, about 2 log2(n + 1) windows for n gammas: at fixed k the
-    derived gamma never falls as the grid gamma rises (/ and * are
-    correctly rounded), and with it k_lower, the steady offset and, on
-    (0, 1), k_upper rise.  So the window's rising verdict (gamma above
-    GAMMA_LOWER, and k < k_upper or gamma >= 1) can only turn true, and
-    its falling one (gamma < 1, k_lower < k, steady < c3) only false:
-    the passing gammas, where both hold, are one run.  k_upper is NaN from
-    gamma 1 on, so k < k_upper alone is not monotone.  Only a k where some
-    gamma passes has its (lambda0, k) plane evaluated: abort safety at each
-    point whose derived lambda0 passes `check_oscillation`.  That check,
-    and the abort peak's factor exp(log lambda0 / (1 - lambda0)), read only
-    the derived lambda0, which takes far fewer values than the planes have
-    points (under 100 of 1600 on the benchmark's grids).  So both public
-    checks run once per distinct value in a search, the points sharing a
-    value share its oscillation result, and a later point builds its abort
-    rows from the shared factor.  The abort verdict is not shared: its peak
-    also reads lam, and at one derived lambda0 1/sqrt(lam) is proportional
-    to k, so one k can pass where another fails.  The passing points are
-    sorted by their derived lambda0.  A passing pair with a non-empty plane
-    then runs `check_corner_cutting` and `predict_curvature_ratio` once and
-    gives one block of reports, in lambda0 order, which share the checks of
-    their points.  Neither reads lam, so a pair's parameters take the lam of
-    the first grid lambda0.
-
-    Every `PlannerParams` here is built with tuple.__new__, unchecked.  The
-    argument checks cover k, alpha and v.  lam rises with lambda0 and falls
-    with k, and delta_d0 rises with gamma and falls with k, in floats too:
-    * and / are correctly rounded, so monotone, and ** 2 (the C library's
-    pow) rounds within about half an ulp, which keeps it monotone, since
-    the exact squares of neighbouring floats lie more than an ulp apart.
-    The two grid corners evaluated first therefore hold the extremes of
-    every derived lam and delta_d0: where both are positive and finite, so
-    is every point of the grid.
+    domain (gamma <= 0, k <= 0, lambda0 outside (0, 1)) are skipped.  A v,
+    lane width or bound c1, c2, c3 that is not positive, a non-finite v,
+    lane width, kappa0 or grid value, alpha outside (0, 1), an empty grid
+    axis, and grids whose derived lam or delta_d0 is not positive and finite
+    raise ValueError, as does `predict_curvature_ratio` on a set that passes.
 
     Results are sorted by predicted curvature ratio, then by the derived
     gamma, lambda0 and k of their parameters, with ties in grid order
-    (gamma, then lambda0), so the ordering does not depend on the
-    evaluation order.  The blocks are sorted on (ratio, gamma); only blocks
-    tied on both, as every k of a gamma is on a straight lane and a k listed
-    twice is with its first copy, have their reports merged by (lambda0, k).
+    (gamma, then lambda0); a grid value listed twice gives its sets twice.
 
     The search, after the argument checks, runs with the cyclic garbage
-    collector paused, and a finally re-enables it only if it was on, so a
-    caller's disabled collector stays disabled.  Nothing the search builds
-    is part of a reference cycle, so a collection during it could free
-    nothing; it would only rescan the reports built so far, thousands on a
-    large grid.  The pause is process-wide: other threads get no cyclic
-    collection while it lasts.
+    collector paused, and re-enables it only if it was on, so a caller's
+    disabled collector stays disabled.  The search builds no reference
+    cycle, so a collection during it could free nothing.  The pause is
+    process-wide: other threads get no cyclic collection while it lasts.
     """
     if not (0 < v < math.inf and 0 < lane_width < math.inf):
         raise ValueError("v and lane width must be positive and finite")
@@ -271,8 +235,13 @@ def find_feasible(
     ks = [k for k in k_grid if k > 0]
     if not (gammas and lambda0s and ks):
         return []
-    # lam falls with k and rises with lambda0, delta_d0 rises with gamma and
-    # falls with k: these two grid corners hold their extremes
+    # lam rises with lambda0 and falls with k, and delta_d0 rises with gamma
+    # and falls with k, in floats too: * and / are correctly rounded, and
+    # ** 2 (the C library's pow) rounds within about half an ulp, which
+    # keeps it monotone, since the exact squares of neighbouring floats lie
+    # more than an ulp apart.  So these two grid corners hold the extremes
+    # of every derived lam and delta_d0, and where both are positive and
+    # finite, so is every point's: `_search` builds its parameters unchecked
     for gamma, lambda0, k in ((max(gammas), max(lambda0s), min(ks)),
                               (min(gammas), min(lambda0s), max(ks))):
         try:
@@ -314,12 +283,11 @@ def _search(v, lane_width, kappa0, c1, c2, c3, alpha, gammas, lambda0s, ks):
     rhs1, rhs2 = c1 * v / lane_width, math.sqrt(c2 * v / lane_width)
     for k in ks:
         kv = k * v
-        # the pairs read no lam: they take the first grid lambda0's
-        first_lam = (lambda0s[0] / kv) ** 2
 
+        # the window, the corner check and the ratio read no lam
         def pair(gamma):
             return _tuple_new(
-                PlannerParams, (k, first_lam, alpha, gamma / (alpha * k), v)
+                PlannerParams, (k, 1.0, alpha, gamma / (alpha * k), v)
             )
 
         def window(gamma):

@@ -106,11 +106,8 @@ def _convert(section: str, key: str, value):
     try:
         if section != "output":
             return float(value)
-        low = value.lower()
-        if low in ("true", "yes", "1"):
-            return True
-        if low in ("false", "no", "0"):
-            return False
+        if value in ("true", "false"):
+            return value == "true"
         raise ValueError("must be a boolean")
     except ValueError as exc:
         raise ScenarioValidationError(

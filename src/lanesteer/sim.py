@@ -202,7 +202,7 @@ def _steady_window_mean(values: list[float]) -> tuple[float, bool]:
     n = len(values)
     if n < 8:
         return math.nan, False
-    w25 = values[-max(2, n // 4):]
+    w25 = values[-(n // 4):]
     w10 = values[-max(2, n // 10):]
     m25 = sum(w25) / len(w25)
     m10 = sum(w10) / len(w10)
@@ -213,10 +213,7 @@ def _steady_window_mean(values: list[float]) -> tuple[float, bool]:
 
 
 def _count_sign_changes(rates: list[float]) -> int:
-    peak = max((abs(r) for r in rates), default=0.0)
-    if peak == 0.0:
-        return 0
-    threshold = _RATE_DEADBAND * peak
+    threshold = _RATE_DEADBAND * max(map(abs, rates))
     signs = [1 if r > 0 else -1 for r in rates if abs(r) > threshold]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 

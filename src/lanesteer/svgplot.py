@@ -85,6 +85,13 @@ def line_chart(
     """Render labeled (x, y) series as one SVG document string."""
     if not series or not any(pts for _, pts in series):
         raise ValueError("chart needs at least one non-empty series")
+    # an infinite or NaN point has no place on a scaled axis
+    for label, pts in series:
+        for i, (x, y) in enumerate(pts):
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(
+                    f"series {label!r}: point {i} ({x!r}, {y!r}) is not finite"
+                )
     x_lo, x_hi = _axis([p[0] for _, pts in series for p in pts], 0.0)
     y_lo, y_hi = _axis([p[1] for _, pts in series for p in pts], 0.1)
     # spans are taken from halves, which scale exactly, so that the span of

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oracles import transient as oracle
+from oracles import region, transient as oracle
 
 from lanesteer import analysis, cli, scenario_io
 from lanesteer.control import PlannerParams
@@ -765,6 +765,85 @@ def test_search_matches_oracle_on_jittered_grids(seed):
                            (p.k, "k"), (p.lam, "lam"), (p.delta_d0, "delta_d0"),
                            (report.predicted_curvature_ratio, "predicted_ratio")):
             assert abs(value - row[key]) <= 1e-12, (key, value, row[key])
+
+
+# a grid point further inside or outside its k's closed-form region than
+# this, relative to gamma, to lambda0's upper edge 1 and to the k of its
+# abort edge, is decided by the oracle; the nearest value of the fixture's
+# and the jittered grids lies 4.8e-8 from a gamma edge.  The abort edge's
+# margin is on k because the peak can be flat in lambda0: near k v = R it
+# is k v within rounding for every small lambda0
+REGION_MARGIN = 1e-9
+
+
+def region_counts(inputs):
+    """Checks `find_feasible` against tests/oracles/region.py: no report lies
+    outside its k's region by more than `REGION_MARGIN`, and every grid
+    point inside it by more is reported.  A point's gamma and lambda0 are
+    derived as its report's are.  Returns the number of reports, of grid
+    points inside and of grid points within the margin."""
+    v, w, kappa0, alpha = (inputs[n] for n in ("v", "lane_width", "kappa0", "alpha"))
+    c1, c2, c3 = inputs["c1"], inputs["c2"], inputs["c3"]
+    gammas = [g for g in inputs["gamma_grid"] if g > 0]
+    lambda0s = [x for x in inputs["lambda0_grid"] if 0 < x < 1]
+    reports = analysis.find_feasible(**inputs)
+    # no grid point, and so no derived value, without a gamma and a lambda0
+    ks = [k for k in inputs["k_grid"] if k > 0] if gammas and lambda0s else []
+    inner, outer = 1.0 - REGION_MARGIN, 1.0 + REGION_MARGIN
+    # k -> ({derived gamma: side}, {derived lambda0: side})
+    sides = {}
+    inside = within = 0
+    for k in ks:
+        kv = k * v
+        g_lo, g_hi = region.gamma_interval(k, kappa0, c3)
+        g_in, g_out = (g_lo * outer, g_hi * inner), (g_lo * inner, g_hi * outer)
+        l_in = region.lambda0_lower(k * outer, v, w, c1, c2), inner
+        l_out = region.lambda0_lower(k * inner, v, w, c1, c2), outer
+        derived_gammas = [alpha * k * (g / (alpha * k)) for g in gammas]
+        derived_lambda0s = [kv * math.sqrt((x / kv) ** 2) for x in lambda0s]
+        g_sides = [region.side(g, g_in, g_out) for g in derived_gammas]
+        l_sides = [region.side(x, l_in, l_out) for x in derived_lambda0s]
+        sides[k] = (dict(zip(derived_gammas, g_sides)),
+                    dict(zip(derived_lambda0s, l_sides)))
+        both = g_sides.count(region.INSIDE) * l_sides.count(region.INSIDE)
+        inside += both
+        within += (len(gammas) - g_sides.count(region.OUTSIDE)) * (
+            len(lambda0s) - l_sides.count(region.OUTSIDE)) - both
+    reported_inside = 0
+    for report in reports:
+        g_side, l_side = sides[report.params.k]
+        pair = g_side[report.params.gamma], l_side[report.params.lambda0]
+        assert region.OUTSIDE not in pair, report.params
+        reported_inside += pair == (region.INSIDE, region.INSIDE)
+    assert reported_inside == inside
+    return len(reports), inside, within
+
+
+def test_region_oracle_on_the_fixture():
+    assert region_counts(FIXTURE_DATA["inputs"]) == (60, 60, 0)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11, 3321])
+def test_region_oracle_on_jittered_grids(seed):
+    # the first 8 grids of bench/lsbench.py at this seed, 40 values per axis
+    rng = random.Random(seed)
+    inputs = FIXTURE_DATA["inputs"]
+    for _ in range(8):
+        grids = {f"{axis}_grid": jittered(rng, inputs[f"{axis}_grid"], 40)
+                 for axis in ("gamma", "lambda0", "k")}
+        found, inside, within = region_counts({**inputs, **grids})
+        assert found == inside > 0 and within == 0
+
+
+@settings(max_examples=200)
+@given(search_inputs())
+def test_region_oracle_on_random_grids(inputs):
+    try:
+        region_counts(inputs)
+    except ValueError:
+        # an argument the search rejects, or a ratio it cannot compute
+        with pytest.raises(ValueError):
+            analysis.find_feasible(**inputs)
 
 
 # the SHA-256 of repr([(params, predicted_curvature_ratio), ...]) of four

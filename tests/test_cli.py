@@ -184,6 +184,11 @@ class TestRun:
          "error: {where}: duplicate key 'h_s' in [sim]"),
         ("emit_svg = true", "emit_svg = maybe", 2,
          "validation error: [output] emit_svg = 'maybe': must be a boolean"),
+        # a boolean is spelled true or false, in lower case
+        ("emit_svg = true", "emit_svg = yes", 2,
+         "validation error: [output] emit_svg = 'yes': must be a boolean"),
+        ("emit_svg = true", "emit_svg = True", 2,
+         "validation error: [output] emit_svg = 'True': must be a boolean"),
         ("segment = line 200.0", "segment = line", 2,
          "validation error: [track]: segment 'line': expected 'line <length_m>' "
          "or 'arc <length_m> <curvature_per_m>'"),

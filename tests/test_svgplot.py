@@ -93,3 +93,18 @@ def _assert_inside_the_box(svg):
 def test_no_points_rejected(series):
     with pytest.raises(ValueError, match="at least one non-empty series"):
         svgplot.line_chart(series, "t", "x", "y")
+
+
+# an axis all infinite once raised a bare "math domain error", a NaN
+# "cannot convert float NaN to integer", and an infinite value next to
+# finite ones was drawn as "inf,426.591" or "780,-inf"
+@pytest.mark.parametrize("series, label, index", [
+    ([("a", [(0.0, math.inf)])], "a", 0),
+    ([("a", [(0.0, math.nan), (1.0, 1.0)])], "a", 0),
+    ([("a", [(0.0, 0.0)]), ("b", [(math.inf, 0.0), (0.0, 1.0)])], "b", 0),
+    ([("a", [(0.0, 0.0), (1.0, math.inf)])], "a", 1),
+], ids=["all_infinite", "nan", "infinite_x", "infinite_y"])
+def test_non_finite_point_rejected(series, label, index):
+    with pytest.raises(ValueError, match=f"^series '{label}': point {index} "
+                       r"\(.*\) is not finite$"):
+        svgplot.line_chart(series, "t", "x", "y")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from math import tau
 from typing import NamedTuple
 
 from .errors import (
@@ -25,8 +26,6 @@ from .errors import (
     StationRangeError,
 )
 from .frozen import Frozen
-
-TAU = math.tau
 
 # two minimizers closer in distance than this, but at distinct feet,
 # make the projection ambiguous
@@ -43,9 +42,9 @@ _tuple_new = tuple.__new__
 
 def wrap_angle(a: float) -> float:
     """Wrap an angle to (-pi, pi]."""
-    a = math.remainder(a, TAU)
+    a = math.remainder(a, tau)
     if a <= -math.pi:
-        a += TAU
+        a += tau
     return a
 
 
@@ -148,7 +147,7 @@ class ArcSegment(Frozen):
                 "projection query exactly at an arc center"
             )
         phi = math.atan2(dy, dx)
-        a = (self.turn * (phi - self.start_angle)) % TAU
+        a = (self.turn * (phi - self.start_angle)) % tau
         if a <= abs(self.sweep):
             s = a * self.radius
             fx = self.cx + self.radius * dx / d

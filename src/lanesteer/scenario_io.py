@@ -10,10 +10,9 @@ on its own; `--set` overrides then apply to that Scenario through
 from __future__ import annotations
 
 from . import sim
-from .control import PlannerParams
 from .errors import ScenarioFormatError, ScenarioValidationError
 from .sim import Scenario
-from .vehicle import VehicleGeometry, VehicleState
+from .vehicle import VehicleState
 
 
 def _section(section: str, *classes) -> tuple[tuple, list]:
@@ -32,9 +31,7 @@ def _section(section: str, *classes) -> tuple[tuple, list]:
 # section -> (accepted keys, required keys): but for [output], sim's
 # override keys, [sim]'s with the initial state's
 _SECTIONS = {
-    "track": _section("track", sim.Track),
-    "vehicle": _section("vehicle", VehicleGeometry),
-    "planner": _section("planner", PlannerParams),
+    **{section: _section(section, cls) for section, (_, cls) in sim._RECORDS.items()},
     "sim": _section("sim", Scenario, VehicleState),
     "output": (("emit_svg",), ()),
 }
@@ -43,7 +40,7 @@ _SECTIONS = {
 def parse_file(path: str) -> dict:
     """Read a scenario file into {section: {key: value-or-list}}.
 
-    Only syntax is checked here; the schema is enforced by validate().
+    Only syntax is checked here; the schema is enforced by load().
     """
     sections: dict[str, dict] = {}
     current = None
@@ -143,43 +140,6 @@ def _values(sections: dict) -> dict:
     }
 
 
-def validate(sections: dict) -> tuple[Scenario, bool]:
-    """Enforce the schema and build the Scenario, returned with the [output]
-    emit_svg flag."""
-    values = _values(sections)
-    for section, (_, required) in _SECTIONS.items():
-        if section not in sections and section != "output":
-            raise ScenarioValidationError(f"missing section [{section}]")
-        for key in required:
-            if key not in sections.get(section, ()):
-                raise ScenarioValidationError(
-                    f"missing required key {key!r} in [{section}]"
-                )
-
-    records = {}
-    for section, build in (("track", sim.Track), ("vehicle", VehicleGeometry),
-                           ("planner", PlannerParams)):
-        try:
-            record = build(**sim.field_values(section, values[section]))
-            if section == "track":
-                # Scenario checks it too, but its errors read as [sim]'s
-                record.line()
-        except ValueError as exc:
-            raise ScenarioValidationError(f"[{section}]: {exc}") from None
-        records[sim._RECORDS[section]] = record
-
-    try:
-        kwargs = sim.field_values("sim", values["sim"])
-        initial = VehicleState(**{
-            name: kwargs.pop(name) for name in VehicleState._fields if name in kwargs
-        })
-        scenario = Scenario(initial_state=initial, **records, **kwargs)
-    except ValueError as exc:
-        raise ScenarioValidationError(f"[sim]: {exc}") from None
-
-    return scenario, values.get("output", {}).get("emit_svg", False)
-
-
 def load(path: str, overrides: list[str] | None = None) -> tuple[Scenario, bool]:
     """The scenario of a file, with 'section.key=value' overrides applied,
     and whether its run draws an SVG ([output] emit_svg, false by default).
@@ -198,12 +158,42 @@ def load(path: str, overrides: list[str] | None = None) -> tuple[Scenario, bool]
         if not (section and key and value):
             raise ScenarioFormatError(f"override {item!r} has empty parts")
         _put(tree.setdefault(section, {}), section, key, value, f"override {item!r}")
-    scenario, emit_svg = validate(parse_file(path))
-    values = _values(tree)
-    emit_svg = values.pop("output", {}).get("emit_svg", emit_svg)
-    if values:
+
+    values = _values(parse_file(path))
+    for section, (_, required) in _SECTIONS.items():
+        if section not in values and section != "output":
+            raise ScenarioValidationError(f"missing section [{section}]")
+        for key in required:
+            if key not in values.get(section, ()):
+                raise ScenarioValidationError(
+                    f"missing required key {key!r} in [{section}]"
+                )
+
+    records = {}
+    for section, (field, build) in sim._RECORDS.items():
+        try:
+            record = build(**sim.field_values(section, values[section]))
+            if section == "track":
+                # Scenario checks it too, but its errors read as [sim]'s
+                record.line()
+        except ValueError as exc:
+            raise ScenarioValidationError(f"[{section}]: {exc}") from None
+        records[field] = record
+
+    try:
+        kwargs = sim.field_values("sim", values["sim"])
+        initial = VehicleState(**{
+            name: kwargs.pop(name) for name in VehicleState._fields if name in kwargs
+        })
+        scenario = Scenario(initial_state=initial, **records, **kwargs)
+    except ValueError as exc:
+        raise ScenarioValidationError(f"[sim]: {exc}") from None
+
+    changes = _values(tree)
+    output = values.get("output", {}) | changes.pop("output", {})
+    if changes:
         scenario = sim.apply_overrides(scenario, {
             f"{section}.{key}": value
-            for section, keys in values.items() for key, value in keys.items()
+            for section, keys in changes.items() for key, value in keys.items()
         })
-    return scenario, emit_svg
+    return scenario, output.get("emit_svg", False)

@@ -317,8 +317,10 @@ _SIM_KEYS = {
 _TABLES = {"track": _TRACK_KEYS, "planner": _PLANNER_KEYS,
            "vehicle": _VEHICLE_KEYS, "sim": _SIM_KEYS}
 
-# the Scenario field of each section's record; [sim] fills the others
-_RECORDS = {"track": "track", "planner": "params", "vehicle": "geometry"}
+# each section's record: the Scenario field it fills and its class; [sim]
+# fills the other fields
+_RECORDS = {"track": ("track", Track), "vehicle": ("geometry", VehicleGeometry),
+            "planner": ("params", PlannerParams)}
 
 
 def field_values(section: str, values: dict[str, float]) -> dict:
@@ -359,7 +361,7 @@ def apply_override(scenario: Scenario, key: str, value) -> Scenario:
     kwargs = field_values(section, {name: value})
     if section == "sim" and _SIM_KEYS[name] not in VehicleState._fields:
         return scenario._replace(**kwargs)
-    field = _RECORDS.get(section, "initial_state")
+    field = _RECORDS[section][0] if section in _RECORDS else "initial_state"
     return scenario._replace(**{field: getattr(scenario, field)._replace(**kwargs)})
 
 

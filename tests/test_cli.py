@@ -330,6 +330,48 @@ class TestRun:
         ])
         assert code == 3
 
+    def test_run_failing_in_its_first_period(self, tmp_path, capsys):
+        # the run starts 10 m before the line does, so it records no sample
+        out = tmp_path / "o"
+        code = run_cli([
+            "run", "--scenario", scenario_path("lane_change_k10.scenario"),
+            "--set", "sim.initial_x_m=-10", "--out", str(out),
+        ])
+        assert code == cli.EXIT_RUN_FAILURE
+        assert capsys.readouterr().err.startswith("run failed: StationRangeError: ")
+        # the file sets emit_svg = true, but there is nothing to draw
+        assert sorted(os.listdir(out)) == [
+            "lane_change_k10.csv", "lane_change_k10_metrics.txt"]
+        assert (out / "lane_change_k10.csv").read_bytes() == (
+            ",".join(sim.Sample._fields) + "\r\n").encode()
+        lines = (out / "lane_change_k10_metrics.txt").read_text().splitlines()
+        values = dict(line.split(" = ", 1) for line in lines)
+        assert values.pop("completed") == "False"
+        assert values.pop("failure_reason").startswith("StationRangeError: ")
+        assert values == {
+            **dict.fromkeys(sim.RunMetrics._fields, "nan"),
+            "lateral_rate_sign_changes": "0",
+            "steady_converged": "False",
+        }
+
+    @pytest.mark.parametrize("drop_output", [False, True],
+                             ids=["output_false", "no_output_section"])
+    def test_set_emit_svg_true_draws_the_svg(self, tmp_path, drop_output):
+        text = Path(scenario_path("corner_twopoint.scenario")).read_text()
+        if drop_output:
+            text = text.replace("[output]\nemit_svg = false\n", "")
+        assert ("[output]" in text) != drop_output
+        src = tmp_path / "corner.scenario"
+        src.write_text(text)
+        assert scenario_io.load(str(src))[1] is False
+        out = tmp_path / "o"
+        code = run_cli([
+            "run", "--scenario", str(src), "--set", "sim.duration_s=1",
+            "--set", "output.emit_svg=true", "--out", str(out),
+        ])
+        assert code == 0
+        xml.dom.minidom.parse(str(out / "corner.svg"))
+
 
     @pytest.mark.parametrize("overrides, error", [
         (["sim.lane_change_offset_m=5.8e117"], "GeometryDegenerateError"),

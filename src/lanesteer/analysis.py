@@ -17,11 +17,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .control import PlannerParams
+from .frozen import _tuple_new
 
 GAMMA_LOWER = (math.sqrt(5.0) - 1.0) / 2.0
-
-# builds a record without the NamedTuple constructor's Python-level __new__
-_tuple_new = tuple.__new__
 
 
 class CheckRow(NamedTuple):

@@ -20,14 +20,12 @@ from . import vehicle as veh
 from .errors import (
     GeometryDegenerateError, NumericBlowupError, ShadowRegularityError,
 )
+from .frozen import _tuple_new
 from .refline import ReferenceLine, wrap_angle
 from .vehicle import VehicleGeometry, VehicleState
 
 # minimum alignment <x_s, x_v> before the speed coupling is declared degenerate
 EPS_ALIGN = 0.1
-
-# builds a record without the NamedTuple constructor's Python-level __new__
-_tuple_new = tuple.__new__
 
 
 # the fields of PlannerParams: a NamedTuple body may not define __new__ or

@@ -1,8 +1,12 @@
-"""Value semantics for the package's small immutable classes.
+"""Value semantics for the package's small immutable classes and records.
 
 A frozen dataclass has them too, but defining one costs about a millisecond
 at import, against about 0.01 ms for a class with __slots__.
 """
+
+# builds a NamedTuple record without its constructor's Python-level __new__;
+# the caller supplies every field, in order
+_tuple_new = tuple.__new__
 
 
 class Frozen:

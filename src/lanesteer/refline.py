@@ -25,7 +25,7 @@ from .errors import (
     ProjectionAmbiguityError,
     StationRangeError,
 )
-from .frozen import Frozen
+from .frozen import Frozen, _tuple_new
 
 # two minimizers closer in distance than this, but at distinct feet,
 # make the projection ambiguous
@@ -35,9 +35,6 @@ _AMBIGUITY_TOL = 1e-6
 # swamps a small lateral: at curvature 1e-8 the lateral of (1, 0) reads
 # -4.6e-19 m instead of about 5e-9 m
 _MAX_ARC_RADIUS = 1e6
-
-# builds a record without the NamedTuple constructor's Python-level __new__
-_tuple_new = tuple.__new__
 
 
 def wrap_angle(a: float) -> float:
@@ -166,15 +163,12 @@ class ArcSegment(Frozen):
         return ArcSegment(self.cx, self.cy, new_radius, self.start_angle, self.sweep)
 
 
-Segment = StraightSegment | ArcSegment
-
-
 class ReferenceLine:
     """Arc-length parameterized chain of straight and circular-arc segments,
     built by from_pieces or parallel_offset."""
 
     @classmethod
-    def _chain(cls, segments: list[Segment]) -> "ReferenceLine":
+    def _chain(cls, segments: list[StraightSegment | ArcSegment]) -> "ReferenceLine":
         self = object.__new__(cls)
         self.segments = segments
         self._starts = [0.0]
@@ -197,7 +191,7 @@ class ReferenceLine:
             raise ValueError("start pose must be finite")
         if not pieces:
             raise ValueError("reference line needs at least one piece")
-        segments: list[Segment] = []
+        segments: list[StraightSegment | ArcSegment] = []
         for piece in pieces:
             kind = piece[0]
             if kind == "line":
@@ -246,12 +240,7 @@ class ReferenceLine:
     def lookahead(self, shadow_station: float, delta_d0: float) -> FramePoint:
         if delta_d0 < 0:
             raise ValueError("look-ahead distance must be nonnegative")
-        s = shadow_station + delta_d0
-        if s > self.total_length + 1e-12:
-            raise StationRangeError(
-                f"look-ahead station {s} beyond line end {self.total_length}"
-            )
-        return self.point_at(s)
+        return self.point_at(shadow_station + delta_d0)
 
     def project(self, position: tuple[float, float]) -> ShadowResult:
         px, py = position

@@ -18,6 +18,7 @@ from . import control as ctl
 from . import vehicle as veh
 from .control import PlannerParams, Sample
 from .errors import PlannerError, ScenarioValidationError
+from .frozen import _tuple_new
 from .refline import ReferenceLine, wrap_angle
 from .vehicle import VehicleGeometry, VehicleState
 
@@ -28,9 +29,6 @@ _STEADY_AGREE_TOL = 1e-2
 
 # the most RK4 steps one run may take; README.md states what they cost
 _MAX_STEPS = 10 ** 8
-
-# builds a record without the NamedTuple constructor's Python-level __new__
-_tuple_new = tuple.__new__
 
 
 class Track(NamedTuple):

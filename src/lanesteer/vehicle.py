@@ -11,7 +11,7 @@ from math import atan, cos, isfinite, pi, remainder, sin, tan, tau
 from typing import NamedTuple
 
 from .errors import NumericBlowupError, SteeringDomainError
-from .frozen import Frozen
+from .frozen import Frozen, _tuple_new
 
 
 class VehicleGeometry(Frozen):
@@ -45,10 +45,6 @@ class VehicleState(NamedTuple):
 
 
 _HALF_PI = math.pi / 2
-
-# builds a record without the NamedTuple constructor's Python-level __new__;
-# the caller supplies every field, in order
-_tuple_new = tuple.__new__
 
 
 def slip_and_gain(geom: VehicleGeometry, delta: float) -> tuple[float, float]:

@@ -172,6 +172,32 @@ class TestRun:
         assert "control period" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old, new, args, message", [
+        ("k_per_m = 1.0\n", "k_per_m = -1.0\n",
+         ["run", "--set", "planner.k_per_m=1.0"],
+         "[planner]: k must be positive and finite"),
+        ("h_s = 0.001\n", "h_s = 0.6\n", ["run", "--set", "sim.h_s=0.001"],
+         "[sim]: duration must be a whole number of control periods "
+         "control_divisor * h, with at most 10**8 RK4 steps in all"),
+        ("k_per_m = 1.0\n", "k_per_m = -1.0\n",
+         ["sweep", "--grid", "planner.k_per_m=1.0"],
+         "[planner]: k must be positive and finite"),
+    ], ids=["set_k", "set_h", "grid_k"])
+    def test_override_cannot_mend_an_invalid_file(
+        self, tmp_path, capsys, old, new, args, message
+    ):
+        # the file is checked on its own before any --set or --grid key
+        text = Path(scenario_path("lane_change_k10.scenario")).read_text()
+        assert old in text
+        bad = tmp_path / "bad.scenario"
+        bad.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        command, *rest = args
+        code = run_cli([command, "--scenario", str(bad), *rest, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not out.exists()
+
     # (text replaced, replacement, exit code, first line of stderr); {where}
     # is the file and the line of the replacement's last line
     @pytest.mark.parametrize("old, new, code, message", [
@@ -992,6 +1018,26 @@ class TestUsage:
             and not any(hasattr(base, f.name) for base in cls.__mro__[1:])
         )
         assert unused == []
+
+    def test_no_module_level_name_is_bound_in_two_modules(self):
+        # a name bound at module level in two modules is a copy or two
+        # things under one name; one module binds it, the others import it
+        modules = {}
+        for path in glob.glob(os.path.join(os.path.dirname(cli.__file__), "*.py")):
+            with open(path) as fh:
+                tree = ast.parse(fh.read(), path)
+            for statement in tree.body:
+                if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                    names = [statement.name]
+                elif isinstance(statement, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                    names = [node.id for node in ast.walk(statement)
+                             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+                else:
+                    continue
+                for name in names:
+                    modules.setdefault(name, set()).add(os.path.basename(path))
+        assert len(modules) > 50
+        assert {name: sorted(m) for name, m in modules.items() if len(m) > 1} == {}
 
     def test_import_leaves_out_dataclasses_and_inspect(self):
         # defining a dataclass or calling inspect.signature adds start-up

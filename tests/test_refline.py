@@ -136,6 +136,22 @@ class TestFrames:
         with pytest.raises(StationRangeError):
             line.point_at(line.total_length + 1.0)
 
+    def test_station_within_1e_12_is_clamped(self):
+        line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 60.0)])
+        end = line.point_at(60.0 + 5e-13)
+        assert end == line.point_at(60.0)
+        assert end.station == 60.0
+        assert line.point_at(-5e-13).station == 0.0
+
+    def test_station_past_1e_12_raises(self):
+        # point_at's bound is the look-ahead's as well
+        line = ReferenceLine.from_pieces(0.0, 0.0, 0.0, [("line", 60.0)])
+        for s in (60.0 + 1e-9, -1e-9):
+            with pytest.raises(StationRangeError):
+                line.point_at(s)
+        with pytest.raises(StationRangeError):
+            line.lookahead(59.0, 1.0 + 1e-9)
+
 
 class TestLookahead:
     def test_advances_station(self):

@@ -628,6 +628,16 @@ class TestRunCorner:
         assert record.samples[-1].t == pytest.approx(150.0)
         assert abs(record.metrics.final_lateral) < 0.05
 
+    def test_two_point_look_ahead_leaves_the_line(self):
+        # the full circle is 628.3 m long and the look-ahead 16.6 m: the run
+        # stops when the look-ahead point passes the line's end, with the
+        # vehicle itself still 16 m before it
+        record = sim.run(bundled("corner_twopoint")._replace(duration=620.0))
+        assert not record.completed
+        assert record.failure_reason.startswith("StationRangeError")
+        assert len(record.samples) == 12235
+        assert record.samples[-1].t == pytest.approx(611.7)
+
 
 class TestSteadyWindowMean:
     def test_decay_to_near_zero_is_converged(self):
